@@ -109,19 +109,6 @@ def _toeplitz_F(E: np.ndarray, A: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _toeplitz_F_K(E: np.ndarray, A: np.ndarray, K: np.ndarray, k: int) -> np.ndarray:
-    """_toeplitz_F with an extra row block [0, K, 0, ..., 0].
-
-    K sits under the second block column (under the first when k = 1).
-    """
-    m, n = E.shape
-    F = _toeplitz_F(E, A, k)
-    row = np.zeros((K.shape[0], k * n))
-    col = n if k > 1 else 0
-    row[:, col:col + n] = K
-    return np.vstack([F, row])
-
-
 def build_F(E, A, k: int):
     """Block-Toeplitz matrix with k+1 diagonal E blocks and k superdiagonal A blocks."""
     E = as_matrix(E)
@@ -132,13 +119,14 @@ def build_F(E, A, k: int):
 
 
 def build_F_K(E, A, K, k: int):
-    """build_F with the functional matrix K appended as a trailing row block."""
-    E = as_matrix(E)
-    A = as_matrix(A, rows=E.shape[0], cols=E.shape[1])
-    K = as_matrix(K, cols=E.shape[1])
-    if k < 1:
-        raise ValueError("depth k must be >= 1")
-    return _toeplitz_F_K(E, A, K, k + 1)
+    """build_F with a trailing row block [0, K, 0, ..., 0] (K under the
+    second block column)."""
+    F = build_F(E, A, k)
+    n = F.shape[1] // (k + 1)
+    K = as_matrix(K, cols=n)
+    row = np.zeros((K.shape[0], F.shape[1]))
+    row[:, n:2 * n] = K
+    return np.vstack([F, row])
 
 
 @dataclass(frozen=True)
@@ -218,13 +206,14 @@ def _inclusion_in_kernel(space: Subspace, K: np.ndarray) -> bool:
     return bool(resid <= SUBSPACE_ATOL * max(1.0, np.linalg.norm(K, 2)))
 
 
-def _impulse_observable_triple(E, A, C, K, tol: Tolerance) -> bool:
-    """W*_{E,A,0,C} intersect A^{-1}(im E) subseteq ker K."""
+def _impulse_observable_triple(E, A, C, K, tol: Tolerance, W=None) -> bool:
+    """W intersect A^{-1}(im E) subseteq ker K, where W = W*_{E,A,0,C}."""
     E = as_matrix(E)
     A = as_matrix(A, rows=E.shape[0], cols=E.shape[1])
     if E.shape[1] == 0:
         return True
-    W = wong_limits(E, A, None, C, tol).W_star
+    if W is None:
+        W = wong_limits(E, A, None, C, tol).W_star
     pre = preimage(A, image(E, tol), tol)
     return _inclusion_in_kernel(intersect(W, pre, tol), as_matrix(K, cols=E.shape[1]))
 
@@ -241,7 +230,11 @@ def detectability_matrices(sys: DescriptorSystem, lam: complex):
     subdiagonal; the first additionally carries K under the last block
     column.
     """
-    st = StackedSystem(sys)
+    return _detectability_matrices(StackedSystem(sys), lam)
+
+
+def _detectability_matrices(st: StackedSystem, lam: complex):
+    sys = st.sys
     n = sys.n
     mb = st.E_bar.shape[0]
     block = lam * st.E_bar - st.A_bar
@@ -255,10 +248,12 @@ def detectability_matrices(sys: DescriptorSystem, lam: complex):
     return np.vstack([right, krow]), right
 
 
-def _detect_candidate_lambdas(sys: DescriptorSystem, tol: Tolerance) -> list[complex]:
+def _detect_candidate_lambdas(sys: DescriptorSystem, tol: Tolerance,
+                              st=None) -> list[complex]:
     """Finite points where either rank-test matrix can drop below normal rank."""
-    with_K, without_K = detectability_matrices(sys, 1.0)
-    base_K, base = detectability_matrices(sys, 0.0)
+    st = StackedSystem(sys) if st is None else st
+    with_K, without_K = _detectability_matrices(st, 1.0)
+    base_K, base = _detectability_matrices(st, 0.0)
     cands: list[complex] = []
     for M1, M0 in ((with_K, base_K), (without_K, base)):
         X = np.real(M1 - M0)   # coefficient of lambda
@@ -276,21 +271,21 @@ def is_partially_detectable(sys: DescriptorSystem,
     pencil's finite eigenvalues there plus generic samples for the normal
     rank.
     """
+    return _half_plane_test(StackedSystem(sys), tol)
+
+
+def _half_plane_test(st: StackedSystem, tol: Tolerance):
     margin = tol.eig_stability_margin
     lams: list[complex] = list(GENERIC_LAMBDAS)
-    for lam in _detect_candidate_lambdas(sys, tol):
+    for lam in _detect_candidate_lambdas(st.sys, tol, st):
         if lam.real >= -margin:
             lams.append(lam)
     evidence = []
-    ok = True
     for lam in lams:
-        with_K, without_K = detectability_matrices(sys, lam)
-        r1 = numeric_rank(with_K, tol)
-        r0 = numeric_rank(without_K, tol)
-        evidence.append((complex(lam), r1, r0))
-        if r1 != r0:
-            ok = False
-    return ok, tuple(evidence)
+        with_K, without_K = _detectability_matrices(st, lam)
+        evidence.append((complex(lam), numeric_rank(with_K, tol),
+                         numeric_rank(without_K, tol)))
+    return all(r1 == r0 for _, r1, r0 in evidence), tuple(evidence)
 
 
 def is_partially_causal(E, A, B, K, tol: Tolerance = DEFAULT_TOL):
@@ -300,11 +295,16 @@ def is_partially_causal(E, A, B, K, tol: Tolerance = DEFAULT_TOL):
     the normal-rank assumption fails the verdict is still the sufficient
     direction; callers should surface the caveat.
     """
+    return _causal_test(E, A, B, K, tol)
+
+
+def _causal_test(E, A, B, K, tol: Tolerance, F_pl=None):
+    """is_partially_causal; F_pl is the depth-n Toeplitz matrix of (E, A)."""
     sys = DescriptorSystem.from_matrices(E, A, B, np.zeros((0, as_matrix(E).shape[1])), K)
     st = StackedSystem(sys)
-    n = sys.n
     F_sc = st.F_script()
-    F_pl = st.F_plain()
+    if F_pl is None:
+        F_pl = st.F_plain()
     top = np.hstack([F_sc, st.corner_A])
     bottom = np.hstack([np.zeros((F_pl.shape[0], F_sc.shape[1])), F_pl])
     L = np.vstack([top, bottom])
@@ -323,12 +323,9 @@ def is_partially_causal(E, A, B, K, tol: Tolerance = DEFAULT_TOL):
     return bool(r0 == r1), (r0, r1), assumption_ok
 
 
-def causal_detectability_ranks(sys: DescriptorSystem,
-                               tol: Tolerance = DEFAULT_TOL):
-    """The stacked rank pair whose equality is criterion (i)."""
-    st = StackedSystem(sys)
-    F_sc = st.F_script()
-    F_bar = st.F_stacked()
+def _causal_ranks(st: StackedSystem, F_sc, F_bar, tol: Tolerance):
+    """The stacked rank pair (with K, without K) whose equality is criterion (i)."""
+    sys = st.sys
     cols_left = F_sc.shape[1]
     zero = lambda rows: np.zeros((rows, cols_left))
     without_K = np.vstack([
@@ -341,6 +338,31 @@ def causal_detectability_ranks(sys: DescriptorSystem,
     return numeric_rank(with_K, tol), numeric_rank(without_K, tol)
 
 
+def _criterion(lifted, tol: Tolerance):
+    """Half-plane detectability plus criterion (i), which hold exactly when a
+    functional ODE estimator exists.  ``lifted`` is ``_lift(sys)``.  Returns
+    (detectable, evidence, causal ranks, refusal); refusal names the failed
+    tests, or is None.
+    """
+    st, F_sc, F_bar = lifted
+    detectable, evidence = _half_plane_test(st, tol)
+    r1, r0 = _causal_ranks(st, F_sc, F_bar, tol)
+    parts = []
+    if not detectable:
+        bad = [f"lambda={lam:.4g}: {w} != {wo}" for lam, w, wo in evidence if w != wo]
+        parts.append("half-plane detectability rank equality fails at "
+                     + "; ".join(bad[:3]))
+    if r1 != r0:
+        parts.append("stacked causality rank condition fails")
+    return detectable, evidence, (r1, r0), " and ".join(parts) or None
+
+
+def _lift(sys: DescriptorSystem):
+    """StackedSystem(sys), its F_script() and its F_stacked()."""
+    st = StackedSystem(sys)
+    return st, st.F_script(), st.F_stacked()
+
+
 def characterization_suite(sys: DescriptorSystem,
                            tol: Tolerance = DEFAULT_TOL) -> tuple:
     """Five equivalent formulations of the causal part of the criterion.
@@ -351,24 +373,26 @@ def characterization_suite(sys: DescriptorSystem,
     controllable part.  They must agree; disagreement indicates numerical
     trouble and is surfaced by the test suite.
     """
-    st = StackedSystem(sys)
-    n = sys.n
+    lifted = _lift(sys)
+    r1, r0 = _causal_ranks(*lifted, tol)
+    W_star = wong_limits(sys.E, sys.A, None, sys.C, tol).W_star
+    return _votes(lifted, r1 == r0, W_star, tol)
 
-    r1, r0 = causal_detectability_ranks(sys, tol)
-    vote1 = bool(r1 == r0)
 
-    F_sc = st.F_script()
+def _votes(lifted, vote1: bool, W_star: Subspace, tol: Tolerance) -> tuple:
+    """characterization_suite, given vote 1 and W*_{E,A,0,C}."""
+    st, F_sc, F_bar = lifted
+    sys = st.sys
     imF = image(F_sc, tol)
     space2 = intersect(
         intersect(preimage(st.corner_A, imF, tol), kernel(st.wide_C, tol), tol),
-        kernel(st.F_stacked(), tol), tol)
+        kernel(F_bar, tol), tol)
     vote2 = _inclusion_in_kernel(space2, st.wide_K)
 
-    W_star = wong_limits(sys.E, sys.A, None, sys.C, tol).W_star
     space3 = intersect(preimage(st.corner_A1, imF, tol), W_star, tol)
     vote3 = _inclusion_in_kernel(space3, sys.K)
 
-    V_pre = wong_V_at(sys.E, sys.A, sys.B, None, n - 1, tol)
+    V_pre = wong_V_at(sys.E, sys.A, sys.B, None, sys.n - 1, tol)
     EV = Subspace.from_span(sys.E @ V_pre.basis, sys.m, tol,
                             scale=float(np.linalg.norm(sys.E)) or 1.0)
     space4 = intersect(preimage(sys.A, EV, tol), W_star, tol)
@@ -379,18 +403,22 @@ def characterization_suite(sys: DescriptorSystem,
     K11 = kd.functional_part(sys.K)
     vote5 = _impulse_observable_triple(E11, A11, C11, K11, tol)
 
-    return (vote1, vote2, vote3, vote4, vote5)
+    return (bool(vote1), vote2, vote3, vote4, vote5)
 
 
 def is_partially_causal_detectable(sys: DescriptorSystem,
                                    tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
-    """Full property analysis; the headline verdict gates estimator synthesis."""
-    detectable, evidence = is_partially_detectable(sys, tol)
-    votes = characterization_suite(sys, tol)
-    causal, causal_ranks, assumption_ok = is_partially_causal(
-        StackedSystem(sys).E_bar, StackedSystem(sys).A_bar,
-        StackedSystem(sys).B_bar, sys.K, tol)
-    impulse = is_partially_impulse_observable(sys, tol)
+    """Full property analysis; the headline verdict gates estimator synthesis.
+
+    The lifted matrices and W*_{E,A,0,C} are built once and shared by all tests.
+    """
+    st, _, F_bar = lifted = _lift(sys)
+    detectable, evidence, (r1, r0), refusal = _criterion(lifted, tol)
+    W_star = wong_limits(sys.E, sys.A, None, sys.C, tol).W_star
+    votes = _votes(lifted, r1 == r0, W_star, tol)
+    causal, causal_ranks, assumption_ok = _causal_test(
+        st.E_bar, st.A_bar, st.B_bar, sys.K, tol, F_pl=F_bar)
+    impulse = _impulse_observable_triple(sys.E, sys.A, sys.C, sys.K, tol, W=W_star)
 
     s_probe = 1.0 * sys.E - sys.A
     sv = np.linalg.svd(s_probe, compute_uv=False) if s_probe.size else np.array([1.0])
@@ -403,7 +431,7 @@ def is_partially_causal_detectable(sys: DescriptorSystem,
         partially_causal=causal,
         causality_ranks=causal_ranks,
         causality_assumption_ok=assumption_ok,
-        partially_causal_detectable=bool(detectable and votes[0]),
+        partially_causal_detectable=refusal is None,
         characterization_votes=votes,
         diagnostics={
             "rank_rtol": tol.rank_rtol,

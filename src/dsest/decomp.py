@@ -344,15 +344,21 @@ def qkf(E, A, tol: Tolerance = DEFAULT_TOL) -> PencilQKF:
     """
     E = as_matrix(E)
     A = as_matrix(A, rows=E.shape[0], cols=E.shape[1])
+    return _with_relaxed_retry("QKF", _qkf_once, E, A, tol=tol)
+
+
+def _with_relaxed_retry(what: str, once, *args, tol: Tolerance):
+    """once(*args, tol), retried once at tol.relaxed() on DecompositionError."""
     try:
-        return _qkf_once(E, A, tol)
+        return once(*args, tol)
     except DecompositionError as first:
+        relaxed = tol.relaxed()
         try:
-            return _qkf_once(E, A, tol.relaxed())
+            return once(*args, relaxed)
         except DecompositionError as second:
             raise DecompositionError(
-                f"QKF failed at rank_rtol={tol.rank_rtol:g} ({first}) and at "
-                f"relaxed rank_rtol={tol.rank_rtol * 10:g} ({second})") from second
+                f"{what} failed at rank_rtol={tol.rank_rtol:g} ({first}) and at "
+                f"relaxed rank_rtol={relaxed.rank_rtol:g} ({second})") from second
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +469,6 @@ class KalmanDecomposition:
     B_blocks: np.ndarray = field(repr=False)   # S B
     C_blocks: np.ndarray = field(repr=False)   # C T
 
-    def _slice(self, i):
-        (m1, n1), (m2, n2), _ = self.sizes
-        rows = [0, m1, m1 + m2]
-        cols = [0, n1, n1 + n2]
-        return rows[i], cols[i]
-
     @property
     def controllable_part(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(E11, A11, B1, C1) of the completely controllable subsystem."""
@@ -553,12 +553,4 @@ def kalman_controllability(E, A, B, C, tol: Tolerance = DEFAULT_TOL) -> KalmanDe
     A = as_matrix(A, rows=E.shape[0], cols=E.shape[1])
     B = as_matrix(B, rows=E.shape[0])
     C = as_matrix(C, cols=E.shape[1])
-    try:
-        return _kalman_once(E, A, B, C, tol)
-    except DecompositionError as first:
-        try:
-            return _kalman_once(E, A, B, C, tol.relaxed())
-        except DecompositionError as second:
-            raise DecompositionError(
-                f"Kalman decomposition failed at rank_rtol={tol.rank_rtol:g} "
-                f"({first}) and relaxed ({second})") from second
+    return _with_relaxed_retry("Kalman decomposition", _kalman_once, E, A, B, C, tol=tol)

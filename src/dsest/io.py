@@ -41,6 +41,21 @@ def _as_matrix_field(doc: dict, key: str, path: str) -> np.ndarray:
     return M
 
 
+def _read_json_object(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") \
+            from None
+    if not isinstance(doc, dict):
+        raise InputFormatError(f"{path}: top level must be a JSON object")
+    return doc
+
+
 def tolerance_from_dict(doc: Optional[dict],
                         base: Tolerance = DEFAULT_TOL) -> Tolerance:
     if not doc:
@@ -56,17 +71,7 @@ def tolerance_from_dict(doc: Optional[dict],
 
 def load_system(path: str) -> tuple[DescriptorSystem, str, Optional[dict]]:
     """Load a SystemFile; returns (system, name, tolerance-override dict)."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") \
-            from None
-    if not isinstance(doc, dict):
-        raise InputFormatError(f"{path}: top level must be a JSON object")
+    doc = _read_json_object(path)
     mats = {k: _as_matrix_field(doc, k, path) for k in _MATRIX_KEYS}
     E, A, B, C, D, K = (mats[k] for k in _MATRIX_KEYS)
     m, n = E.shape
@@ -138,23 +143,19 @@ def save_estimator(path: str, est: EstimatorRealization,
 
 
 def load_estimator(path: str) -> tuple[EstimatorRealization, str]:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") \
-            from None
-    mats = {}
-    for key in ("N", "H", "R", "M"):
-        mats[key] = _as_matrix_field(doc, key, path)
+    doc = _read_json_object(path)
+    mats = {key: _as_matrix_field(doc, key, path) for key in ("N", "H", "R", "M")}
     s = int(doc.get("s", mats["N"].shape[0]))
     if mats["N"].shape != (s, s):
         raise InputFormatError(f"{path}: N must be {s}x{s}")
     if mats["H"].shape[0] != s or mats["R"].shape[1] not in (s,):
         raise InputFormatError(f"{path}: H/R shapes inconsistent with s={s}")
+    if s == 0:      # an empty H list carries no width; M has it
+        mats["H"] = mats["H"].reshape(0, mats["M"].shape[1])
+    if mats["M"].shape != (mats["R"].shape[0], mats["H"].shape[1]):
+        raise InputFormatError(
+            f"{path}: M is {mats['M'].shape[0]}x{mats['M'].shape[1]}, expected "
+            f"{mats['R'].shape[0]}x{mats['H'].shape[1]} (rows of R x columns of H)")
     try:
         est = EstimatorRealization(N=mats["N"], H=mats["H"],
                                    R=mats["R"], M=mats["M"])

@@ -23,6 +23,10 @@ from .exceptions import (
 # Bases are orthonormal, so residuals are scale-free.
 SUBSPACE_ATOL = 1e-8
 
+# Threshold (relative to the data scale) below which a consistency residual
+# (x0 constraints; the synthesis blocks K_eps, K_f1, K_sigma J_sigma) is zero.
+CONSISTENCY_ATOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -72,6 +76,21 @@ def as_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray
     if cols is not None and m.shape[1] != cols:
         raise DimensionMismatchError(f"expected {cols} cols, got {m.shape[1]}")
     return m
+
+
+def _snap_roundoff(M, rel: float = 1e-12) -> np.ndarray:
+    """Zero out entries at pure-roundoff level relative to the largest entry.
+
+    Products T (block form) T^+ of decomposition bases leave ~1e-16 entries
+    where the exact result is zero; a coupling that small from a fast mode
+    or a large output into a bounded state ruins long-horizon accuracy.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.size == 0:
+        return M
+    out = M.copy()
+    out[np.abs(out) < rel * np.abs(M).max()] = 0.0
+    return out
 
 
 def _svd_threshold(s: np.ndarray, shape: tuple[int, int], tol: Tolerance,

@@ -27,11 +27,11 @@ import numpy as np
 from .analysis import DescriptorSystem
 from .decomp import PencilQKF, qkf
 from .exceptions import SimulationError
-from .linalg import DEFAULT_TOL, Tolerance, kernel, pseudo_inverse
+from .linalg import (CONSISTENCY_ATOL, DEFAULT_TOL, Tolerance, _snap_roundoff,
+                     kernel, pseudo_inverse)
 from .signals import InputSignal
 from .synthesis import EstimatorRealization
 
-CONSISTENCY_ATOL = 1e-8
 DEFAULT_HORIZON = 30.0
 DEFAULT_DT = 1e-3
 
@@ -79,25 +79,6 @@ def _as_signal(u, dim: int) -> InputSignal:
     if u.dim != dim:
         raise SimulationError(f"input has {u.dim} components, plant needs {dim}")
     return u
-
-
-def _snap(M: np.ndarray, rel: float = 1e-12) -> np.ndarray:
-    """Zero out entries at pure-roundoff level relative to the largest entry.
-
-    The solver builds its runtime matrices as products T (block form) T^+
-    where T collects the decomposition bases; the internal rotations cancel,
-    so entries that are exactly zero in real arithmetic come out at ~1e-16
-    relative magnitude.  Restoring those exact zeros matters: a 1e-16
-    coupling from a fast-growing mode into a bounded state destroys the
-    bounded state's accuracy on long horizons.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        return M
-    cutoff = rel * np.abs(M).max()
-    out = M.copy()
-    out[np.abs(out) < cutoff] = 0.0
-    return out
 
 
 class _PlantSolver:
@@ -191,15 +172,16 @@ class _PlantSolver:
         Qv_pinv = pseudo_inverse(self.Q_v) if self.n_dyn \
             else np.zeros((0, sys.n))
         self.Qv_pinv = Qv_pinv
-        self.F = _snap(self.Q_v @ D_v @ Qv_pinv) if self.n_dyn \
+        self.F = _snap_roundoff(self.Q_v @ D_v @ Qv_pinv) if self.n_dyn \
             else np.zeros((sys.n, sys.n))
-        self.Gu = _snap(self.Q_v @ B_v) if self.n_dyn else np.zeros((sys.n, sys.l))
-        self.Gfree = _snap(self.Q_v @ C_free) if self.n_dyn \
+        self.Gu = _snap_roundoff(self.Q_v @ B_v) if self.n_dyn \
+            else np.zeros((sys.n, sys.l))
+        self.Gfree = _snap_roundoff(self.Q_v @ C_free) if self.n_dyn \
             else np.zeros((sys.n, self.n_free))
-        self.free_map = _snap(Q_eps @ Z2)
-        self.sigma_maps = [_snap(Q_sig @ c) for c in self.sigma_coeffs]
+        self.free_map = _snap_roundoff(Q_eps @ Z2)
+        self.sigma_maps = [_snap_roundoff(Q_sig @ c) for c in self.sigma_coeffs]
         # Algebraic consistency rows of the eta-block, expressed on X.
-        self.R_alg = _snap(self.A_eta_alg @ Qv_pinv[me + nf:]) \
+        self.R_alg = _snap_roundoff(self.A_eta_alg @ Qv_pinv[me + nf:]) \
             if (neta2 and self.A_eta_alg.shape[0]) else np.zeros((0, sys.n))
 
     # -- algebraic evaluations ----------------------------------------------
@@ -424,6 +406,15 @@ def simulate(sys: DescriptorSystem, est: EstimatorRealization, x0, w0,
     w0 = np.asarray(w0, dtype=float).reshape(-1)
     if w0.shape != (est.s,):
         raise SimulationError(f"w0 has length {w0.size}, estimator order is {est.s}")
+    io_dim = sys.l + sys.p
+    for name, shape in (("N", (est.s, est.s)), ("H", (est.s, io_dim)),
+                        ("R", (sys.r, est.s)), ("M", (sys.r, io_dim))):
+        got = np.shape(getattr(est, name))
+        if got != shape:
+            raise SimulationError(
+                f"estimator {name} is {'x'.join(map(str, got))}, expected "
+                f"{shape[0]}x{shape[1]} for order s={est.s} and the plant's "
+                f"l={sys.l}, p={sys.p}, r={sys.r}")
     n = sys.n
 
     def joint_rhs(tk, state):

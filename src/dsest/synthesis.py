@@ -7,6 +7,8 @@ such that
 
 satisfies zhat(t) - z(t) -> 0 along every plant trajectory.  The pipeline:
 
+0. the existence criterion (half-plane and stacked causality rank tests),
+   which holds exactly when an estimator exists; refuse otherwise;
 1. staircase reduction of (E, A, B), dropping the algebraically-zero stages;
 2. quasi-Kronecker form of the measurement-stacked pencil ([E_O; 0], [A_O; C_O]);
 3. spectral separation of the finite block into decaying / non-decaying parts;
@@ -28,31 +30,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import SynthesisError
-from .analysis import DescriptorSystem, is_partially_causal_detectable
-from .decomp import PencilQKF, StaircaseDecomposition, observability_staircase, qkf
+from .analysis import DescriptorSystem, _criterion, _lift
+from .decomp import (PencilQKF, StaircaseDecomposition, _blkdiag,
+                     observability_staircase, qkf)
 from .linalg import (
+    CONSISTENCY_ATOL,
     DEFAULT_TOL,
     Tolerance,
-    as_matrix,
     numeric_rank,
     place_poles,
     pseudo_inverse,
+    _snap_roundoff,
     spectral_split,
 )
-
-# Absolute threshold (relative to the data scale) below which the
-# consistency blocks K_eps, K_f1, K_sigma J_sigma are accepted as zero.
-CONSISTENCY_ATOL = 1e-8
-
-
-def _snap_roundoff(M: np.ndarray, rel: float = 1e-12) -> np.ndarray:
-    """Zero out entries below rel * max|M| (pure roundoff residue)."""
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        return M
-    out = M.copy()
-    out[np.abs(out) < rel * np.abs(out).max()] = 0.0
-    return out
 
 
 @dataclass(frozen=True)
@@ -107,28 +97,15 @@ class SynthesisTrace:
         return self.state_map @ x0
 
 
-def _named_refusal(report) -> str:
-    parts = []
-    if not report.partially_detectable:
-        bad = [f"lambda={lam:.4g}: {r1} != {r0}"
-               for lam, r1, r0 in report.detectability_evidence if r1 != r0]
-        parts.append("half-plane detectability rank equality fails at "
-                     + "; ".join(bad[:3]))
-    if not report.characterization_votes[0]:
-        parts.append("stacked causality rank condition fails")
-    return " and ".join(parts) or "causal detectability criterion fails"
-
-
 def synthesize_estimator(sys: DescriptorSystem,
                          tol: Tolerance = DEFAULT_TOL):
     """Construct a functional estimator; refuse when none can exist.
 
     Returns (EstimatorRealization, SynthesisTrace).
     """
-    report = is_partially_causal_detectable(sys, tol)
-    if not report.partially_causal_detectable:
-        raise SynthesisError("no functional ODE estimator exists: "
-                             + _named_refusal(report))
+    refusal = _criterion(_lift(sys), tol)[-1]
+    if refusal:
+        raise SynthesisError("no functional ODE estimator exists: " + refusal)
 
     n, p, l, r = sys.n, sys.p, sys.l, sys.r
     scale = max(1.0, np.linalg.norm(sys.K)) if sys.K.size else 1.0
@@ -249,15 +226,3 @@ def synthesize_estimator(sys: DescriptorSystem,
         B_eps=B_eps, B_sigma=B_sigma,
         L=L, eta_folded=fold, eta_fold=eta_fold, state_map=state_map)
     return est, trace
-
-
-def _blkdiag(*blocks) -> np.ndarray:
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols))
-    i = j = 0
-    for b in blocks:
-        out[i:i + b.shape[0], j:j + b.shape[1]] = b
-        i += b.shape[0]
-        j += b.shape[1]
-    return out

@@ -178,6 +178,44 @@ class TestSimulateCommand:
             "--tf", "1", "--dt", "0.1", "--out", str(tmp_path / "t.csv")])
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("fields, message", [
+        # A consistent file, but H and M must be 2 columns wide (l + p = 2)
+        # on the worked example: simulate rejects it before integrating.
+        ({"H": [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], "M": [[-1.0, 1.0, 0.0]]},
+         "estimator H is 2x3"),
+        # M must have the rows of R and the columns of H: the loader rejects it.
+        ({"M": [[-1.0, 1.0], [0.0, 0.0]]}, "M is 2x2, expected 1x2"),
+    ])
+    def test_malformed_estimator_exit_one(self, runner, tmp_path, fields, message):
+        with open(ESTIMATOR_JSON) as fh:
+            doc = json.load(fh)
+        doc.update(fields)
+        bad = tmp_path / "est.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "t.csv"
+        res = runner.invoke(main, [
+            "simulate", SYSTEM_JSON, str(bad),
+            "--x0", "1,2,3,0", "--w0", "4,5", "--input", "poly:0,1",
+            "--tf", "1", "--dt", "0.1", "--out", str(out)])
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.exit_code == 1
+        assert "error:" in res.output and message in res.output
+        assert not out.exists()
+
+    def test_order_zero_estimator_file_round_trip(self, runner, tmp_path,
+                                                  sigma_causal_system):
+        system = tmp_path / "sys.json"
+        est_path = tmp_path / "est.json"
+        dsio.save_system(str(system), sigma_causal_system)
+        assert runner.invoke(main, ["synth", str(system), "-o", str(est_path)]) \
+            .exit_code == 0
+        res = runner.invoke(main, [
+            "simulate", str(system), str(est_path), "--x0", "-2,0", "--w0", "",
+            "--input", "sin:1,2", "--tf", "1", "--dt", "0.1",
+            "--out", str(tmp_path / "t.csv")])
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.exit_code == 0, res.output
+
 
 class TestReportCommand:
     def test_report_includes_synthesis_summary(self, runner):

@@ -6,6 +6,7 @@ from dsest import (
     DescriptorSystem,
     InputSignal,
     SynthesisError,
+    is_partially_causal_detectable,
     simulate,
     synthesize_estimator,
 )
@@ -106,14 +107,20 @@ class TestDegenerateShapes:
 
 class TestRandomProperties:
     def test_order_bounded_and_estimator_sound(self):
+        # Also: synthesis refuses exactly when the full analysis says no
+        # estimator exists, so its criterion gate matches the verdict.
         rng = np.random.default_rng(77)
         synthesized = 0
         for _ in range(120):
             sys = random_system(rng, max_dim=4)
+            exists = is_partially_causal_detectable(sys).partially_causal_detectable
             try:
                 est, trace = synthesize_estimator(sys)
-            except SynthesisError:
+            except SynthesisError as exc:
+                refused = "no functional ODE estimator exists" in str(exc)
+                assert refused == (not exists), str(exc)
                 continue
+            assert exists
             synthesized += 1
             assert est.s <= sys.n
             if est.s:
