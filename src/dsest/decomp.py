@@ -9,6 +9,14 @@
 All three are certified against their structural invariants after
 construction; on failure the computation is retried once with a 10x relaxed
 rank tolerance before giving up.
+
+``qkf_finite_spectrum`` reads the finite spectrum from the block-triangular
+pre-form of the QKF instead, skipping the coupling solves.  It certifies
+everything that bears on the spectrum, with the same retry: the structural
+zeros, nonsingular E_f and A_sigma, the identity P (lambda E - A) Q =
+lambda T_E - T_A against the triangular form at SAMPLE_LAMBDAS, and the
+diagonal-block invariants that ``certify_qkf`` checks (eps/eta shapes and
+ranks, J_sigma^h = 0).
 """
 
 from __future__ import annotations
@@ -165,7 +173,35 @@ def _offsets(sizes):
     return out
 
 
-def _qkf_once(E: np.ndarray, A: np.ndarray, tol: Tolerance) -> PencilQKF:
+@dataclass
+class _TriangularForm:
+    """P (lambda E - A) Q = lambda TE - TA, block upper triangular.
+
+    Row and column blocks run (eps, f, sigma, eta).  The blocks below the
+    diagonal and the (f, sigma), (sigma, f) blocks are zero up to roundoff;
+    the couplings above the diagonal are what separates this pre-form from
+    the QKF.  The diagonal blocks, and so the finite spectrum, are already
+    those of the QKF.
+    """
+
+    P: np.ndarray
+    Q: np.ndarray
+    TE: np.ndarray
+    TA: np.ndarray
+    row_sizes: list[int]
+    col_sizes: list[int]
+
+    def blk(self, M, i, j) -> np.ndarray:
+        ro, co = _offsets(self.row_sizes), _offsets(self.col_sizes)
+        return M[ro[i]:ro[i + 1], co[j]:co[j + 1]]
+
+
+def _structural_zero(i: int, j: int) -> bool:
+    return i > j or (i, j) in ((1, 2), (2, 1))
+
+
+def _triangular_form(E: np.ndarray, A: np.ndarray, tol: Tolerance) -> _TriangularForm:
+    """The QKF pre-form from the Wong limits, with its structural zeros checked."""
     m, n = E.shape
     lim = wong_limits(E, A, None, None, tol)
     V, W = lim.V_star, lim.W_star
@@ -203,34 +239,31 @@ def _qkf_once(E: np.ndarray, A: np.ndarray, tol: Tolerance) -> PencilQKF:
         raise DecompositionError(
             f"QKF: non-square regular blocks (rows {row_sizes}, cols {col_sizes})")
 
-    TE = P @ E @ Q
-    TA = P @ A @ Q
-    scale = _residual_scale(E, A)
-    ro, co = _offsets(row_sizes), _offsets(col_sizes)
-
-    def blk(M, i, j):
-        return M[ro[i]:ro[i + 1], co[j]:co[j + 1]]
-
-    # Structural zeros of the triangular pre-form.
+    tri = _TriangularForm(P=P, Q=Q, TE=P @ E @ Q, TA=P @ A @ Q,
+                          row_sizes=row_sizes, col_sizes=col_sizes)
     for i in range(4):
         for j in range(4):
-            structural_zero = (i > j) or (i, j) in ((1, 2), (2, 1))
-            if structural_zero and i != j:
-                r = max(np.linalg.norm(blk(TE, i, j)), np.linalg.norm(blk(TA, i, j)))
-                if r > 1e-7 * scale:
+            if _structural_zero(i, j):
+                r = max(np.linalg.norm(tri.blk(tri.TE, i, j)),
+                        np.linalg.norm(tri.blk(tri.TA, i, j)))
+                if r > 1e-7 * data_scale:
                     raise DecompositionError(
                         f"QKF: block ({i},{j}) not zero (residual {r:.2e})")
+    return tri
 
-    # Remove the remaining couplings, bottom row block first so that zeroed
-    # blocks are never touched again.
+
+def _remove_couplings(tri: _TriangularForm, scale: float) -> None:
+    """Zero the couplings above the diagonal of `tri` in place, bottom row
+    block first so that zeroed blocks are never touched again."""
+    m, n = tri.P.shape[0], tri.Q.shape[0]
+    ro, co = _offsets(tri.row_sizes), _offsets(tri.col_sizes)
     for (i, j) in ((2, 3), (1, 3), (0, 1), (0, 2), (0, 3)):
-        ri, rj = row_sizes[i], row_sizes[j]
-        ci, cj = col_sizes[i], col_sizes[j]
-        if ri * cj == 0:
+        if tri.row_sizes[i] * tri.col_sizes[j] == 0:
             continue
+        TE, TA = tri.TE, tri.TA
         X, Y, resid = _solve_coupling(
-            blk(TE, i, i), blk(TA, i, i), blk(TE, j, j), blk(TA, j, j),
-            blk(TE, i, j), blk(TA, i, j))
+            tri.blk(TE, i, i), tri.blk(TA, i, i), tri.blk(TE, j, j),
+            tri.blk(TA, j, j), tri.blk(TE, i, j), tri.blk(TA, i, j))
         if resid > 1e-7 * scale:
             raise DecompositionError(
                 f"QKF: coupling ({i},{j}) not removable (residual {resid:.2e})")
@@ -238,31 +271,31 @@ def _qkf_once(E: np.ndarray, A: np.ndarray, tol: Tolerance) -> PencilQKF:
         Srow[ro[i]:ro[i + 1], ro[j]:ro[j + 1]] = X
         Scol = np.eye(n)
         Scol[co[i]:co[i + 1], co[j]:co[j + 1]] = Y
-        P = Srow @ P
-        Q = Q @ Scol
-        TE = Srow @ TE @ Scol
-        TA = Srow @ TA @ Scol
+        tri.P = Srow @ tri.P
+        tri.Q = tri.Q @ Scol
+        tri.TE = Srow @ TE @ Scol
+        tri.TA = Srow @ TA @ Scol
 
-    # Normalize the regular blocks: f to (I, J_f), sigma to (J_sigma, I).
-    n_f, n_sig = row_sizes[1], row_sizes[2]
-    E_f = blk(TE, 1, 1)
+
+def _normalized(tri: _TriangularForm, tol: Tolerance) -> PencilQKF:
+    """Scale the f rows of `tri` to E_f = I and the sigma rows to A_sigma = I
+    (in place), and return its diagonal blocks as a PencilQKF with the
+    transformations of `tri`."""
+    ro = _offsets(tri.row_sizes)
+    n_f, n_sig = tri.row_sizes[1], tri.row_sizes[2]
+    E_f = tri.blk(tri.TE, 1, 1)
     if n_f and numeric_rank(E_f, tol) < n_f:
         raise DecompositionError("QKF: finite block has singular E part")
-    A_sig = blk(TA, 2, 2)
+    A_sig = tri.blk(tri.TA, 2, 2)
     if n_sig and numeric_rank(A_sig, tol) < n_sig:
         raise DecompositionError("QKF: nilpotent block has singular A part")
-    if n_f:
-        W_f = np.linalg.inv(E_f)
-        P[ro[1]:ro[2], :] = W_f @ P[ro[1]:ro[2], :]
-        TA[ro[1]:ro[2], :] = W_f @ TA[ro[1]:ro[2], :]
-        TE[ro[1]:ro[2], :] = W_f @ TE[ro[1]:ro[2], :]
-    if n_sig:
-        W_s = np.linalg.inv(A_sig)
-        P[ro[2]:ro[3], :] = W_s @ P[ro[2]:ro[3], :]
-        TA[ro[2]:ro[3], :] = W_s @ TA[ro[2]:ro[3], :]
-        TE[ro[2]:ro[3], :] = W_s @ TE[ro[2]:ro[3], :]
+    for b, D in ((1, E_f), (2, A_sig)):
+        if tri.row_sizes[b]:
+            W = np.linalg.inv(D)
+            for M in (tri.P, tri.TA, tri.TE):
+                M[ro[b]:ro[b + 1], :] = W @ M[ro[b]:ro[b + 1], :]
 
-    J_sigma = blk(TE, 2, 2)
+    J_sigma = tri.blk(tri.TE, 2, 2)
     h = 0
     if n_sig:
         # Nilpotency shows as a drastic drop of ||J^k|| relative to the
@@ -278,33 +311,57 @@ def _qkf_once(E: np.ndarray, A: np.ndarray, tol: Tolerance) -> PencilQKF:
         else:
             raise DecompositionError("QKF: sigma block is not nilpotent")
 
-    form = PencilQKF(
-        P=P, Q=Q,
-        m_eps=row_sizes[0], n_eps=col_sizes[0],
+    blk = tri.blk
+    return PencilQKF(
+        P=tri.P, Q=tri.Q,
+        m_eps=tri.row_sizes[0], n_eps=tri.col_sizes[0],
         n_f=n_f, n_sigma=n_sig,
-        m_eta=row_sizes[3], n_eta=col_sizes[3],
-        E_eps=blk(TE, 0, 0), A_eps=blk(TA, 0, 0),
-        J_f=blk(TA, 1, 1), J_sigma=J_sigma,
-        E_eta=blk(TE, 3, 3), A_eta=blk(TA, 3, 3),
+        m_eta=tri.row_sizes[3], n_eta=tri.col_sizes[3],
+        E_eps=blk(tri.TE, 0, 0), A_eps=blk(tri.TA, 0, 0),
+        J_f=blk(tri.TA, 1, 1), J_sigma=J_sigma,
+        E_eta=blk(tri.TE, 3, 3), A_eta=blk(tri.TA, 3, 3),
         h=h)
+
+
+def _qkf_once(E: np.ndarray, A: np.ndarray, tol: Tolerance) -> PencilQKF:
+    tri = _triangular_form(E, A, tol)
+    _remove_couplings(tri, _residual_scale(E, A))
+    form = _normalized(tri, tol)
     certify_qkf(E, A, form, tol)
     return form
 
 
-def certify_qkf(E, A, form: PencilQKF, tol: Tolerance = DEFAULT_TOL) -> None:
-    """Check every PencilQKF invariant; raise DecompositionError otherwise."""
-    m, n = E.shape
+def _finite_spectrum_once(E: np.ndarray, A: np.ndarray, tol: Tolerance) -> np.ndarray:
+    tri = _triangular_form(E, A, tol)
+    form = _normalized(tri, tol)
+    # The triangular form certify_qkf would compare against if the couplings
+    # above the diagonal were removed: exact zeros below, normalized diagonal.
+    TE, TA = tri.TE.copy(), tri.TA.copy()
+    for i in range(4):
+        for j in range(4):
+            if _structural_zero(i, j):
+                tri.blk(TE, i, j)[:] = 0.0
+                tri.blk(TA, i, j)[:] = 0.0
+    tri.blk(TE, 1, 1)[:] = np.eye(form.n_f)
+    tri.blk(TA, 2, 2)[:] = np.eye(form.n_sigma)
+    _certify_identity(E, A, form.P, form.Q, TE, TA)
+    _certify_blocks(form, tol)
+    return np.linalg.eigvals(form.J_f) if form.n_f else np.zeros(0, dtype=complex)
+
+
+def _certify_identity(E, A, P, Q, TE, TA) -> None:
+    """P (lambda E - A) Q = lambda TE - TA at every SAMPLE_LAMBDAS point."""
     scale = _residual_scale(E, A)
-    if (form.m_eps + form.n_f + form.n_sigma + form.m_eta != m
-            or form.n_eps + form.n_f + form.n_sigma + form.n_eta != n):
-        raise DecompositionError("QKF certification: block sizes do not sum up")
-    BE, BA = form.blocks_E(), form.blocks_A()
     for lam in SAMPLE_LAMBDAS:
-        lhs = form.P @ (lam * E - A) @ form.Q
-        r = np.linalg.norm(lhs - (lam * BE - BA))
+        r = np.linalg.norm(P @ (lam * E - A) @ Q - (lam * TE - TA))
         if r > 1e-7 * scale * max(1.0, abs(lam)):
             raise DecompositionError(
                 f"QKF certification: identity fails at lambda={lam} (residual {r:.2e})")
+
+
+def _certify_blocks(form: PencilQKF, tol: Tolerance) -> None:
+    """The invariants of the diagonal blocks: eps and eta shapes and ranks,
+    and the nilpotency index of J_sigma."""
     if form.m_eps > form.n_eps:
         raise DecompositionError("QKF certification: m_eps > n_eps")
     if form.m_eta < form.n_eta:
@@ -336,6 +393,16 @@ def certify_qkf(E, A, form: PencilQKF, tol: Tolerance = DEFAULT_TOL) -> None:
         raise DecompositionError("QKF certification: h must be 0 when n_sigma = 0")
 
 
+def certify_qkf(E, A, form: PencilQKF, tol: Tolerance = DEFAULT_TOL) -> None:
+    """Check every PencilQKF invariant; raise DecompositionError otherwise."""
+    m, n = E.shape
+    if (form.m_eps + form.n_f + form.n_sigma + form.m_eta != m
+            or form.n_eps + form.n_f + form.n_sigma + form.n_eta != n):
+        raise DecompositionError("QKF certification: block sizes do not sum up")
+    _certify_identity(E, A, form.P, form.Q, form.blocks_E(), form.blocks_A())
+    _certify_blocks(form, tol)
+
+
 def qkf(E, A, tol: Tolerance = DEFAULT_TOL) -> PencilQKF:
     """Quasi-Kronecker form of the pencil lambda*E - A.
 
@@ -345,6 +412,21 @@ def qkf(E, A, tol: Tolerance = DEFAULT_TOL) -> PencilQKF:
     E = as_matrix(E)
     A = as_matrix(A, rows=E.shape[0], cols=E.shape[1])
     return _with_relaxed_retry("QKF", _qkf_once, E, A, tol=tol)
+
+
+def qkf_finite_spectrum(E, A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Eigenvalues of J_f, the finite block of the QKF of lambda*E - A.
+
+    Read from the block-triangular pre-form, whose diagonal f-block already
+    carries the spectrum, so the coupling solves of qkf are skipped.  Every
+    other qkf check stays: the structural zeros and the normalized f and
+    sigma blocks, the identity P (lambda E - A) Q = lambda T_E - T_A against
+    the triangular form, and the invariants of the diagonal blocks; a
+    failure is retried once at a relaxed rank tolerance, as in qkf.
+    """
+    E = as_matrix(E)
+    A = as_matrix(A, rows=E.shape[0], cols=E.shape[1])
+    return _with_relaxed_retry("QKF pre-form", _finite_spectrum_once, E, A, tol=tol)
 
 
 def _with_relaxed_retry(what: str, once, *args, tol: Tolerance):

@@ -148,10 +148,17 @@ def load_estimator(path: str) -> tuple[EstimatorRealization, str]:
     s = int(doc.get("s", mats["N"].shape[0]))
     if mats["N"].shape != (s, s):
         raise InputFormatError(f"{path}: N must be {s}x{s}")
-    if mats["H"].shape[0] != s or mats["R"].shape[1] not in (s,):
+    # A matrix with no rows is saved as [], which carries no width: R (empty
+    # functional) has s columns, H (order 0) the columns of M, and M (empty
+    # functional) the columns of H.
+    if mats["R"].shape[0] == 0:
+        mats["R"] = mats["R"].reshape(0, s)
+    if mats["H"].shape[0] != s or mats["R"].shape[1] != s:
         raise InputFormatError(f"{path}: H/R shapes inconsistent with s={s}")
-    if s == 0:      # an empty H list carries no width; M has it
+    if s == 0:
         mats["H"] = mats["H"].reshape(0, mats["M"].shape[1])
+    if mats["M"].shape[0] == 0:
+        mats["M"] = mats["M"].reshape(0, mats["H"].shape[1])
     if mats["M"].shape != (mats["R"].shape[0], mats["H"].shape[1]):
         raise InputFormatError(
             f"{path}: M is {mats['M'].shape[0]}x{mats['M'].shape[1]}, expected "

@@ -284,15 +284,17 @@ def apply_map(M, s: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
 def pencil_finite_eigenvalues(E, A, tol: Tolerance = DEFAULT_TOL) -> list[complex]:
     """Finite generalized eigenvalues of the (possibly rectangular) pencil
     lambda*E - A, i.e. the spectrum of the finite regular block of its
-    quasi-Kronecker form."""
-    from .decomp import qkf  # local import: decomp builds on this module
+    quasi-Kronecker form.
 
-    E = as_matrix(E)
-    A = as_matrix(A, rows=E.shape[0], cols=E.shape[1])
-    form = qkf(E, A, tol)
-    if form.n_f == 0:
-        return []
-    return [complex(v) for v in np.linalg.eigvals(form.J_f)]
+    Computed by decomp.qkf_finite_spectrum from the block-triangular QKF
+    pre-form, without removing its couplings.  That path certifies the
+    structural zeros, the nonsingular E_f and A_sigma, the nilpotent J_sigma
+    and its index, the identity P (lambda E - A) Q = lambda T_E - T_A at the
+    sample points, and the eps/eta block shapes and ranks.
+    """
+    from .decomp import qkf_finite_spectrum  # local import: decomp builds on this module
+
+    return [complex(v) for v in qkf_finite_spectrum(E, A, tol)]
 
 
 def spectral_split(M, tol: Tolerance = DEFAULT_TOL):

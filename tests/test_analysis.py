@@ -172,6 +172,17 @@ class TestFullStateRegression:
         assert agree == 25
 
 
+class TestNoDecompositionCrash:
+    def test_draws_470_and_512_decide(self):
+        # Both crashed with a QKF certification failure when the candidate
+        # eigenvalues came from the full quasi-Kronecker form.
+        rng = np.random.default_rng(7)
+        draws = [random_system(rng) for _ in range(513)]
+        for index in (470, 512):
+            report = is_partially_causal_detectable(draws[index])
+            assert report.partially_causal_detectable is False
+
+
 class TestLambdaSweep:
     def test_sweep_soundness_spot_check(self, ex_system):
         # Rank equality at the candidate eigenvalues plus generic samples

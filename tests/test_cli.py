@@ -216,6 +216,21 @@ class TestSimulateCommand:
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert res.exit_code == 0, res.output
 
+    def test_empty_functional_estimator_file_round_trip(self, runner, tmp_path):
+        with open(SYSTEM_JSON) as fh:
+            doc = json.load(fh)
+        doc["K"] = []
+        system = tmp_path / "sys.json"
+        system.write_text(json.dumps(doc))
+        est_path = tmp_path / "est.json"
+        assert runner.invoke(main, ["synth", str(system), "-o", str(est_path)]) \
+            .exit_code == 0
+        res = runner.invoke(main, [
+            "simulate", str(system), str(est_path), "--x0", "1,2,3,0",
+            "--w0", "0,0", "--input", "poly:0,1", "--tf", "1", "--dt", "0.1",
+            "--out", str(tmp_path / "t.csv")])
+        assert res.exit_code == 0, res.output
+
 
 class TestReportCommand:
     def test_report_includes_synthesis_summary(self, runner):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from dsest import DescriptorSystem, qkf
+from dsest.analysis import detectability_matrices
 from dsest.linalg import (
     DEFAULT_TOL,
     Subspace,
@@ -19,6 +21,8 @@ from dsest.linalg import (
     subspace_sum,
     subspaces_equal,
 )
+
+from conftest import random_pencil
 
 RNG = np.random.default_rng(20260826)
 
@@ -123,6 +127,80 @@ class TestPencilEigenvalues:
         E = np.array([[0.0, 1.0], [0.0, 0.0]])
         A = np.eye(2)
         assert pencil_finite_eigenvalues(E, A) == []
+
+
+def lifted_system(n: int, seed: int, unobserved: bool) -> DescriptorSystem:
+    """n x n system with E = diag(1, ..., 1, 0, 0), A = randn - 2I and two
+    Gaussian inputs, outputs and functionals.  With `unobserved`, states 0
+    and 1 neither reach the outputs nor the other states, so both
+    eigenvalues of A[:2, :2] are unobservable modes."""
+    rng = np.random.default_rng(seed)
+    E = np.diag([1.0] * (n - 2) + [0.0, 0.0])
+    A = rng.standard_normal((n, n)) - 2.0 * np.eye(n)
+    B = rng.standard_normal((n, 2))
+    C = rng.standard_normal((2, n))
+    K = rng.standard_normal((2, n))
+    if unobserved:
+        A[2:, :2] = 0.0
+        C[:, :2] = 0.0
+    return DescriptorSystem.from_matrices(E, A, B, C, K)
+
+
+def detectability_pencils(sys: DescriptorSystem) -> list:
+    """(X, -Y) of lambda*X + Y for both half-plane rank-test matrices, as the
+    candidate-eigenvalue search of the detectability test builds them."""
+    out = []
+    for M1, M0 in zip(detectability_matrices(sys, 1.0),
+                      detectability_matrices(sys, 0.0)):
+        out.append((np.real(M1 - M0), -np.real(M0)))
+    return out
+
+
+def assert_same_multiset(ref, got, rtol=1e-8):
+    assert len(got) == len(ref)
+    rest = list(ref)
+    for lam in sorted(got, key=lambda z: (z.real, z.imag)):
+        k = int(np.argmin([abs(lam - mu) for mu in rest]))
+        assert abs(lam - rest[k]) <= rtol * max(1.0, abs(lam))
+        rest.pop(k)
+
+
+class TestPencilSpectrumMatchesQKF:
+    """The spectrum read from the triangular pre-form equals the spectrum
+    of J_f in the full quasi-Kronecker form."""
+
+    def test_random_pencils(self):
+        # The draws of criterion 9, on all of which qkf succeeds.
+        rng = np.random.default_rng(201)
+        for _ in range(200):
+            E, A = random_pencil(rng)
+            assert_same_multiset(np.linalg.eigvals(qkf(E, A).J_f),
+                                 pencil_finite_eigenvalues(E, A))
+
+    def test_lifted_detectability_pencils(self):
+        for X, Y in detectability_pencils(lifted_system(5, 3, unobserved=False)):
+            assert_same_multiset(np.linalg.eigvals(qkf(X, Y).J_f),
+                                 pencil_finite_eigenvalues(X, Y))
+
+    def test_lifted_defective_spectrum(self):
+        # Without K, each unobservable mode is a 5-fold defective eigenvalue
+        # of the lifted pencil, so roundoff scatters its computed copies by
+        # about eps**(1/5) in either path; the characteristic polynomial
+        # does not scatter and is compared instead.
+        (Xk, Yk), (X, Y) = detectability_pencils(lifted_system(5, 3, unobserved=True))
+        assert pencil_finite_eigenvalues(Xk, Yk) == []
+        ref = np.linalg.eigvals(qkf(X, Y).J_f)
+        got = pencil_finite_eigenvalues(X, Y)
+        assert len(got) == len(ref) == 10
+        poly_ref, poly_got = np.poly(ref), np.poly(got)
+        assert np.abs(poly_got - poly_ref).max() <= 1e-8 * np.abs(poly_ref).max()
+
+    def test_no_coupling_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.lstsq called")
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        pencils = detectability_pencils(lifted_system(6, 3, unobserved=True))
+        assert [len(pencil_finite_eigenvalues(X, Y)) for X, Y in pencils] == [0, 12]
 
 
 class TestSpectralSplit:
