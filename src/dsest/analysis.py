@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionMismatchError
-from .decomp import kalman_controllability
+from .decomp import _kalman_once, _with_relaxed_retry
 from .linalg import (
     DEFAULT_TOL,
     SUBSPACE_ATOL,
     Subspace,
     Tolerance,
+    _non_decaying,
     as_matrix,
     image,
     intersect,
@@ -34,7 +35,7 @@ from .linalg import (
     pencil_finite_eigenvalues,
     preimage,
 )
-from .wong import wong_V_at, wong_limits
+from .wong import wong_limits
 
 # Fixed generic sample points (right half-plane) for normal-rank decisions.
 GENERIC_LAMBDAS = (0.537, 1.931, 0.271 + 1.413j, 2.089 - 0.667j, 0.913 + 0.377j)
@@ -275,11 +276,10 @@ def is_partially_detectable(sys: DescriptorSystem,
 
 
 def _half_plane_test(st: StackedSystem, tol: Tolerance):
-    margin = tol.eig_stability_margin
-    lams: list[complex] = list(GENERIC_LAMBDAS)
-    for lam in _detect_candidate_lambdas(st.sys, tol, st):
-        if lam.real >= -margin:
-            lams.append(lam)
+    cands = _detect_candidate_lambdas(st.sys, tol, st)
+    radius = max((abs(lam) for lam in cands), default=0.0)
+    lams = list(GENERIC_LAMBDAS) + [lam for lam in cands
+                                    if _non_decaying(lam.real, tol, radius)]
     evidence = []
     for lam in lams:
         with_K, without_K = _detectability_matrices(st, lam)
@@ -338,25 +338,6 @@ def _causal_ranks(st: StackedSystem, F_sc, F_bar, tol: Tolerance):
     return numeric_rank(with_K, tol), numeric_rank(without_K, tol)
 
 
-def _criterion(lifted, tol: Tolerance):
-    """Half-plane detectability plus criterion (i), which hold exactly when a
-    functional ODE estimator exists.  ``lifted`` is ``_lift(sys)``.  Returns
-    (detectable, evidence, causal ranks, refusal); refusal names the failed
-    tests, or is None.
-    """
-    st, F_sc, F_bar = lifted
-    detectable, evidence = _half_plane_test(st, tol)
-    r1, r0 = _causal_ranks(st, F_sc, F_bar, tol)
-    parts = []
-    if not detectable:
-        bad = [f"lambda={lam:.4g}: {w} != {wo}" for lam, w, wo in evidence if w != wo]
-        parts.append("half-plane detectability rank equality fails at "
-                     + "; ".join(bad[:3]))
-    if r1 != r0:
-        parts.append("stacked causality rank condition fails")
-    return detectable, evidence, (r1, r0), " and ".join(parts) or None
-
-
 def _lift(sys: DescriptorSystem):
     """StackedSystem(sys), its F_script() and its F_stacked()."""
     st = StackedSystem(sys)
@@ -392,13 +373,19 @@ def _votes(lifted, vote1: bool, W_star: Subspace, tol: Tolerance) -> tuple:
     space3 = intersect(preimage(st.corner_A1, imF, tol), W_star, tol)
     vote3 = _inclusion_in_kernel(space3, sys.K)
 
-    V_pre = wong_V_at(sys.E, sys.A, sys.B, None, sys.n - 1, tol)
+    # V^{n-1} of (E, A, B, 0), read from the limits the Kalman
+    # decomposition of vote 5 is built on.
+    lim = wong_limits(sys.E, sys.A, sys.B, None, tol)
+    V_pre = lim.V_chain[min(sys.n - 1, len(lim.V_chain) - 1)]
     EV = Subspace.from_span(sys.E @ V_pre.basis, sys.m, tol,
                             scale=float(np.linalg.norm(sys.E)) or 1.0)
     space4 = intersect(preimage(sys.A, EV, tol), W_star, tol)
     vote4 = _inclusion_in_kernel(space4, sys.K)
 
-    kd = kalman_controllability(sys.E, sys.A, sys.B, sys.C, tol)
+    kd = _with_relaxed_retry(
+        "Kalman decomposition",
+        lambda E, A, B, C, t: _kalman_once(E, A, B, C, t, lim if t is tol else None),
+        sys.E, sys.A, sys.B, sys.C, tol=tol)
     E11, A11, _, C11 = kd.controllable_part
     K11 = kd.functional_part(sys.K)
     vote5 = _impulse_observable_triple(E11, A11, C11, K11, tol)
@@ -408,12 +395,15 @@ def _votes(lifted, vote1: bool, W_star: Subspace, tol: Tolerance) -> tuple:
 
 def is_partially_causal_detectable(sys: DescriptorSystem,
                                    tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
-    """Full property analysis; the headline verdict gates estimator synthesis.
+    """Full property analysis.  The headline verdict, half-plane
+    detectability plus criterion (i), holds exactly when a functional ODE
+    estimator exists.
 
     The lifted matrices and W*_{E,A,0,C} are built once and shared by all tests.
     """
     st, _, F_bar = lifted = _lift(sys)
-    detectable, evidence, (r1, r0), refusal = _criterion(lifted, tol)
+    detectable, evidence = _half_plane_test(st, tol)
+    r1, r0 = _causal_ranks(*lifted, tol)
     W_star = wong_limits(sys.E, sys.A, None, sys.C, tol).W_star
     votes = _votes(lifted, r1 == r0, W_star, tol)
     causal, causal_ranks, assumption_ok = _causal_test(
@@ -431,7 +421,7 @@ def is_partially_causal_detectable(sys: DescriptorSystem,
         partially_causal=causal,
         causality_ranks=causal_ranks,
         causality_assumption_ok=assumption_ok,
-        partially_causal_detectable=refusal is None,
+        partially_causal_detectable=detectable and r1 == r0,
         characterization_votes=votes,
         diagnostics={
             "rank_rtol": tol.rank_rtol,

@@ -1,7 +1,8 @@
 """Command-line interface: analyze, synth, simulate, report.
 
 Exit codes: 0 = success / affirmative verdict, 2 = negative verdict,
-1 = usage or input error.
+1 = usage or input error, or a toolkit error such as a decomposition that
+could not be certified (printed as "error: ...", never as a traceback).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import io as dsio
 from .analysis import is_partially_causal_detectable
-from .exceptions import DsestError, SimulationError, SynthesisError
+from .exceptions import DsestError, SynthesisError
 from .linalg import DEFAULT_TOL, Tolerance
 from .sim import decay_metrics, simulate
 from .signals import InputSignal
@@ -46,13 +47,9 @@ def _effective_tolerance(file_tol: dict | None, rank_rtol: float | None,
     return Tolerance(**kwargs)
 
 
-def _load_system_or_die(path: str, rank_rtol, margin):
-    try:
-        sys_, name, file_tol = dsio.load_system(path)
-        return sys_, name, _effective_tolerance(file_tol, rank_rtol, margin)
-    except dsio.InputFormatError as exc:
-        click.echo(f"error: {exc}", err=True)
-        _sys.exit(EXIT_INPUT)
+def _load_system(path: str, rank_rtol, margin):
+    sys_, name, file_tol = dsio.load_system(path)
+    return sys_, name, _effective_tolerance(file_tol, rank_rtol, margin)
 
 
 def _parse_vector(text: str, what: str) -> np.ndarray:
@@ -104,7 +101,18 @@ def parse_input_spec(spec: str, dim: int) -> InputSignal:
     return InputSignal(exprs)
 
 
-@click.group()
+class _Main(click.Group):
+    """Every DsestError ends a command with "error: ..." and exit code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except DsestError as exc:
+            click.echo(f"error: {exc}", err=True)
+            _sys.exit(EXIT_INPUT)
+
+
+@click.group(cls=_Main)
 def main():
     """Analysis, estimator synthesis, and simulation for rectangular
     linear descriptor systems E x' = A x + B u, y = C x + D u, z = K x."""
@@ -126,7 +134,7 @@ _margin_opt = click.option("--margin", type=float, default=None,
               help="Write the Markdown report here.")
 def analyze(system, rank_rtol, margin, json_out, md_out):
     """Decide partial causal detectability of the functional z = K x."""
-    sys_, name, tol = _load_system_or_die(system, rank_rtol, margin)
+    sys_, name, tol = _load_system(system, rank_rtol, margin)
     report = is_partially_causal_detectable(sys_, tol)
     doc = dsio.report_to_dict(report)
     if json_out:
@@ -150,7 +158,7 @@ def analyze(system, rank_rtol, margin, json_out, md_out):
 def synth(system, out, rank_rtol, margin):
     """Synthesize a functional ODE estimator w' = N w + H(u;y),
     zhat = R w + M(u;y)."""
-    sys_, name, tol = _load_system_or_die(system, rank_rtol, margin)
+    sys_, name, tol = _load_system(system, rank_rtol, margin)
     try:
         est, trace = synthesize_estimator(sys_, tol)
     except SynthesisError as exc:
@@ -188,12 +196,8 @@ def synth(system, out, rank_rtol, margin):
 def simulate_cmd(system, estimator, x0, w0, input_spec, tf, dt, out, svg,
                  rank_rtol):
     """Simulate plant and estimator jointly; export t, z, zhat, e as CSV."""
-    sys_, name, tol = _load_system_or_die(system, rank_rtol, None)
-    try:
-        est, _ = dsio.load_estimator(estimator)
-    except dsio.InputFormatError as exc:
-        click.echo(f"error: {exc}", err=True)
-        _sys.exit(EXIT_INPUT)
+    sys_, name, tol = _load_system(system, rank_rtol, None)
+    est, _ = dsio.load_estimator(estimator)
     x0v = _parse_vector(x0, "--x0")
     w0v = _parse_vector(w0, "--w0")
     try:
@@ -201,11 +205,7 @@ def simulate_cmd(system, estimator, x0, w0, input_spec, tf, dt, out, svg,
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         _sys.exit(EXIT_INPUT)
-    try:
-        trace = simulate(sys_, est, x0v, w0v, u, T=tf, dt=dt, tol=tol)
-    except SimulationError as exc:
-        click.echo(f"error: {exc}", err=True)
-        _sys.exit(EXIT_INPUT)
+    trace = simulate(sys_, est, x0v, w0v, u, T=tf, dt=dt, tol=tol)
     dsio.write_trace_csv(out, trace)
     if svg:
         dsio.write_trace_svg(svg, trace, title=name)
@@ -228,7 +228,7 @@ main.add_command(simulate_cmd, name="simulate")
 @_margin_opt
 def report(system, out, rank_rtol, margin):
     """Full report: analysis verdict plus synthesis summary when possible."""
-    sys_, name, tol = _load_system_or_die(system, rank_rtol, margin)
+    sys_, name, tol = _load_system(system, rank_rtol, margin)
     rep = is_partially_causal_detectable(sys_, tol)
     summary = None
     if rep.partially_causal_detectable:

@@ -564,9 +564,11 @@ class KalmanDecomposition:
         return (as_matrix(K, cols=self.T.shape[0]) @ self.T)[:, :n1]
 
 
-def _kalman_once(E, A, B, C, tol: Tolerance) -> KalmanDecomposition:
+def _kalman_once(E, A, B, C, tol: Tolerance, limits=None) -> KalmanDecomposition:
+    """One attempt at tol; ``limits`` is wong_limits(E, A, B, None, tol) when
+    the caller already holds it."""
     m, n = E.shape
-    lim = wong_limits(E, A, B, None, tol)
+    lim = wong_limits(E, A, B, None, tol) if limits is None else limits
     V, W = lim.V_star, lim.W_star
     R = intersect(V, W, tol)
 

@@ -14,7 +14,7 @@ class DecompositionError(DsestError):
 
 
 class IllConditionedSplitError(DecompositionError):
-    """An eigenvalue sits too close to the stable/unstable split boundary."""
+    """The ordered Schur form does not separate the non-decaying eigenvalues."""
 
 
 class SynthesisError(DsestError):

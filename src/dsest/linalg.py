@@ -297,13 +297,24 @@ def pencil_finite_eigenvalues(E, A, tol: Tolerance = DEFAULT_TOL) -> list[comple
     return [complex(v) for v in qkf_finite_spectrum(E, A, tol)]
 
 
+def _non_decaying(re, tol: Tolerance, radius: float):
+    """Re lambda >= -eig_stability_margin - 512 eps max(1, radius): real parts
+    ``re`` from a spectrum of spectral radius ``radius`` that lie within
+    roundoff of the boundary count as non-decaying.  The detectability test
+    (lifted candidate eigenvalues) and spectral_split (J_f of synthesis) share
+    this rule; both spectra are the unmeasured finite modes, so the radii agree.
+    """
+    return re >= -tol.eig_stability_margin - 512 * np.finfo(float).eps * max(1.0, radius)
+
+
 def spectral_split(M, tol: Tolerance = DEFAULT_TOL):
     """Similarity T with T^{-1} M T = blkdiag(M_plus, M_minus).
 
-    M_plus collects the eigenvalues with Re >= -eig_stability_margin, M_minus
-    the strictly decaying rest.  Raises IllConditionedSplitError when an
-    eigenvalue sits just below the boundary within numerical noise, since the
-    classification would then be arbitrary.
+    M_plus collects the non-decaying eigenvalues (_non_decaying with the
+    spectral radius of M: Re >= -eig_stability_margin, or within roundoff of
+    it), M_minus the strictly decaying rest.  Raises IllConditionedSplitError
+    when the ordered Schur form selects a different cluster than that
+    classification.
     """
     M = as_matrix(M)
     n = M.shape[0]
@@ -312,23 +323,16 @@ def spectral_split(M, tol: Tolerance = DEFAULT_TOL):
     if n == 0:
         return np.eye(0), np.zeros((0, 0)), np.zeros((0, 0))
 
-    boundary = -tol.eig_stability_margin
-    guard = 1e-9 * max(1.0, np.linalg.norm(M, 2))
     eigs = np.linalg.eigvals(M)
-    below = eigs[(eigs.real < boundary) & (eigs.real > boundary - guard)]
-    if below.size:
-        raise IllConditionedSplitError(
-            f"eigenvalue {below[0]} within {guard:.2e} of the split boundary "
-            f"Re = {boundary}")
-
-    n_plus = int(np.count_nonzero(eigs.real >= boundary))
+    radius = float(np.max(np.abs(eigs)))
+    n_plus = int(np.count_nonzero(_non_decaying(eigs.real, tol, radius)))
     if n_plus == 0:
         return np.eye(n), np.zeros((0, 0)), M.copy()
     if n_plus == n:
         return np.eye(n), M.copy(), np.zeros((0, 0))
 
     T_schur, Z, sdim = scipy.linalg.schur(
-        M, output="real", sort=lambda x, y=None: np.real(x) >= boundary)
+        M, output="real", sort=lambda x, y=None: _non_decaying(np.real(x), tol, radius))
     if sdim != n_plus:
         raise IllConditionedSplitError(
             "ordered Schur selected a different cluster size than the "

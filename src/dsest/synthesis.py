@@ -7,17 +7,19 @@ such that
 
 satisfies zhat(t) - z(t) -> 0 along every plant trajectory.  The pipeline:
 
-0. the existence criterion (half-plane and stacked causality rank tests),
-   which holds exactly when an estimator exists; refuse otherwise;
 1. staircase reduction of (E, A, B), dropping the algebraically-zero stages;
 2. quasi-Kronecker form of the measurement-stacked pencil ([E_O; 0], [A_O; C_O]);
 3. spectral separation of the finite block into decaying / non-decaying parts;
 4. row normalization of the overdetermined block to ([I; 0], [A1; A2]);
-5. consistency checks (the functional must not touch the free block, the
-   non-decaying-but-undetected block, or the derivative-producing block);
-6. stabilizing gain L for the overdetermined dynamics;
-7. assembly, with the overdetermined state folded into the feedthrough M
+5. stabilizing gain L for the overdetermined dynamics;
+6. assembly, with the overdetermined state folded into the feedthrough M
    whenever the algebraic rows determine it uniquely from (u; y).
+
+The block conditions of steps 2 and 3, K_eps = 0, K_sigma J_sigma = 0 and
+K_f1 = 0 (the functional reads neither the free block, nor input
+derivatives, nor a non-decaying undetected mode), are the paper's existence
+criterion in dimension n, so synthesis refuses on them and does not re-run
+the lifted rank tests of the analysis.
 
 A full intermediate trace is returned for audit and for mapping plant states
 into estimator coordinates.
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import SynthesisError
-from .analysis import DescriptorSystem, _criterion, _lift
+from .analysis import DescriptorSystem
 from .decomp import (PencilQKF, StaircaseDecomposition, _blkdiag,
                      observability_staircase, qkf)
 from .linalg import (
@@ -83,7 +85,7 @@ class SynthesisTrace:
     K_eta: np.ndarray
     B_eps: np.ndarray
     B_sigma: np.ndarray
-    L: np.ndarray                   # stabilizing gain (Step 9)
+    L: np.ndarray                   # stabilizing gain (step 5)
     eta_folded: bool                # overdetermined state resolved algebraically
     eta_fold: np.ndarray            # x_eta = eta_fold @ (u; y) when folded
     state_map: np.ndarray = field(repr=False)  # rows mapping full x -> (x_f2; x_eta)
@@ -97,16 +99,19 @@ class SynthesisTrace:
         return self.state_map @ x0
 
 
+def _refuse_unless_zero(block: np.ndarray, condition: str, scale: float) -> None:
+    residual = float(np.linalg.norm(block))
+    if residual > CONSISTENCY_ATOL * scale:
+        raise SynthesisError(f"no functional ODE estimator exists: {condition} "
+                             f"(residual {residual:.2e})")
+
+
 def synthesize_estimator(sys: DescriptorSystem,
                          tol: Tolerance = DEFAULT_TOL):
     """Construct a functional estimator; refuse when none can exist.
 
     Returns (EstimatorRealization, SynthesisTrace).
     """
-    refusal = _criterion(_lift(sys), tol)[-1]
-    if refusal:
-        raise SynthesisError("no functional ODE estimator exists: " + refusal)
-
     n, p, l, r = sys.n, sys.p, sys.l, sys.r
     scale = max(1.0, np.linalg.norm(sys.K)) if sys.K.size else 1.0
 
@@ -126,16 +131,9 @@ def synthesize_estimator(sys: DescriptorSystem,
     B_eps, B_f, B_sigma, B_eta = form.split_left(B_bar)
     K_eps, K_f, K_sigma, K_eta = form.split_right(K_O)
 
-    # The functional must not depend on the free (underdetermined) part.
-    if K_eps.size and np.linalg.norm(K_eps) > CONSISTENCY_ATOL * scale:
-        raise SynthesisError(
-            "internal consistency: functional depends on the free block "
-            f"(residual {np.linalg.norm(K_eps):.2e}) although the rank "
-            "criterion holds; rank tolerances are inconsistent")
-    if form.n_sigma and np.linalg.norm(K_sigma @ form.J_sigma) > CONSISTENCY_ATOL * scale:
-        raise SynthesisError(
-            "internal consistency: functional depends on input derivatives "
-            f"(residual {np.linalg.norm(K_sigma @ form.J_sigma):.2e})")
+    _refuse_unless_zero(K_eps, "the functional depends on the free block", scale)
+    _refuse_unless_zero(K_sigma @ form.J_sigma,
+                        "the functional depends on input derivatives", scale)
 
     # Step 3: split the finite block into non-decaying / decaying parts.
     U1, J_f1, J_f2 = spectral_split(form.J_f, tol)
@@ -145,10 +143,8 @@ def synthesize_estimator(sys: DescriptorSystem,
     B_f1, B_f2 = B_f_split[:n_f1, :], B_f_split[n_f1:, :]
     K_f_split = K_f @ U1
     K_f1, K_f2 = K_f_split[:, :n_f1], K_f_split[:, n_f1:]
-    if K_f1.size and np.linalg.norm(K_f1) > CONSISTENCY_ATOL * scale:
-        raise SynthesisError(
-            "internal consistency: functional depends on a non-decaying "
-            f"undetected mode (residual {np.linalg.norm(K_f1):.2e})")
+    _refuse_unless_zero(
+        K_f1, "the functional depends on a non-decaying undetected mode", scale)
 
     # Step 4: normalize the overdetermined block to ([I; 0], [A1; A2]).
     n_eta, m_eta = form.n_eta, form.m_eta
@@ -166,10 +162,10 @@ def synthesize_estimator(sys: DescriptorSystem,
     A_eta1, A_eta2 = A_eta_n[:n_eta, :], A_eta_n[n_eta:, :]
     B_eta1, B_eta2 = B_eta_n[:n_eta, :], B_eta_n[n_eta:, :]
 
-    # Step 9: stabilizing gain for the overdetermined dynamics.
+    # Step 5: stabilizing gain for the overdetermined dynamics.
     L = place_poles(A_eta1, A_eta2, tol.synthesis_margin, tol)
 
-    # Step 10 with algebraic folding: when the constraint rows determine
+    # Step 6 with algebraic folding: when the constraint rows determine
     # x_eta uniquely from (u; y), resolve it into the feedthrough instead of
     # carrying a dynamic state.
     M = -K_sigma @ B_sigma if form.n_sigma else np.zeros((r, l + p))

@@ -55,6 +55,36 @@ def sigma_causal_system() -> DescriptorSystem:
     return DescriptorSystem.from_matrices(E, A, B, C, K)
 
 
+# Systems whose undetected mode is an integrator: the lifted detectability
+# pencil returns it a roundoff distance left of the imaginary axis
+# (-5.6e-17 and -1.1e-17 +- 3.0e-9j).  Draw 117 of random_system(
+# default_rng(77), max_dim=4) and draw 563 of random_system(default_rng(11)).
+NEAR_AXIS_SYSTEMS = {
+    "rng77-117": dict(E=[[-3.0, 0.0]], A=[[0.0, -2.0]], B=[[2.0, 2.0]],
+                      C=[[0.0, 3.0]], D=[[3.0, -3.0]],
+                      K=[[-2.0, 1.0], [-3.0, -3.0]]),
+    "rng11-563": dict(E=[[-1.0, 3.0]], A=[[2.0, 3.0]], B=np.zeros((1, 0)),
+                      C=[[-2.0, -3.0]], D=np.zeros((1, 0)),
+                      K=[[2.0, -2.0], [0.0, 2.0]]),
+}
+
+
+@pytest.fixture(params=sorted(NEAR_AXIS_SYSTEMS))
+def near_axis_system(request) -> DescriptorSystem:
+    """An unmeasured integrator that the functional reads: no estimator."""
+    return DescriptorSystem.from_matrices(**NEAR_AXIS_SYSTEMS[request.param])
+
+
+def stiff_system(slow: float) -> DescriptorSystem:
+    """x' = A x with modes -1e6 and ``slow`` in rotated coordinates, nothing
+    measured, and z the slow mode: an estimator exists iff slow < 0."""
+    c, s = np.cos(0.7), np.sin(0.7)
+    Q = np.array([[c, -s], [s, c]])
+    return DescriptorSystem.from_matrices(
+        np.eye(2), Q @ np.diag([-1e6, slow]) @ Q.T, np.zeros((2, 0)),
+        np.zeros((0, 2)), np.array([[0.0, 1.0]]) @ Q.T)
+
+
 def random_system(rng: np.random.Generator, max_dim: int = 5,
                   entry_range: int = 3) -> DescriptorSystem:
     """Random integer-entry rectangular descriptor system."""

@@ -15,7 +15,7 @@ from dsest import (
     qkf,
 )
 
-from conftest import random_pencil, random_system
+from conftest import random_pencil, random_system, stiff_system
 
 
 class TestBlockToeplitz:
@@ -181,6 +181,29 @@ class TestNoDecompositionCrash:
         for index in (470, 512):
             report = is_partially_causal_detectable(draws[index])
             assert report.partially_causal_detectable is False
+
+
+class TestNearAxisMode:
+    def test_integrator_read_by_K_is_not_detectable(self, near_axis_system):
+        # The candidate eigenvalue of the integrator comes out just left of
+        # the axis; the rank test must still be run there.
+        report = is_partially_causal_detectable(near_axis_system)
+        assert report.partially_detectable is False
+        assert report.partially_causal_detectable is False
+        assert any(abs(lam) < 1e-6 and (w, wo) == (4, 3)
+                   for lam, w, wo in report.detectability_evidence)
+
+
+class TestStiffSpectrum:
+    # The roundoff band scales with the spectral radius (1e6 here), but it
+    # stays far narrower than the slow mode.
+    def test_slow_decaying_mode_is_detectable(self):
+        report = is_partially_causal_detectable(stiff_system(-1e-4))
+        assert report.partially_causal_detectable is True
+
+    def test_slow_integrator_is_not_detectable(self):
+        report = is_partially_causal_detectable(stiff_system(0.0))
+        assert report.partially_causal_detectable is False
 
 
 class TestLambdaSweep:

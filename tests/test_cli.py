@@ -9,6 +9,8 @@ from dsest import DescriptorSystem, Tolerance
 from dsest import io as dsio
 from dsest.cli import main, parse_input_spec, _effective_tolerance
 
+from conftest import random_system
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SYSTEM_JSON = os.path.join(DATA, "example_system.json")
 ESTIMATOR_JSON = os.path.join(DATA, "reference_estimator.json")
@@ -237,3 +239,20 @@ class TestReportCommand:
         res = runner.invoke(main, ["report", SYSTEM_JSON])
         assert res.exit_code == 0
         assert "order" in res.output
+
+
+class TestToolkitErrors:
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    def test_decomposition_error_is_reported_not_raised(self, runner, tmp_path,
+                                                        command):
+        # Draw 470 of random_system(default_rng(7)) with E x 1e3: the QKF
+        # pre-form of its detectability pencil cannot be certified.
+        rng = np.random.default_rng(7)
+        base = [random_system(rng) for _ in range(471)][470]
+        path = tmp_path / "sys.json"
+        dsio.save_system(str(path), DescriptorSystem.from_matrices(
+            base.E * 1e3, base.A, base.B, base.C, base.K, D=base.D))
+        res = runner.invoke(main, [command, str(path)])
+        assert isinstance(res.exception, SystemExit)
+        assert res.exit_code == 1
+        assert "error:" in res.output

@@ -224,6 +224,21 @@ class TestSpectralSplit:
         assert np.allclose(T, np.eye(2))
         assert np.allclose(M_minus, M)
 
+    def test_roundoff_eigenvalue_counts_as_non_decaying(self):
+        # -1e-14 is within roundoff of the axis: it goes to M_plus instead
+        # of making the split refuse.
+        T, M_plus, M_minus = spectral_split(np.diag([-1e-14, -1.0]))
+        assert M_plus.shape == (1, 1) and M_minus.shape == (1, 1)
+        assert abs(M_plus[0, 0] + 1e-14) < 1e-16
+
+    def test_slow_mode_beside_a_fast_one_decays(self):
+        # The band is a few hundred ulps of the spectral radius 1e6, so
+        # -1e-4 is decaying.
+        c, s = np.cos(0.7), np.sin(0.7)
+        Q = np.array([[c, -s], [s, c]])
+        T, M_plus, M_minus = spectral_split(Q @ np.diag([-1e6, -1e-4]) @ Q.T)
+        assert M_plus.shape == (0, 0) and M_minus.shape == (2, 2)
+
 
 class TestPlacePoles:
     def test_places_left_of_margin(self):

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from dsest import (
+    DEFAULT_TOL,
     DescriptorSystem,
     InputSignal,
     SynthesisError,
@@ -10,7 +11,8 @@ from dsest import (
     simulate,
     synthesize_estimator,
 )
-from conftest import random_system
+from dsest.analysis import _detect_candidate_lambdas
+from conftest import random_system, stiff_system
 
 
 def ramp():
@@ -68,6 +70,56 @@ class TestRefusal:
                            match="no functional ODE estimator exists"):
             synthesize_estimator(sys)
 
+    def test_near_axis_integrator_refused(self, near_axis_system):
+        with pytest.raises(SynthesisError,
+                           match="no functional ODE estimator exists"):
+            synthesize_estimator(near_axis_system)
+
+    def test_decides_without_the_analysis(self, monkeypatch, ex_system,
+                                          sigma_violating_system):
+        # The construction's own block checks are the criterion: synthesis
+        # neither runs the lifted rank tests nor needs them to refuse.
+        def refuse(*args, **kwargs):
+            raise AssertionError("synthesis ran a lifted rank test")
+        monkeypatch.setattr("dsest.analysis._half_plane_test", refuse)
+        monkeypatch.setattr("dsest.analysis._causal_ranks", refuse)
+        est, _ = synthesize_estimator(ex_system)
+        assert est.s == 2
+        with pytest.raises(SynthesisError,
+                           match="no functional ODE estimator exists"):
+            synthesize_estimator(sigma_violating_system)
+
+
+class TestStiffSpectrum:
+    def test_slow_decaying_mode_is_estimated(self):
+        est, _ = synthesize_estimator(stiff_system(-1e-4))
+        assert np.linalg.eigvals(est.N).real.max() < 0
+
+    def test_slow_integrator_refused(self):
+        with pytest.raises(SynthesisError,
+                           match="no functional ODE estimator exists"):
+            synthesize_estimator(stiff_system(0.0))
+
+    def test_analysis_and_synthesis_band_on_the_same_radius(self):
+        # Both size the near-axis band by the spectral radius of what they
+        # classify: the lifted candidate eigenvalues in the analysis, J_f in
+        # synthesis.  Both spectra are the unmeasured finite modes.
+        rng = np.random.default_rng(77)
+        systems = [random_system(rng, max_dim=4) for _ in range(120)]
+        compared = 0
+        for sys in systems + [stiff_system(-1e-4)]:
+            try:
+                _, trace = synthesize_estimator(sys)
+            except SynthesisError:
+                continue
+            J_f = trace.stacked_qkf.J_f
+            radius = max([1.0] + [abs(lam) for lam in
+                                  _detect_candidate_lambdas(sys, DEFAULT_TOL)])
+            assert radius == pytest.approx(
+                max([1.0] + list(np.abs(np.linalg.eigvals(J_f)))), rel=1e-2)
+            compared += J_f.size > 0
+        assert compared >= 5
+
 
 class TestDegenerateShapes:
     def test_algebraic_functional_needs_no_state(self, sigma_causal_system):
@@ -108,7 +160,7 @@ class TestDegenerateShapes:
 class TestRandomProperties:
     def test_order_bounded_and_estimator_sound(self):
         # Also: synthesis refuses exactly when the full analysis says no
-        # estimator exists, so its criterion gate matches the verdict.
+        # estimator exists, so the construction's refusal matches the verdict.
         rng = np.random.default_rng(77)
         synthesized = 0
         for _ in range(120):
