@@ -2,15 +2,21 @@
 
 Decides, for a system E x' = A x + B u, y = C x + D u, z = K x:
 
-* partial impulse observability of z with respect to the measurement;
-* partial detectability (rank test over the closed right half-plane);
-* partial causality (z expressible without input derivatives);
 * partial causal detectability, the existence criterion for an ODE
-  functional estimator, together with a five-way cross-check of the
-  equivalent characterizations.
-
-All tests are algebraic rank / subspace-inclusion computations on
-block-Toeplitz matrices built from the system data.
+  functional estimator, and partial detectability, both in the state
+  dimension n from one structure (``_structure``): the observability
+  staircase of (E, A, B), the quasi-Kronecker form of the
+  measurement-stacked pencil ([E_O; 0], [A_O; C_O]) and the spectral split
+  of its finite block J_f.  The criterion is K_eps = 0 (the functional
+  reads no free-block variable), K_sigma J_sigma = 0 (no input derivative)
+  and K_f1 = 0 (no non-decaying mode that the measurement misses);
+  detectability alone drops the middle condition.  Synthesis continues
+  from the same structure, so verdict and construction cannot disagree;
+* partial impulse observability of z with respect to the measurement;
+* partial causality (z expressible without input derivatives) and the
+  five-way cross-check of its equivalent characterizations, as rank and
+  subspace-inclusion computations on block-Toeplitz matrices built from
+  the system data.
 """
 
 from __future__ import annotations
@@ -20,20 +26,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionMismatchError
-from .decomp import _kalman_once, _with_relaxed_retry
+from .decomp import (PencilQKF, StaircaseDecomposition, _kalman_once,
+                     _with_relaxed_retry, observability_staircase, qkf)
 from .linalg import (
+    CONSISTENCY_ATOL,
     DEFAULT_TOL,
     SUBSPACE_ATOL,
     Subspace,
     Tolerance,
-    _non_decaying,
     as_matrix,
     image,
     intersect,
     kernel,
     numeric_rank,
-    pencil_finite_eigenvalues,
     preimage,
+    spectral_split,
 )
 from .wong import wong_limits
 
@@ -186,13 +193,74 @@ class StackedSystem:
 class AnalysisReport:
     partially_impulse_observable: bool
     partially_detectable: bool
-    detectability_evidence: tuple   # (lambda, rank_with_K, rank_without_K) rows
+    block_checks: tuple             # (condition, residual, threshold) rows
     partially_causal: bool
     causality_ranks: tuple          # the two ranks of the causality criterion
     causality_assumption_ok: bool   # normal-rank assumption behind necessity
     partially_causal_detectable: bool
     characterization_votes: tuple   # five equivalent criteria
     diagnostics: dict
+
+
+@dataclass(frozen=True)
+class _Structure:
+    """The n-dimensional data that decides the existence criterion.
+
+    Synthesis steps 1-3: the staircase of (E, A, B), the QKF of the stacked
+    pencil ([E_O; 0], [A_O; C_O]) with K_O split conformally, and the
+    similarity U1 splitting J_f into its non-decaying part J_f1 and its
+    decaying part J_f2.  ``checks`` holds the three block conditions as
+    (condition, residual, threshold) rows; a row holds when its residual is
+    within its threshold.
+    """
+
+    staircase: StaircaseDecomposition
+    form: PencilQKF
+    K_eps: np.ndarray
+    K_f: np.ndarray
+    K_sigma: np.ndarray
+    K_eta: np.ndarray
+    U1: np.ndarray
+    J_f1: np.ndarray
+    J_f2: np.ndarray
+    K_f1: np.ndarray
+    K_f2: np.ndarray
+    checks: tuple
+
+
+def _structure(sys: DescriptorSystem, tol: Tolerance) -> _Structure:
+    # Step 1: staircase; only the leading block carries nonzero trajectories.
+    st = observability_staircase(sys.E, sys.A, sys.B, tol)
+    C_O = st.split_columns(sys.C)[0]
+    K_O = st.split_columns(sys.K)[0]
+    n_O = st.col_partition[0]
+
+    # Step 2: stack the measurement into the pencil and bring it to QKF.
+    form = qkf(np.vstack([st.E_O, np.zeros((sys.p, n_O))]),
+               np.vstack([st.A_O, C_O]), tol)
+    K_eps, K_f, K_sigma, K_eta = form.split_right(K_O)
+
+    # Step 3: split the finite block into non-decaying / decaying parts.
+    U1, J_f1, J_f2 = spectral_split(form.J_f, tol)
+    K_f_split = K_f @ U1
+    n_f1 = J_f1.shape[0]
+    K_f1, K_f2 = K_f_split[:, :n_f1], K_f_split[:, n_f1:]
+
+    threshold = CONSISTENCY_ATOL * max(1.0, float(np.linalg.norm(sys.K)))
+    checks = tuple(
+        (condition, float(np.linalg.norm(block)), threshold)
+        for condition, block in (
+            ("the functional depends on the free block", K_eps),
+            ("the functional depends on input derivatives", K_sigma @ form.J_sigma),
+            ("the functional depends on a non-decaying undetected mode", K_f1)))
+    return _Structure(staircase=st, form=form, K_eps=K_eps, K_f=K_f,
+                      K_sigma=K_sigma, K_eta=K_eta, U1=U1, J_f1=J_f1, J_f2=J_f2,
+                      K_f1=K_f1, K_f2=K_f2, checks=checks)
+
+
+def _holds(row) -> bool:
+    _, residual, threshold = row
+    return residual <= threshold
 
 
 # ---------------------------------------------------------------------------
@@ -224,68 +292,16 @@ def is_partially_impulse_observable(sys: DescriptorSystem,
     return _impulse_observable_triple(sys.E, sys.A, sys.C, sys.K, tol)
 
 
-def detectability_matrices(sys: DescriptorSystem, lam: complex):
-    """The two block matrices of the half-plane rank test, evaluated at lam.
-
-    Both stack n diagonal copies of (lam E_bar - A_bar) with E_bar on the
-    subdiagonal; the first additionally carries K under the last block
-    column.
-    """
-    return _detectability_matrices(StackedSystem(sys), lam)
-
-
-def _detectability_matrices(st: StackedSystem, lam: complex):
-    sys = st.sys
-    n = sys.n
-    mb = st.E_bar.shape[0]
-    block = lam * st.E_bar - st.A_bar
-    right = np.zeros((n * mb, n * n), dtype=complex)
-    for i in range(n):
-        right[i * mb:(i + 1) * mb, i * n:(i + 1) * n] = block
-        if i > 0:
-            right[i * mb:(i + 1) * mb, (i - 1) * n:i * n] = st.E_bar
-    krow = np.zeros((sys.r, n * n), dtype=complex)
-    krow[:, (n - 1) * n:] = sys.K
-    return np.vstack([right, krow]), right
-
-
-def _detect_candidate_lambdas(sys: DescriptorSystem, tol: Tolerance,
-                              st=None) -> list[complex]:
-    """Finite points where either rank-test matrix can drop below normal rank."""
-    st = StackedSystem(sys) if st is None else st
-    with_K, without_K = _detectability_matrices(st, 1.0)
-    base_K, base = _detectability_matrices(st, 0.0)
-    cands: list[complex] = []
-    for M1, M0 in ((with_K, base_K), (without_K, base)):
-        X = np.real(M1 - M0)   # coefficient of lambda
-        Y = np.real(M0)
-        cands.extend(pencil_finite_eigenvalues(X, -Y, tol))
-    return cands
-
-
 def is_partially_detectable(sys: DescriptorSystem,
                             tol: Tolerance = DEFAULT_TOL):
-    """Half-plane rank equality; returns (verdict, evidence rows).
+    """Partial detectability; returns (verdict, rows).
 
-    Rank functions of a pencil are constant away from finitely many points,
-    so the quantifier over the closed right half-plane reduces to the
-    pencil's finite eigenvalues there plus generic samples for the normal
-    rank.
+    The rows are the free-block and non-decaying-mode checks of
+    ``_structure``; detectability holds when both residuals are within
+    their thresholds.
     """
-    return _half_plane_test(StackedSystem(sys), tol)
-
-
-def _half_plane_test(st: StackedSystem, tol: Tolerance):
-    cands = _detect_candidate_lambdas(st.sys, tol, st)
-    radius = max((abs(lam) for lam in cands), default=0.0)
-    lams = list(GENERIC_LAMBDAS) + [lam for lam in cands
-                                    if _non_decaying(lam.real, tol, radius)]
-    evidence = []
-    for lam in lams:
-        with_K, without_K = _detectability_matrices(st, lam)
-        evidence.append((complex(lam), numeric_rank(with_K, tol),
-                         numeric_rank(without_K, tol)))
-    return all(r1 == r0 for _, r1, r0 in evidence), tuple(evidence)
+    free, _, mode = _structure(sys, tol).checks
+    return _holds(free) and _holds(mode), (free, mode)
 
 
 def is_partially_causal(E, A, B, K, tol: Tolerance = DEFAULT_TOL):
@@ -395,14 +411,15 @@ def _votes(lifted, vote1: bool, W_star: Subspace, tol: Tolerance) -> tuple:
 
 def is_partially_causal_detectable(sys: DescriptorSystem,
                                    tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
-    """Full property analysis.  The headline verdict, half-plane
-    detectability plus criterion (i), holds exactly when a functional ODE
-    estimator exists.
+    """Full property analysis.  The headline verdict, the three block checks
+    of ``_structure``, holds exactly when a functional ODE estimator exists.
 
-    The lifted matrices and W*_{E,A,0,C} are built once and shared by all tests.
+    The lifted matrices and W*_{E,A,0,C} of the remaining tests are built
+    once and shared by them.
     """
+    structure = _structure(sys, tol)
+    free, _, mode = structure.checks
     st, _, F_bar = lifted = _lift(sys)
-    detectable, evidence = _half_plane_test(st, tol)
     r1, r0 = _causal_ranks(*lifted, tol)
     W_star = wong_limits(sys.E, sys.A, None, sys.C, tol).W_star
     votes = _votes(lifted, r1 == r0, W_star, tol)
@@ -413,19 +430,21 @@ def is_partially_causal_detectable(sys: DescriptorSystem,
     s_probe = 1.0 * sys.E - sys.A
     sv = np.linalg.svd(s_probe, compute_uv=False) if s_probe.size else np.array([1.0])
     cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
+    modes = np.linalg.eigvals(structure.J_f1)
 
     return AnalysisReport(
         partially_impulse_observable=impulse,
-        partially_detectable=detectable,
-        detectability_evidence=evidence,
+        partially_detectable=_holds(free) and _holds(mode),
+        block_checks=structure.checks,
         partially_causal=causal,
         causality_ranks=causal_ranks,
         causality_assumption_ok=assumption_ok,
-        partially_causal_detectable=detectable and r1 == r0,
+        partially_causal_detectable=all(map(_holds, structure.checks)),
         characterization_votes=votes,
         diagnostics={
             "rank_rtol": tol.rank_rtol,
             "eig_stability_margin": tol.eig_stability_margin,
             "pencil_condition_at_1": cond,
+            "non_decaying_modes": [[float(v.real), float(v.imag)] for v in modes],
         },
     )

@@ -9,14 +9,6 @@
 All three are certified against their structural invariants after
 construction; on failure the computation is retried once with a 10x relaxed
 rank tolerance before giving up.
-
-``qkf_finite_spectrum`` reads the finite spectrum from the block-triangular
-pre-form of the QKF instead, skipping the coupling solves.  It certifies
-everything that bears on the spectrum, with the same retry: the structural
-zeros, nonsingular E_f and A_sigma, the identity P (lambda E - A) Q =
-lambda T_E - T_A against the triangular form at SAMPLE_LAMBDAS, and the
-diagonal-block invariants that ``certify_qkf`` checks (eps/eta shapes and
-ranks, J_sigma^h = 0).
 """
 
 from __future__ import annotations
@@ -331,37 +323,19 @@ def _qkf_once(E: np.ndarray, A: np.ndarray, tol: Tolerance) -> PencilQKF:
     return form
 
 
-def _finite_spectrum_once(E: np.ndarray, A: np.ndarray, tol: Tolerance) -> np.ndarray:
-    tri = _triangular_form(E, A, tol)
-    form = _normalized(tri, tol)
-    # The triangular form certify_qkf would compare against if the couplings
-    # above the diagonal were removed: exact zeros below, normalized diagonal.
-    TE, TA = tri.TE.copy(), tri.TA.copy()
-    for i in range(4):
-        for j in range(4):
-            if _structural_zero(i, j):
-                tri.blk(TE, i, j)[:] = 0.0
-                tri.blk(TA, i, j)[:] = 0.0
-    tri.blk(TE, 1, 1)[:] = np.eye(form.n_f)
-    tri.blk(TA, 2, 2)[:] = np.eye(form.n_sigma)
-    _certify_identity(E, A, form.P, form.Q, TE, TA)
-    _certify_blocks(form, tol)
-    return np.linalg.eigvals(form.J_f) if form.n_f else np.zeros(0, dtype=complex)
-
-
-def _certify_identity(E, A, P, Q, TE, TA) -> None:
-    """P (lambda E - A) Q = lambda TE - TA at every SAMPLE_LAMBDAS point."""
+def certify_qkf(E, A, form: PencilQKF, tol: Tolerance = DEFAULT_TOL) -> None:
+    """Check every PencilQKF invariant; raise DecompositionError otherwise."""
+    m, n = E.shape
+    if (form.m_eps + form.n_f + form.n_sigma + form.m_eta != m
+            or form.n_eps + form.n_f + form.n_sigma + form.n_eta != n):
+        raise DecompositionError("QKF certification: block sizes do not sum up")
     scale = _residual_scale(E, A)
+    TE, TA = form.blocks_E(), form.blocks_A()
     for lam in SAMPLE_LAMBDAS:
-        r = np.linalg.norm(P @ (lam * E - A) @ Q - (lam * TE - TA))
+        r = np.linalg.norm(form.P @ (lam * E - A) @ form.Q - (lam * TE - TA))
         if r > 1e-7 * scale * max(1.0, abs(lam)):
             raise DecompositionError(
                 f"QKF certification: identity fails at lambda={lam} (residual {r:.2e})")
-
-
-def _certify_blocks(form: PencilQKF, tol: Tolerance) -> None:
-    """The invariants of the diagonal blocks: eps and eta shapes and ranks,
-    and the nilpotency index of J_sigma."""
     if form.m_eps > form.n_eps:
         raise DecompositionError("QKF certification: m_eps > n_eps")
     if form.m_eta < form.n_eta:
@@ -393,16 +367,6 @@ def _certify_blocks(form: PencilQKF, tol: Tolerance) -> None:
         raise DecompositionError("QKF certification: h must be 0 when n_sigma = 0")
 
 
-def certify_qkf(E, A, form: PencilQKF, tol: Tolerance = DEFAULT_TOL) -> None:
-    """Check every PencilQKF invariant; raise DecompositionError otherwise."""
-    m, n = E.shape
-    if (form.m_eps + form.n_f + form.n_sigma + form.m_eta != m
-            or form.n_eps + form.n_f + form.n_sigma + form.n_eta != n):
-        raise DecompositionError("QKF certification: block sizes do not sum up")
-    _certify_identity(E, A, form.P, form.Q, form.blocks_E(), form.blocks_A())
-    _certify_blocks(form, tol)
-
-
 def qkf(E, A, tol: Tolerance = DEFAULT_TOL) -> PencilQKF:
     """Quasi-Kronecker form of the pencil lambda*E - A.
 
@@ -412,21 +376,6 @@ def qkf(E, A, tol: Tolerance = DEFAULT_TOL) -> PencilQKF:
     E = as_matrix(E)
     A = as_matrix(A, rows=E.shape[0], cols=E.shape[1])
     return _with_relaxed_retry("QKF", _qkf_once, E, A, tol=tol)
-
-
-def qkf_finite_spectrum(E, A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of J_f, the finite block of the QKF of lambda*E - A.
-
-    Read from the block-triangular pre-form, whose diagonal f-block already
-    carries the spectrum, so the coupling solves of qkf are skipped.  Every
-    other qkf check stays: the structural zeros and the normalized f and
-    sigma blocks, the identity P (lambda E - A) Q = lambda T_E - T_A against
-    the triangular form, and the invariants of the diagonal blocks; a
-    failure is retried once at a relaxed rank tolerance, as in qkf.
-    """
-    E = as_matrix(E)
-    A = as_matrix(A, rows=E.shape[0], cols=E.shape[1])
-    return _with_relaxed_retry("QKF pre-form", _finite_spectrum_once, E, A, tol=tol)
 
 
 def _with_relaxed_retry(what: str, once, *args, tol: Tolerance):

@@ -174,14 +174,13 @@ def load_estimator(path: str) -> tuple[EstimatorRealization, str]:
 # -- reports -----------------------------------------------------------------
 
 def report_to_dict(report: AnalysisReport) -> dict:
-    ev = report.detectability_evidence
     return {
         "partially_impulse_observable": bool(report.partially_impulse_observable),
         "partially_detectable": bool(report.partially_detectable),
-        "detectability_evidence": [
-            {"lambda_re": float(np.real(lam)), "lambda_im": float(np.imag(lam)),
-             "rank_with_functional": int(rw), "rank_without_functional": int(ro)}
-            for lam, rw, ro in ev],
+        "block_checks": [
+            {"condition": condition, "residual": float(residual),
+             "threshold": float(threshold)}
+            for condition, residual, threshold in report.block_checks],
         "partially_causal": bool(report.partially_causal),
         "causality_ranks": [int(r) for r in report.causality_ranks],
         "causality_assumption_ok": bool(report.causality_assumption_ok),
@@ -215,14 +214,16 @@ def render_report_markdown(name: str, report: AnalysisReport,
     lines.append("## Equivalent characterizations")
     for nm, vote in zip(_VOTE_NAMES, r.characterization_votes):
         lines.append(f"- {nm}: {vote}")
-    if r.detectability_evidence:
-        lines.append("")
-        lines.append("## Detectability rank evidence (candidate frequencies)")
-        for lam, rw, ro in r.detectability_evidence:
-            lam_s = f"{lam.real:.6g}" if abs(lam.imag) < 1e-12 \
-                else f"{lam.real:.6g}{lam.imag:+.6g}j"
-            lines.append(f"- lambda = {lam_s}: rank with functional {rw}, "
-                         f"without {ro}")
+    lines.append("")
+    lines.append("## Block checks on the stacked quasi-Kronecker form")
+    for condition, residual, threshold in r.block_checks:
+        lines.append(f"- {condition}: {'yes' if residual > threshold else 'no'} "
+                     f"(residual {residual:.3g}, threshold {threshold:.3g})")
+    modes = r.diagnostics["non_decaying_modes"]
+    if modes:
+        lines.append("- non-decaying modes of the finite block: " + ", ".join(
+            f"{re:.6g}" if abs(im) < 1e-12 else f"{re:.6g}{im:+.6g}j"
+            for re, im in modes))
     if synthesis_summary:
         lines.append("")
         lines.append("## Synthesis summary")

@@ -283,26 +283,16 @@ def apply_map(M, s: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
 
 def pencil_finite_eigenvalues(E, A, tol: Tolerance = DEFAULT_TOL) -> list[complex]:
     """Finite generalized eigenvalues of the (possibly rectangular) pencil
-    lambda*E - A, i.e. the spectrum of the finite regular block of its
-    quasi-Kronecker form.
+    lambda*E - A: the spectrum of J_f in its quasi-Kronecker form."""
+    from .decomp import qkf  # local import: decomp builds on this module
 
-    Computed by decomp.qkf_finite_spectrum from the block-triangular QKF
-    pre-form, without removing its couplings.  That path certifies the
-    structural zeros, the nonsingular E_f and A_sigma, the nilpotent J_sigma
-    and its index, the identity P (lambda E - A) Q = lambda T_E - T_A at the
-    sample points, and the eps/eta block shapes and ranks.
-    """
-    from .decomp import qkf_finite_spectrum  # local import: decomp builds on this module
-
-    return [complex(v) for v in qkf_finite_spectrum(E, A, tol)]
+    return [complex(v) for v in np.linalg.eigvals(qkf(E, A, tol).J_f)]
 
 
 def _non_decaying(re, tol: Tolerance, radius: float):
     """Re lambda >= -eig_stability_margin - 512 eps max(1, radius): real parts
     ``re`` from a spectrum of spectral radius ``radius`` that lie within
-    roundoff of the boundary count as non-decaying.  The detectability test
-    (lifted candidate eigenvalues) and spectral_split (J_f of synthesis) share
-    this rule; both spectra are the unmeasured finite modes, so the radii agree.
+    roundoff of the boundary count as non-decaying (spectral_split's rule).
     """
     return re >= -tol.eig_stability_margin - 512 * np.finfo(float).eps * max(1.0, radius)
 

@@ -15,11 +15,11 @@ satisfies zhat(t) - z(t) -> 0 along every plant trajectory.  The pipeline:
 6. assembly, with the overdetermined state folded into the feedthrough M
    whenever the algebraic rows determine it uniquely from (u; y).
 
-The block conditions of steps 2 and 3, K_eps = 0, K_sigma J_sigma = 0 and
-K_f1 = 0 (the functional reads neither the free block, nor input
-derivatives, nor a non-decaying undetected mode), are the paper's existence
-criterion in dimension n, so synthesis refuses on them and does not re-run
-the lifted rank tests of the analysis.
+Steps 1-3 are ``analysis._structure``, which the analysis verdict reads
+too.  Its block conditions, K_eps = 0, K_sigma J_sigma = 0 and K_f1 = 0
+(the functional reads neither the free block, nor input derivatives, nor a
+non-decaying undetected mode), are the paper's existence criterion in
+dimension n, so synthesis refuses on the first that fails.
 
 A full intermediate trace is returned for audit and for mapping plant states
 into estimator coordinates.
@@ -32,18 +32,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import SynthesisError
-from .analysis import DescriptorSystem
-from .decomp import (PencilQKF, StaircaseDecomposition, _blkdiag,
-                     observability_staircase, qkf)
+from .analysis import DescriptorSystem, _holds, _structure
+from .decomp import PencilQKF, StaircaseDecomposition, _blkdiag
 from .linalg import (
-    CONSISTENCY_ATOL,
     DEFAULT_TOL,
     Tolerance,
     numeric_rank,
     place_poles,
     pseudo_inverse,
     _snap_roundoff,
-    spectral_split,
 )
 
 
@@ -99,13 +96,6 @@ class SynthesisTrace:
         return self.state_map @ x0
 
 
-def _refuse_unless_zero(block: np.ndarray, condition: str, scale: float) -> None:
-    residual = float(np.linalg.norm(block))
-    if residual > CONSISTENCY_ATOL * scale:
-        raise SynthesisError(f"no functional ODE estimator exists: {condition} "
-                             f"(residual {residual:.2e})")
-
-
 def synthesize_estimator(sys: DescriptorSystem,
                          tol: Tolerance = DEFAULT_TOL):
     """Construct a functional estimator; refuse when none can exist.
@@ -113,38 +103,27 @@ def synthesize_estimator(sys: DescriptorSystem,
     Returns (EstimatorRealization, SynthesisTrace).
     """
     n, p, l, r = sys.n, sys.p, sys.l, sys.r
-    scale = max(1.0, np.linalg.norm(sys.K)) if sys.K.size else 1.0
 
-    # Step 1: staircase; only the leading block carries nonzero trajectories.
-    st = observability_staircase(sys.E, sys.A, sys.B, tol)
-    C_O = st.split_columns(sys.C)[0]
-    K_O = st.split_columns(sys.K)[0]
-    B_O = st.B_O
+    # Steps 1-3 and the existence criterion.
+    structure = _structure(sys, tol)
+    for row in structure.checks:
+        if not _holds(row):
+            condition, residual, _ = row
+            raise SynthesisError(f"no functional ODE estimator exists: {condition} "
+                                 f"(residual {residual:.2e})")
+    st, form = structure.staircase, structure.form
+    U1, J_f1, J_f2 = structure.U1, structure.J_f1, structure.J_f2
+    K_eps, K_f, K_sigma, K_eta = (structure.K_eps, structure.K_f,
+                                  structure.K_sigma, structure.K_eta)
+    K_f1, K_f2 = structure.K_f1, structure.K_f2
     n_O = st.col_partition[0]
 
-    # Step 2: stack the measurement into the pencil and bring it to QKF.
-    E_bar = np.vstack([st.E_O, np.zeros((p, n_O))])
-    A_bar = np.vstack([st.A_O, C_O])
-    B_bar = np.block([[B_O, np.zeros((st.E_O.shape[0], p))],
+    B_bar = np.block([[st.B_O, np.zeros((st.E_O.shape[0], p))],
                       [sys.D, -np.eye(p)]])
-    form = qkf(E_bar, A_bar, tol)
     B_eps, B_f, B_sigma, B_eta = form.split_left(B_bar)
-    K_eps, K_f, K_sigma, K_eta = form.split_right(K_O)
-
-    _refuse_unless_zero(K_eps, "the functional depends on the free block", scale)
-    _refuse_unless_zero(K_sigma @ form.J_sigma,
-                        "the functional depends on input derivatives", scale)
-
-    # Step 3: split the finite block into non-decaying / decaying parts.
-    U1, J_f1, J_f2 = spectral_split(form.J_f, tol)
     n_f1 = J_f1.shape[0]
-    U1_inv = np.linalg.inv(U1)
-    B_f_split = U1_inv @ B_f
+    B_f_split = np.linalg.inv(U1) @ B_f
     B_f1, B_f2 = B_f_split[:n_f1, :], B_f_split[n_f1:, :]
-    K_f_split = K_f @ U1
-    K_f1, K_f2 = K_f_split[:, :n_f1], K_f_split[:, n_f1:]
-    _refuse_unless_zero(
-        K_f1, "the functional depends on a non-decaying undetected mode", scale)
 
     # Step 4: normalize the overdetermined block to ([I; 0], [A1; A2]).
     n_eta, m_eta = form.n_eta, form.m_eta

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dsest import DescriptorSystem, EstimatorRealization
+from dsest.linalg import pencil_finite_eigenvalues
 
 
 @pytest.fixture
@@ -106,3 +107,59 @@ def random_pencil(rng: np.random.Generator, max_dim: int = 4,
     E = rng.integers(-entry_range, entry_range + 1, (m, n)).astype(float)
     A = rng.integers(-entry_range, entry_range + 1, (m, n)).astype(float)
     return E, A
+
+
+def lifted_system(n: int, seed: int, unobserved: bool = False) -> DescriptorSystem:
+    """n x n system with E = diag(1, ..., 1, 0, 0), A = randn - 2I and two
+    Gaussian inputs, outputs and functionals (the sweep rule of the
+    benchmark, drawn in the same order).  With `unobserved`, states 0 and 1
+    neither reach the outputs nor the other states, so both eigenvalues of
+    A[:2, :2] are unobservable modes."""
+    rng = np.random.default_rng(seed)
+    E = np.diag([1.0] * (n - 2) + [0.0, 0.0])
+    A = rng.standard_normal((n, n)) - 2.0 * np.eye(n)
+    B = rng.standard_normal((n, 2))
+    C = rng.standard_normal((2, n))
+    K = rng.standard_normal((2, n))
+    if unobserved:
+        A[2:, :2] = 0.0
+        C[:, :2] = 0.0
+    return DescriptorSystem.from_matrices(E, A, B, C, K)
+
+
+# -- the lifted half-plane rank test, an independent oracle for the
+# -- n-dimensional detectability checks of the analysis
+
+def detectability_matrices(sys: DescriptorSystem, lam: complex):
+    """The two block matrices of the half-plane rank test, evaluated at lam.
+
+    Both stack n diagonal copies of (lam E_bar - A_bar), E_bar = [E; 0] and
+    A_bar = [A; C], with E_bar on the subdiagonal; the first additionally
+    carries K under the last block column.  Detectability holds when their
+    ranks agree at every lam of the closed right half-plane.
+    """
+    n = sys.n
+    E_bar = np.vstack([sys.E, np.zeros((sys.p, n))])
+    A_bar = np.vstack([sys.A, sys.C])
+    mb = E_bar.shape[0]
+    right = np.zeros((n * mb, n * n), dtype=complex)
+    for i in range(n):
+        right[i * mb:(i + 1) * mb, i * n:(i + 1) * n] = lam * E_bar - A_bar
+        if i > 0:
+            right[i * mb:(i + 1) * mb, (i - 1) * n:i * n] = E_bar
+    krow = np.zeros((sys.r, n * n), dtype=complex)
+    krow[:, (n - 1) * n:] = sys.K
+    return np.vstack([right, krow]), right
+
+
+def detectability_pencils(sys: DescriptorSystem) -> list:
+    """(X, -Y) of lambda*X + Y for both half-plane rank-test matrices."""
+    return [(np.real(M1 - M0), -np.real(M0))
+            for M1, M0 in zip(detectability_matrices(sys, 1.0),
+                              detectability_matrices(sys, 0.0))]
+
+
+def detect_candidate_lambdas(sys: DescriptorSystem) -> list:
+    """Finite points where either rank-test matrix can drop below normal rank."""
+    return [lam for X, Y in detectability_pencils(sys)
+            for lam in pencil_finite_eigenvalues(X, Y)]

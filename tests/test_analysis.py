@@ -13,9 +13,11 @@ from dsest import (
     is_partially_impulse_observable,
     numeric_rank,
     qkf,
+    synthesize_estimator,
 )
 
-from conftest import random_pencil, random_system, stiff_system
+from conftest import (detect_candidate_lambdas, detectability_matrices,
+                      lifted_system, random_pencil, random_system, stiff_system)
 
 
 class TestBlockToeplitz:
@@ -60,6 +62,9 @@ class TestCanonicalVerdicts:
         report = is_partially_causal_detectable(sigma_violating_system)
         assert not report.partially_causal_detectable
         assert not any(report.characterization_votes)
+        # Detectable all the same: only the causality condition fails.
+        assert report.partially_detectable
+        assert is_partially_detectable(sigma_violating_system)[0]
 
     def test_sigma_causal_variant(self, sigma_causal_system):
         report = is_partially_causal_detectable(sigma_causal_system)
@@ -139,9 +144,7 @@ class TestFullStateRegression:
         """Independent classical test for K = I via the stacked one-step
         space intersected with ker C and ker E being trivial, combined with
         the detectability rank test at every candidate frequency."""
-        from dsest.analysis import (_detect_candidate_lambdas,
-                                    detectability_matrices)
-        from dsest.linalg import Subspace, intersect, kernel, preimage, image
+        from dsest.linalg import intersect, kernel, preimage, image
         from dsest.analysis import StackedSystem
         st = StackedSystem(sys)
         F = st.F_script()
@@ -149,8 +152,7 @@ class TestFullStateRegression:
         cap = intersect(intersect(pre, kernel(sys.C)), kernel(sys.E))
         causal = cap.dim == 0
         detectable = True
-        from dsest.linalg import DEFAULT_TOL
-        for lam in _detect_candidate_lambdas(sys, DEFAULT_TOL):
+        for lam in detect_candidate_lambdas(sys):
             if lam.real < 0:
                 continue  # only the closed right half-plane matters
             wk, wo = detectability_matrices(sys, lam)
@@ -182,16 +184,28 @@ class TestNoDecompositionCrash:
             report = is_partially_causal_detectable(draws[index])
             assert report.partially_causal_detectable is False
 
+    def test_slow_time_scale_decides_as_drawn(self):
+        # E -> 1e3 E only slows the time scale, so the verdict must not move.
+        rng = np.random.default_rng(7)
+        for index in range(300):
+            sys = random_system(rng)
+            slow = DescriptorSystem.from_matrices(
+                1e3 * sys.E, sys.A, sys.B, sys.C, sys.K, D=sys.D)
+            assert is_partially_causal_detectable(slow).partially_causal_detectable \
+                == is_partially_causal_detectable(sys).partially_causal_detectable, index
+
 
 class TestNearAxisMode:
     def test_integrator_read_by_K_is_not_detectable(self, near_axis_system):
-        # The candidate eigenvalue of the integrator comes out just left of
-        # the axis; the rank test must still be run there.
+        # The integrator may come out a roundoff distance left of the axis;
+        # it must still count as non-decaying.
         report = is_partially_causal_detectable(near_axis_system)
         assert report.partially_detectable is False
         assert report.partially_causal_detectable is False
-        assert any(abs(lam) < 1e-6 and (w, wo) == (4, 3)
-                   for lam, w, wo in report.detectability_evidence)
+        condition, residual, threshold = report.block_checks[2]
+        assert "non-decaying" in condition and residual > threshold
+        assert any(abs(complex(re, im)) < 1e-6
+                   for re, im in report.diagnostics["non_decaying_modes"])
 
 
 class TestStiffSpectrum:
@@ -208,15 +222,41 @@ class TestStiffSpectrum:
 
 class TestLambdaSweep:
     def test_sweep_soundness_spot_check(self, ex_system):
-        # Rank equality at the candidate eigenvalues plus generic samples
-        # must imply equality at random points of the closed right
-        # half-plane.
-        from dsest.analysis import detectability_matrices
-        ok, evidence = is_partially_detectable(ex_system)
+        # Detectability must imply rank equality of the lifted half-plane
+        # test at random points of the closed right half-plane.
+        ok, _ = is_partially_detectable(ex_system)
         assert ok
-        assert len(evidence) >= 5
         rng = np.random.default_rng(104)
         for _ in range(50):
             lam = complex(rng.uniform(0, 5), rng.uniform(-5, 5))
             with_K, without_K = detectability_matrices(ex_system, lam)
             assert numeric_rank(with_K) == numeric_rank(without_K)
+
+
+class TestDecidedInDimensionN:
+    def test_sweep_system_at_n_20(self):
+        # The plant is fully observable with an index-1 pencil, so the
+        # functional is estimable.
+        sys = lifted_system(20, 0)
+        assert is_partially_causal_detectable(sys).partially_causal_detectable
+        est, _ = synthesize_estimator(sys)
+        assert est.s == 18 and np.linalg.eigvals(est.N).real.max() < 0
+
+    def test_unobservable_mode_listed_once(self):
+        # The lifted pencil carries this mode (0.1723) as a 5-fold defective
+        # eigenvalue; the n-dimensional structure lists it once.
+        report = is_partially_causal_detectable(lifted_system(5, 3, unobserved=True))
+        assert report.partially_detectable is False
+        (re, im), = report.diagnostics["non_decaying_modes"]
+        assert abs(re - 0.17234808) < 1e-6 and im == 0.0
+
+    def test_one_staircase_and_one_qkf_per_analysis(self, monkeypatch, ex_system):
+        import dsest.analysis as analysis
+        calls = []
+        for name in ("observability_staircase", "qkf"):
+            def counted(*args, _f=getattr(analysis, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(analysis, name, counted)
+        is_partially_causal_detectable(ex_system)
+        assert sorted(calls) == ["observability_staircase", "qkf"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dsest import DescriptorSystem, Tolerance
+from dsest import DecompositionError, DescriptorSystem, Tolerance
 from dsest import io as dsio
 from dsest.cli import main, parse_input_spec, _effective_tolerance
 
@@ -242,17 +242,25 @@ class TestReportCommand:
 
 
 class TestToolkitErrors:
-    @pytest.mark.parametrize("command", ["analyze", "report"])
-    def test_decomposition_error_is_reported_not_raised(self, runner, tmp_path,
-                                                        command):
-        # Draw 470 of random_system(default_rng(7)) with E x 1e3: the QKF
-        # pre-form of its detectability pencil cannot be certified.
+    def test_slow_time_scale_decides(self, runner, tmp_path):
+        # Draw 470 of random_system(default_rng(7)) with E x 1e3: the verdict
+        # is the as-drawn "no".
         rng = np.random.default_rng(7)
         base = [random_system(rng) for _ in range(471)][470]
         path = tmp_path / "sys.json"
         dsio.save_system(str(path), DescriptorSystem.from_matrices(
             base.E * 1e3, base.A, base.B, base.C, base.K, D=base.D))
-        res = runner.invoke(main, [command, str(path)])
+        res = runner.invoke(main, ["analyze", str(path)])
+        assert isinstance(res.exception, SystemExit)
+        assert res.exit_code == 2, res.output
+
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    def test_decomposition_error_is_reported_not_raised(self, runner, monkeypatch,
+                                                        command):
+        def fail(*args, **kwargs):
+            raise DecompositionError("QKF failed")
+        monkeypatch.setattr("dsest.cli.is_partially_causal_detectable", fail)
+        res = runner.invoke(main, [command, SYSTEM_JSON])
         assert isinstance(res.exception, SystemExit)
         assert res.exit_code == 1
-        assert "error:" in res.output
+        assert "error: QKF failed" in res.output

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from dsest import DescriptorSystem, qkf
-from dsest.analysis import detectability_matrices
+from dsest import qkf
 from dsest.linalg import (
     DEFAULT_TOL,
     Subspace,
@@ -22,7 +21,7 @@ from dsest.linalg import (
     subspaces_equal,
 )
 
-from conftest import random_pencil
+from conftest import detectability_pencils, lifted_system, random_pencil
 
 RNG = np.random.default_rng(20260826)
 
@@ -129,33 +128,6 @@ class TestPencilEigenvalues:
         assert pencil_finite_eigenvalues(E, A) == []
 
 
-def lifted_system(n: int, seed: int, unobserved: bool) -> DescriptorSystem:
-    """n x n system with E = diag(1, ..., 1, 0, 0), A = randn - 2I and two
-    Gaussian inputs, outputs and functionals.  With `unobserved`, states 0
-    and 1 neither reach the outputs nor the other states, so both
-    eigenvalues of A[:2, :2] are unobservable modes."""
-    rng = np.random.default_rng(seed)
-    E = np.diag([1.0] * (n - 2) + [0.0, 0.0])
-    A = rng.standard_normal((n, n)) - 2.0 * np.eye(n)
-    B = rng.standard_normal((n, 2))
-    C = rng.standard_normal((2, n))
-    K = rng.standard_normal((2, n))
-    if unobserved:
-        A[2:, :2] = 0.0
-        C[:, :2] = 0.0
-    return DescriptorSystem.from_matrices(E, A, B, C, K)
-
-
-def detectability_pencils(sys: DescriptorSystem) -> list:
-    """(X, -Y) of lambda*X + Y for both half-plane rank-test matrices, as the
-    candidate-eigenvalue search of the detectability test builds them."""
-    out = []
-    for M1, M0 in zip(detectability_matrices(sys, 1.0),
-                      detectability_matrices(sys, 0.0)):
-        out.append((np.real(M1 - M0), -np.real(M0)))
-    return out
-
-
 def assert_same_multiset(ref, got, rtol=1e-8):
     assert len(got) == len(ref)
     rest = list(ref)
@@ -166,8 +138,8 @@ def assert_same_multiset(ref, got, rtol=1e-8):
 
 
 class TestPencilSpectrumMatchesQKF:
-    """The spectrum read from the triangular pre-form equals the spectrum
-    of J_f in the full quasi-Kronecker form."""
+    """pencil_finite_eigenvalues is the spectrum of J_f in the quasi-Kronecker
+    form, also on the lifted pencils of the half-plane rank-test oracle."""
 
     def test_random_pencils(self):
         # The draws of criterion 9, on all of which qkf succeeds.
@@ -185,8 +157,8 @@ class TestPencilSpectrumMatchesQKF:
     def test_lifted_defective_spectrum(self):
         # Without K, each unobservable mode is a 5-fold defective eigenvalue
         # of the lifted pencil, so roundoff scatters its computed copies by
-        # about eps**(1/5) in either path; the characteristic polynomial
-        # does not scatter and is compared instead.
+        # about eps**(1/5); the characteristic polynomial does not scatter
+        # and is compared instead.
         (Xk, Yk), (X, Y) = detectability_pencils(lifted_system(5, 3, unobserved=True))
         assert pencil_finite_eigenvalues(Xk, Yk) == []
         ref = np.linalg.eigvals(qkf(X, Y).J_f)
@@ -194,13 +166,6 @@ class TestPencilSpectrumMatchesQKF:
         assert len(got) == len(ref) == 10
         poly_ref, poly_got = np.poly(ref), np.poly(got)
         assert np.abs(poly_got - poly_ref).max() <= 1e-8 * np.abs(poly_ref).max()
-
-    def test_no_coupling_solve(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("numpy.linalg.lstsq called")
-        monkeypatch.setattr(np.linalg, "lstsq", refuse)
-        pencils = detectability_pencils(lifted_system(6, 3, unobserved=True))
-        assert [len(pencil_finite_eigenvalues(X, Y)) for X, Y in pencils] == [0, 12]
 
 
 class TestSpectralSplit:
