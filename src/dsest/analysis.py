@@ -12,6 +12,8 @@ Decides, for a system E x' = A x + B u, y = C x + D u, z = K x:
   and K_f1 = 0 (no non-decaying mode that the measurement misses);
   detectability alone drops the middle condition.  Synthesis continues
   from the same structure, so verdict and construction cannot disagree;
+  ``_analyze`` returns it with the report, so that ``dsest report`` builds
+  it once for both;
 * partial impulse observability of z with respect to the measurement;
 * partial causality (z expressible without input derivatives) and the
   five-way cross-check of its equivalent characterizations, as rank and
@@ -417,6 +419,12 @@ def is_partially_causal_detectable(sys: DescriptorSystem,
     The lifted matrices and W*_{E,A,0,C} of the remaining tests are built
     once and shared by them.
     """
+    return _analyze(sys, tol)[0]
+
+
+def _analyze(sys: DescriptorSystem, tol: Tolerance):
+    """The analysis report together with the ``_Structure`` it was read
+    from, so that synthesis can continue from the same structure."""
     structure = _structure(sys, tol)
     free, _, mode = structure.checks
     st, _, F_bar = lifted = _lift(sys)
@@ -432,7 +440,7 @@ def is_partially_causal_detectable(sys: DescriptorSystem,
     cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
     modes = np.linalg.eigvals(structure.J_f1)
 
-    return AnalysisReport(
+    report = AnalysisReport(
         partially_impulse_observable=impulse,
         partially_detectable=_holds(free) and _holds(mode),
         block_checks=structure.checks,
@@ -448,3 +456,4 @@ def is_partially_causal_detectable(sys: DescriptorSystem,
             "non_decaying_modes": [[float(v.real), float(v.imag)] for v in modes],
         },
     )
+    return report, structure

@@ -15,12 +15,12 @@ import click
 import numpy as np
 
 from . import io as dsio
-from .analysis import is_partially_causal_detectable
+from .analysis import _analyze, is_partially_causal_detectable
 from .exceptions import DsestError, SynthesisError
 from .linalg import DEFAULT_TOL, Tolerance
 from .sim import decay_metrics, simulate
 from .signals import InputSignal
-from .synthesis import synthesize_estimator
+from .synthesis import _synthesize, synthesize_estimator
 
 EXIT_NEGATIVE = 2
 EXIT_INPUT = 1
@@ -93,12 +93,14 @@ def parse_input_spec(spec: str, dim: int) -> InputSignal:
         elif kind == "probe":
             if len(vals) not in (1, 2):
                 raise ValueError(f"probe needs s[,shift]: {chunk!r}")
-            signals.append(InputSignal.probe(int(vals[0]), 1,
-                                             shift=vals[1] if len(vals) == 2 else 1.0))
+            shift = vals[1] if len(vals) == 2 else 1.0
+            try:
+                signals.append(InputSignal.probe(vals[0], 1, shift=shift))
+            except ValueError as exc:
+                raise ValueError(f"{chunk!r}: {exc}") from None
         else:
             raise ValueError(f"unknown input kind {kind!r}")
-    exprs = [s.exprs[0] for s in signals]
-    return InputSignal(exprs)
+    return InputSignal.stack(signals)
 
 
 class _Main(click.Group):
@@ -229,11 +231,11 @@ main.add_command(simulate_cmd, name="simulate")
 def report(system, out, rank_rtol, margin):
     """Full report: analysis verdict plus synthesis summary when possible."""
     sys_, name, tol = _load_system(system, rank_rtol, margin)
-    rep = is_partially_causal_detectable(sys_, tol)
+    rep, structure = _analyze(sys_, tol)
     summary = None
     if rep.partially_causal_detectable:
         try:
-            est, trace = synthesize_estimator(sys_, tol)
+            est, trace = _synthesize(sys_, structure, tol)
             eigs = np.linalg.eigvals(est.N) if est.s else np.zeros(0)
             summary = {
                 "order": est.s,

@@ -13,7 +13,9 @@ differently:
   trajectory must satisfy identically.
 
 Dynamic parts are integrated with fixed-step classical RK4; algebraic parts
-are evaluated exactly from analytic input derivatives.
+are evaluated exactly from analytic input derivatives.  The input and each
+derivative order the nilpotent block reads are sampled once, vectorised, on
+all RK4 stage times before stepping (``_rk4_inputs``).
 """
 
 from __future__ import annotations
@@ -186,31 +188,36 @@ class _PlantSolver:
 
     # -- algebraic evaluations ----------------------------------------------
 
-    def sigma_state(self, u: InputSignal, t) -> np.ndarray:
+    def input_jet(self, u: InputSignal, t) -> list:
+        """Samples of u and of each derivative the nilpotent block reads."""
+        return [u.eval(t, order=i) for i in range(max(1, len(self.sigma_maps)))]
+
+    def sigma_state(self, u_jet: list) -> np.ndarray:
         """Nilpotent-block state in decomposed coordinates."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros((self.dec.n_sigma,) + t.shape)
-        for i, coeff in enumerate(self.sigma_coeffs):
+        out = np.zeros((self.dec.n_sigma,) + np.shape(u_jet[0])[1:])
+        for coeff, ui in zip(self.sigma_coeffs, u_jet):
             if coeff.size:
-                out += coeff @ u.eval(t, order=i)
+                out += coeff @ ui
         return out
 
-    def algebraic_x(self, u: InputSignal, free, t) -> np.ndarray:
-        """Algebraic + free contribution to x at time(s) t."""
+    def algebraic_x(self, u_jet: list, free, t) -> np.ndarray:
+        """Algebraic + free contribution to x at time(s) t, from the input
+        samples ``u_jet`` of ``input_jet`` at the same time(s)."""
         t_arr = np.asarray(t, dtype=float)
         out = np.zeros((self.sys.n,) + t_arr.shape)
-        for i, smap in enumerate(self.sigma_maps):
+        for smap, ui in zip(self.sigma_maps, u_jet):
             if smap.size:
-                out += smap @ u.eval(t, order=i)
+                out += smap @ ui
         if self.n_free:
             out += self.free_map @ np.asarray(free(t), dtype=float)
         return out
 
-    def assemble_x(self, X: np.ndarray, u: InputSignal, free, t) -> np.ndarray:
-        return X + self.algebraic_x(u, free, t)
+    def assemble_x(self, X: np.ndarray, u_jet: list, free, t) -> np.ndarray:
+        return X + self.algebraic_x(u_jet, free, t)
 
-    def rhs(self, t: float, X: np.ndarray, u: InputSignal, free) -> np.ndarray:
-        dX = self.F @ X + self.Gu @ u(t)
+    def rhs(self, t: float, X: np.ndarray, u_t: np.ndarray, free) -> np.ndarray:
+        """X' at time t, given the input sample u_t = u(t)."""
+        dX = self.F @ X + self.Gu @ u_t
         if self.n_free:
             dX = dX + self.Gfree @ np.asarray(free(t), dtype=float)
         return dX
@@ -234,8 +241,9 @@ class _PlantSolver:
         xi_eta = xi0[ne + nf + ns:]
 
         atol = CONSISTENCY_ATOL * self.scale * max(1.0, np.abs(x0).max())
+        u0 = self.input_jet(u, 0.0)
         if ns:
-            expected = self.sigma_state(u, 0.0)
+            expected = self.sigma_state(u0)
             gap = np.abs(xi_sig - expected)
             if gap.max() > atol:
                 raise SimulationError(
@@ -243,7 +251,7 @@ class _PlantSolver:
                     f"constraint violated by {gap.max():.3e} "
                     f"(component {int(gap.argmax())} of the nilpotent block)")
         if neta and self.A_eta_alg.shape[0]:
-            res = self.A_eta_alg @ xi_eta + self.B_eta_alg @ u(0.0)
+            res = self.A_eta_alg @ xi_eta + self.B_eta_alg @ u0[0]
             if res.size and np.abs(res).max() > atol:
                 row = int(np.abs(res).argmax())
                 raise SimulationError(
@@ -288,19 +296,42 @@ class _PlantSolver:
         return float(np.abs(res).max()) if res.size else 0.0
 
 
-def _rk4(rhs: Callable[[float, np.ndarray], np.ndarray],
+def _rk4_inputs(solver: _PlantSolver, u: InputSignal, t: np.ndarray):
+    """The times at which ``_rk4`` samples the right-hand side on grid t,
+    and the input jets (``_PlantSolver.input_jet``) there.
+
+    Entry 2k of the times is t_k and entry 2k+1 the midpoint t_k + h/2 of
+    step k, with the step's own arithmetic.  The last stage's time t_k + h
+    is t_{k+1} exactly, because h = t_{k+1} - t_k is exact when
+    t_{k+1} <= 2 t_k (Sterbenz), as on every ``_time_grid``.  Each
+    derivative order of u is evaluated once, on all sample times together.
+    Returns the times, the jet as rows (``rows[i][j]`` is the order-i
+    sample at time j) and the jet on the grid t.
+    """
+    times = np.empty(2 * len(t) - 1)
+    times[0::2] = t
+    times[1::2] = t[:-1] + (t[1:] - t[:-1]) / 2
+    jet = solver.input_jet(u, times)
+    rows = [np.ascontiguousarray(ui.T) for ui in jet]
+    return times, rows, [ui[:, 0::2] for ui in jet]
+
+
+def _rk4(rhs: Callable[[np.ndarray, int], np.ndarray],
          v0: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Classical fixed-step RK4 on a uniform grid; returns (dim, len(t))."""
+    """Classical fixed-step RK4 on a uniform grid; returns (dim, len(t)).
+
+    ``rhs(v, j)`` is the right-hand side at state v and at time j of
+    ``_rk4_inputs``: t_k for j = 2k, the midpoint of step k for j = 2k+1.
+    """
     out = np.empty((v0.size, len(t)))
     out[:, 0] = v0
     v = v0.astype(float).copy()
     for k in range(len(t) - 1):
         h = t[k + 1] - t[k]
-        tk = t[k]
-        k1 = rhs(tk, v)
-        k2 = rhs(tk + h / 2, v + h / 2 * k1)
-        k3 = rhs(tk + h / 2, v + h / 2 * k2)
-        k4 = rhs(tk + h, v + h * k3)
+        k1 = rhs(v, 2 * k)
+        k2 = rhs(v + h / 2 * k1, 2 * k + 1)
+        k3 = rhs(v + h / 2 * k2, 2 * k + 1)
+        k4 = rhs(v + h * k3, 2 * k + 2)
         v = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         out[:, k + 1] = v
     return out
@@ -320,9 +351,10 @@ def solve_plant(sys: DescriptorSystem, x0, u: Optional[InputSignal] = None,
     solver = _PlantSolver(sys, tol)
     X0, free = solver.initial_dynamic_state(x0, u, eps_signal)
     t = _time_grid(T, dt)
-    X = _rk4(lambda tk, Xk: solver.rhs(tk, Xk, u, free), X0, t)
-    x = solver.assemble_x(X, u, free, t)
-    u_samples = u.eval(t)
+    times, rows, u_jet = _rk4_inputs(solver, u, t)
+    X = _rk4(lambda Xk, j: solver.rhs(times[j], Xk, rows[0][j], free), X0, t)
+    x = solver.assemble_x(X, u_jet, free, t)
+    u_samples = u_jet[0]
     y = sys.C @ x + sys.D @ u_samples
     z = sys.K @ x
     return SimulationTrace(
@@ -416,21 +448,23 @@ def simulate(sys: DescriptorSystem, est: EstimatorRealization, x0, w0,
                 f"{shape[0]}x{shape[1]} for order s={est.s} and the plant's "
                 f"l={sys.l}, p={sys.p}, r={sys.r}")
     n = sys.n
+    t = _time_grid(T, dt)
+    times, rows, u_jet = _rk4_inputs(solver, u, t)
 
-    def joint_rhs(tk, state):
+    def joint_rhs(state, j):
+        tj, jet = times[j], [r[j] for r in rows]
         Xk, wk = state[:n], state[n:]
-        dX = solver.rhs(tk, Xk, u, free)
-        xk = solver.assemble_x(Xk, u, free, tk)
-        ut = u(tk)
+        ut = jet[0]
+        dX = solver.rhs(tj, Xk, ut, free)
+        xk = solver.assemble_x(Xk, jet, free, tj)
         yk = sys.C @ xk + sys.D @ ut
         dw = est.N @ wk + est.H @ np.concatenate([ut, yk])
         return np.concatenate([dX, dw])
 
-    t = _time_grid(T, dt)
     traj = _rk4(joint_rhs, np.concatenate([X0, w0]), t)
     X, w = traj[:n], traj[n:]
-    x = solver.assemble_x(X, u, free, t)
-    u_samples = u.eval(t)
+    x = solver.assemble_x(X, u_jet, free, t)
+    u_samples = u_jet[0]
     y = sys.C @ x + sys.D @ u_samples
     z = sys.K @ x
     io = np.vstack([u_samples, y]) if (u_samples.size or y.size) \

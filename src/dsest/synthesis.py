@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import SynthesisError
-from .analysis import DescriptorSystem, _holds, _structure
+from .analysis import DescriptorSystem, _holds, _Structure, _structure
 from .decomp import PencilQKF, StaircaseDecomposition, _blkdiag
 from .linalg import (
     DEFAULT_TOL,
@@ -102,10 +102,15 @@ def synthesize_estimator(sys: DescriptorSystem,
 
     Returns (EstimatorRealization, SynthesisTrace).
     """
+    return _synthesize(sys, _structure(sys, tol), tol)
+
+
+def _synthesize(sys: DescriptorSystem, structure: _Structure, tol: Tolerance):
+    """``synthesize_estimator`` continued from the system's ``_structure``
+    at the same tolerance."""
     n, p, l, r = sys.n, sys.p, sys.l, sys.r
 
-    # Steps 1-3 and the existence criterion.
-    structure = _structure(sys, tol)
+    # Steps 1-3 are the structure; check the existence criterion.
     for row in structure.checks:
         if not _holds(row):
             condition, residual, _ = row

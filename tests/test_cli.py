@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import dsest
 from dsest import DecompositionError, DescriptorSystem, Tolerance
 from dsest import io as dsio
 from dsest.cli import main, parse_input_spec, _effective_tolerance
@@ -75,6 +78,31 @@ class TestInputSpecs:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             parse_input_spec("ramp:1", 1)
+
+    @pytest.mark.parametrize("spec", [
+        "probe:1.5",        # non-integer s
+        "probe:-1",         # negative s
+        "probe:1,0",        # singular at t = 0
+        "probe:2,-0.5",     # singular at t = 0.5
+    ])
+    def test_bad_probe_is_input_error(self, runner, tmp_path, spec):
+        res = runner.invoke(main, [
+            "simulate", SYSTEM_JSON, ESTIMATOR_JSON,
+            "--x0", "1,2,3,0", "--w0", "4,5", "--input", spec,
+            "--tf", "1", "--dt", "0.1", "--out", str(tmp_path / "trace.csv")])
+        assert res.exit_code == 1
+        assert "error:" in res.output and spec in res.output
+        assert not (tmp_path / "trace.csv").exists()
+
+
+class TestNoSympyAtRuntime:
+    def test_cli_import_does_not_load_sympy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dsest.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import dsest.cli, sys; assert 'sympy' not in sys.modules"
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
 
 
 class TestToleranceLayers:
@@ -240,6 +268,20 @@ class TestReportCommand:
         assert res.exit_code == 0
         assert "order" in res.output
 
+    def test_structure_built_once(self, runner, monkeypatch):
+        # The analysis hands its stacked structure on to synthesis.
+        import dsest.analysis as analysis
+        calls = []
+        for name in ("observability_staircase", "qkf"):
+            def counted(*args, _f=getattr(analysis, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(analysis, name, counted)
+        res = runner.invoke(main, ["report", SYSTEM_JSON])
+        assert res.exit_code == 0
+        assert "order" in res.output
+        assert sorted(calls) == ["observability_staircase", "qkf"]
+
 
 class TestToolkitErrors:
     def test_slow_time_scale_decides(self, runner, tmp_path):
@@ -259,7 +301,7 @@ class TestToolkitErrors:
                                                         command):
         def fail(*args, **kwargs):
             raise DecompositionError("QKF failed")
-        monkeypatch.setattr("dsest.cli.is_partially_causal_detectable", fail)
+        monkeypatch.setattr("dsest.analysis.qkf", fail)
         res = runner.invoke(main, [command, SYSTEM_JSON])
         assert isinstance(res.exception, SystemExit)
         assert res.exit_code == 1

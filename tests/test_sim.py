@@ -12,7 +12,7 @@ from dsest import (
     simulate,
     solve_plant,
 )
-from dsest.sim import SimulationTrace
+from dsest.sim import SimulationTrace, _PlantSolver, _time_grid
 
 
 def ramp():
@@ -195,6 +195,66 @@ class TestEstimatorRuns:
         with pytest.raises(SimulationError, match="w0"):
             simulate(ex_system, ex_reference_estimator,
                      [1.0, 2.0, 3.0, 0.0], [4.0], u=ramp(), T=1.0)
+
+
+def _per_stage_run(sys, est, x0, w0, u, T, dt):
+    """The joint RK4 run evaluating u and its derivatives at each stage time
+    as it comes; returns (x, w)."""
+    solver = _PlantSolver(sys)
+    X0, free = solver.initial_dynamic_state(x0, u, None)
+    t = _time_grid(T, dt)
+    n = sys.n
+
+    def rhs(tk, state):
+        jet = solver.input_jet(u, tk)
+        Xk, wk = state[:n], state[n:]
+        dX = solver.rhs(tk, Xk, jet[0], free)
+        xk = solver.assemble_x(Xk, jet, free, tk)
+        yk = sys.C @ xk + sys.D @ jet[0]
+        return np.concatenate([dX, est.N @ wk + est.H @ np.concatenate([jet[0], yk])])
+
+    v = np.concatenate([X0, np.asarray(w0, dtype=float)])
+    traj = [v]
+    for k in range(len(t) - 1):
+        h, tk = t[k + 1] - t[k], t[k]
+        k1 = rhs(tk, v)
+        k2 = rhs(tk + h / 2, v + h / 2 * k1)
+        k3 = rhs(tk + h / 2, v + h / 2 * k2)
+        k4 = rhs(tk + h, v + h * k3)
+        v = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        traj.append(v)
+    traj = np.array(traj).T
+    x = solver.assemble_x(traj[:n], solver.input_jet(u, t), free, t)
+    return x, traj[n:]
+
+
+class TestInputSampling:
+    def test_stage_samples_match_per_stage_evaluation(self, sigma_violating_system):
+        # x1 = -u' reads the first input derivative at every stage.
+        u = InputSignal.polynomial([[0.5, -1.0, 0.75, 0.25]])
+        est = EstimatorRealization(N=np.array([[-1.0]]), H=np.array([[1.0]]),
+                                   R=np.array([[1.0]]), M=np.array([[0.0]]))
+        x0, w0 = [1.0, -0.5], [0.3]
+        tr = simulate(sigma_violating_system, est, x0, w0, u=u, T=2.0, dt=0.01)
+        x, w = _per_stage_run(sigma_violating_system, est, x0, w0, u, 2.0, 0.01)
+        assert np.array_equal(tr.x, x)
+        assert np.array_equal(tr.w, w)
+
+    def test_eval_calls_bounded_by_stages(self, monkeypatch, ex_system,
+                                          ex_reference_estimator):
+        calls = []
+        original = InputSignal.eval
+
+        def counted(self, t, order=0):
+            calls.append(order)
+            return original(self, t, order)
+
+        monkeypatch.setattr(InputSignal, "eval", counted)
+        steps = 400
+        tr = simulate(ex_system, ex_reference_estimator, [1.0, 2.0, 3.0, 0.0],
+                      [4.0, 5.0], u=ramp(), T=4.0, dt=4.0 / steps)
+        assert len(tr.t) == steps + 1
+        assert 0 < len(calls) <= 4 * steps + 8
 
 
 class TestDecayMetrics:
