@@ -10,20 +10,20 @@ Decides, for a system E x' = A x + B u, y = C x + D u, z = K x:
   of its finite block J_f.  The criterion is K_eps = 0 (the functional
   reads no free-block variable), K_sigma J_sigma = 0 (no input derivative)
   and K_f1 = 0 (no non-decaying mode that the measurement misses);
-  detectability alone drops the middle condition.  Synthesis continues
-  from the same structure, so verdict and construction cannot disagree;
-  ``_analyze`` returns it with the report, so that ``dsest report`` builds
-  it once for both;
+  detectability alone drops the middle condition.  The structure is built
+  once per system and tolerance, and synthesis continues from the one the
+  verdict was read from, so the two cannot disagree;
 * partial impulse observability of z with respect to the measurement;
 * partial causality (z expressible without input derivatives) and the
   five-way cross-check of its equivalent characterizations, as rank and
-  subspace-inclusion computations on block-Toeplitz matrices built from
-  the system data.
+  subspace-inclusion computations on n^2-sized block-Toeplitz matrices,
+  which decide nothing and so are computed on a report's first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +52,7 @@ GENERIC_LAMBDAS = (0.537, 1.931, 0.271 + 1.413j, 2.089 - 0.667j, 0.913 + 0.377j)
 
 @dataclass(frozen=True)
 class DescriptorSystem:
-    """System data E x' = A x + B u, y = C x + D u, z = K x."""
+    """System data E x' = A x + B u, y = C x + D u, z = K x, as read-only copies."""
 
     E: np.ndarray
     A: np.ndarray
@@ -60,23 +60,24 @@ class DescriptorSystem:
     C: np.ndarray
     D: np.ndarray
     K: np.ndarray
+    _structures: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         E = as_matrix(self.E)
         m, n = E.shape
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "A", as_matrix(self.A, rows=m, cols=n))
+        A = as_matrix(self.A, rows=m, cols=n)
         B = as_matrix(self.B, rows=m)
-        object.__setattr__(self, "B", B)
         C = as_matrix(self.C, cols=n)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", as_matrix(self.D, rows=C.shape[0],
-                                                cols=B.shape[1]))
+        D = as_matrix(self.D, rows=C.shape[0], cols=B.shape[1])
         K = as_matrix(self.K, cols=n)
-        object.__setattr__(self, "K", K)
         if K.shape[0] > n:
             raise DimensionMismatchError(
                 f"functional dimension r={K.shape[0]} exceeds state dimension n={n}")
+        for name, value in zip("EABCDK", (E, A, B, C, D, K)):
+            value = np.array(value, order="K")  # a copy in the input's layout
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -193,15 +194,39 @@ class StackedSystem:
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    """Result of ``is_partially_causal_detectable``.
+
+    The four lifted cross-checks decide nothing and are computed together on
+    the first read of any of them, so a ``DsestError`` raised inside them
+    surfaces at that read: ``partially_causal``, ``causality_ranks`` (the
+    two ranks of the causality criterion), ``causality_assumption_ok`` (the
+    normal-rank assumption behind necessity) and ``characterization_votes``
+    (the five equivalent criteria of ``characterization_suite``).
+    """
+
     partially_impulse_observable: bool
     partially_detectable: bool
     block_checks: tuple             # (condition, residual, threshold) rows
-    partially_causal: bool
-    causality_ranks: tuple          # the two ranks of the causality criterion
-    causality_assumption_ok: bool   # normal-rank assumption behind necessity
     partially_causal_detectable: bool
-    characterization_votes: tuple   # five equivalent criteria
     diagnostics: dict
+    _sys: DescriptorSystem = field(repr=False, compare=False)
+    _tol: Tolerance = field(repr=False, compare=False)
+    _W_star: Subspace = field(repr=False, compare=False)   # W*_{E,A,0,C}
+
+    @cached_property
+    def _lifted(self) -> tuple:
+        sys, tol = self._sys, self._tol
+        st, _, F_bar = lifted = _lift(sys)
+        r1, r0 = _causal_ranks(*lifted, tol)
+        votes = _votes(lifted, r1 == r0, self._W_star, tol)
+        causal, ranks, assumption_ok = _causal_test(
+            st.E_bar, st.A_bar, st.B_bar, sys.K, tol, F_pl=F_bar)
+        return causal, ranks, assumption_ok, votes
+
+    partially_causal = property(lambda self: self._lifted[0])
+    causality_ranks = property(lambda self: self._lifted[1])
+    causality_assumption_ok = property(lambda self: self._lifted[2])
+    characterization_votes = property(lambda self: self._lifted[3])
 
 
 @dataclass(frozen=True)
@@ -231,6 +256,13 @@ class _Structure:
 
 
 def _structure(sys: DescriptorSystem, tol: Tolerance) -> _Structure:
+    """The structure at ``tol``, built once and kept on the read-only ``sys``."""
+    if tol not in sys._structures:
+        sys._structures[tol] = _build_structure(sys, tol)
+    return sys._structures[tol]
+
+
+def _build_structure(sys: DescriptorSystem, tol: Tolerance) -> _Structure:
     # Step 1: staircase; only the leading block carries nonzero trajectories.
     st = observability_staircase(sys.E, sys.A, sys.B, tol)
     C_O = st.split_columns(sys.C)[0]
@@ -416,23 +448,12 @@ def is_partially_causal_detectable(sys: DescriptorSystem,
     """Full property analysis.  The headline verdict, the three block checks
     of ``_structure``, holds exactly when a functional ODE estimator exists.
 
-    The lifted matrices and W*_{E,A,0,C} of the remaining tests are built
-    once and shared by them.
+    The lifted cross-checks are left to the report's first read of them
+    (see ``AnalysisReport``).
     """
-    return _analyze(sys, tol)[0]
-
-
-def _analyze(sys: DescriptorSystem, tol: Tolerance):
-    """The analysis report together with the ``_Structure`` it was read
-    from, so that synthesis can continue from the same structure."""
     structure = _structure(sys, tol)
     free, _, mode = structure.checks
-    st, _, F_bar = lifted = _lift(sys)
-    r1, r0 = _causal_ranks(*lifted, tol)
     W_star = wong_limits(sys.E, sys.A, None, sys.C, tol).W_star
-    votes = _votes(lifted, r1 == r0, W_star, tol)
-    causal, causal_ranks, assumption_ok = _causal_test(
-        st.E_bar, st.A_bar, st.B_bar, sys.K, tol, F_pl=F_bar)
     impulse = _impulse_observable_triple(sys.E, sys.A, sys.C, sys.K, tol, W=W_star)
 
     s_probe = 1.0 * sys.E - sys.A
@@ -440,20 +461,16 @@ def _analyze(sys: DescriptorSystem, tol: Tolerance):
     cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
     modes = np.linalg.eigvals(structure.J_f1)
 
-    report = AnalysisReport(
+    return AnalysisReport(
         partially_impulse_observable=impulse,
         partially_detectable=_holds(free) and _holds(mode),
         block_checks=structure.checks,
-        partially_causal=causal,
-        causality_ranks=causal_ranks,
-        causality_assumption_ok=assumption_ok,
         partially_causal_detectable=all(map(_holds, structure.checks)),
-        characterization_votes=votes,
         diagnostics={
             "rank_rtol": tol.rank_rtol,
             "eig_stability_margin": tol.eig_stability_margin,
             "pencil_condition_at_1": cond,
             "non_decaying_modes": [[float(v.real), float(v.imag)] for v in modes],
         },
+        _sys=sys, _tol=tol, _W_star=W_star,
     )
-    return report, structure

@@ -15,12 +15,12 @@ import click
 import numpy as np
 
 from . import io as dsio
-from .analysis import _analyze, is_partially_causal_detectable
+from .analysis import is_partially_causal_detectable
 from .exceptions import DsestError, SynthesisError
 from .linalg import DEFAULT_TOL, Tolerance
 from .sim import decay_metrics, simulate
 from .signals import InputSignal
-from .synthesis import _synthesize, synthesize_estimator
+from .synthesis import synthesize_estimator
 
 EXIT_NEGATIVE = 2
 EXIT_INPUT = 1
@@ -49,7 +49,11 @@ def _effective_tolerance(file_tol: dict | None, rank_rtol: float | None,
 
 def _load_system(path: str, rank_rtol, margin):
     sys_, name, file_tol = dsio.load_system(path)
-    return sys_, name, _effective_tolerance(file_tol, rank_rtol, margin)
+    try:
+        return sys_, name, _effective_tolerance(file_tol, rank_rtol, margin)
+    except ValueError as exc:   # a tolerance that is not a number or out of range
+        click.echo(f"error: invalid tolerance: {exc}", err=True)
+        _sys.exit(EXIT_INPUT)
 
 
 def _parse_vector(text: str, what: str) -> np.ndarray:
@@ -231,11 +235,11 @@ main.add_command(simulate_cmd, name="simulate")
 def report(system, out, rank_rtol, margin):
     """Full report: analysis verdict plus synthesis summary when possible."""
     sys_, name, tol = _load_system(system, rank_rtol, margin)
-    rep, structure = _analyze(sys_, tol)
+    rep = is_partially_causal_detectable(sys_, tol)
     summary = None
     if rep.partially_causal_detectable:
         try:
-            est, trace = _synthesize(sys_, structure, tol)
+            est, trace = synthesize_estimator(sys_, tol)
             eigs = np.linalg.eigvals(est.N) if est.s else np.zeros(0)
             summary = {
                 "order": est.s,

@@ -15,11 +15,12 @@ satisfies zhat(t) - z(t) -> 0 along every plant trajectory.  The pipeline:
 6. assembly, with the overdetermined state folded into the feedthrough M
    whenever the algebraic rows determine it uniquely from (u; y).
 
-Steps 1-3 are ``analysis._structure``, which the analysis verdict reads
-too.  Its block conditions, K_eps = 0, K_sigma J_sigma = 0 and K_f1 = 0
-(the functional reads neither the free block, nor input derivatives, nor a
-non-decaying undetected mode), are the paper's existence criterion in
-dimension n, so synthesis refuses on the first that fails.
+Steps 1-3 are ``analysis._structure``, built once per system and tolerance
+and read by the analysis verdict too.  Its block conditions, K_eps = 0,
+K_sigma J_sigma = 0 and K_f1 = 0 (the functional reads neither the free
+block, nor input derivatives, nor a non-decaying undetected mode), are the
+paper's existence criterion in dimension n, so synthesis refuses on the
+first that fails.
 
 A full intermediate trace is returned for audit and for mapping plant states
 into estimator coordinates.
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import SynthesisError
-from .analysis import DescriptorSystem, _holds, _Structure, _structure
+from .analysis import DescriptorSystem, _holds, _structure
 from .decomp import PencilQKF, StaircaseDecomposition, _blkdiag
 from .linalg import (
     DEFAULT_TOL,
@@ -100,17 +101,13 @@ def synthesize_estimator(sys: DescriptorSystem,
                          tol: Tolerance = DEFAULT_TOL):
     """Construct a functional estimator; refuse when none can exist.
 
-    Returns (EstimatorRealization, SynthesisTrace).
+    Continues from the ``_structure`` an analysis at ``tol`` read its verdict
+    from.  Returns (EstimatorRealization, SynthesisTrace).
     """
-    return _synthesize(sys, _structure(sys, tol), tol)
-
-
-def _synthesize(sys: DescriptorSystem, structure: _Structure, tol: Tolerance):
-    """``synthesize_estimator`` continued from the system's ``_structure``
-    at the same tolerance."""
     n, p, l, r = sys.n, sys.p, sys.l, sys.r
 
     # Steps 1-3 are the structure; check the existence criterion.
+    structure = _structure(sys, tol)
     for row in structure.checks:
         if not _holds(row):
             condition, residual, _ = row

@@ -4,6 +4,7 @@ import sympy
 
 from dsest import (
     DescriptorSystem,
+    Tolerance,
     build_F,
     build_F_K,
     characterization_suite,
@@ -251,12 +252,107 @@ class TestDecidedInDimensionN:
         assert abs(re - 0.17234808) < 1e-6 and im == 0.0
 
     def test_one_staircase_and_one_qkf_per_analysis(self, monkeypatch, ex_system):
-        import dsest.analysis as analysis
-        calls = []
-        for name in ("observability_staircase", "qkf"):
-            def counted(*args, _f=getattr(analysis, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _f(*args, **kwargs)
-            monkeypatch.setattr(analysis, name, counted)
+        calls = count_calls(monkeypatch, ("observability_staircase", "qkf"))
         is_partially_causal_detectable(ex_system)
         assert sorted(calls) == ["observability_staircase", "qkf"]
+
+
+LIFTED = ("_lift", "_causal_ranks", "_votes", "_causal_test")
+EAGER = ("partially_causal_detectable", "block_checks", "partially_detectable",
+         "partially_impulse_observable", "diagnostics")
+
+
+def count_calls(monkeypatch, names) -> list:
+    """Record the name of every call of the given ``dsest.analysis``
+    functions, which still run."""
+    import dsest.analysis as analysis
+    calls = []
+    for name in names:
+        def counted(*args, _f=getattr(analysis, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(analysis, name, counted)
+    return calls
+
+
+def copy_of(sys: DescriptorSystem) -> DescriptorSystem:
+    """The same system as a new object, with nothing built yet."""
+    return DescriptorSystem.from_matrices(sys.E, sys.A, sys.B, sys.C, sys.K, D=sys.D)
+
+
+class TestLiftedOnFirstRead:
+    def test_verdict_path_runs_no_lifted_code(self, monkeypatch, ex_system,
+                                              sigma_violating_system):
+        cases = ((ex_system, True), (sigma_violating_system, False))
+        expected = [[getattr(is_partially_causal_detectable(copy_of(sys)), name)
+                     for name in EAGER] for sys, _ in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the verdict path ran lifted code")
+        for name in LIFTED:
+            monkeypatch.setattr(f"dsest.analysis.{name}", refuse)
+        for (sys, verdict), eager in zip(cases, expected):
+            report = is_partially_causal_detectable(sys)
+            assert report.partially_causal_detectable is verdict
+            assert [getattr(report, name) for name in EAGER] == eager
+            with pytest.raises(AssertionError, match="lifted code"):
+                report.characterization_votes
+
+    def test_lifted_code_runs_once_on_first_read(self, monkeypatch):
+        calls = count_calls(monkeypatch, LIFTED)
+        rng = np.random.default_rng(101)
+        for _ in range(80):
+            sys = random_system(rng)
+            report = is_partially_causal_detectable(sys)
+            assert calls == []
+            for _ in range(3):
+                (report.partially_causal, report.causality_ranks,
+                 report.causality_assumption_ok, report.characterization_votes)
+            assert sorted(calls) == sorted(LIFTED)
+            assert report.characterization_votes == characterization_suite(sys)
+            calls.clear()
+
+
+class TestStructureMemo:
+    def test_analysis_synthesis_and_detectability_share_one_structure(
+            self, monkeypatch, ex_system):
+        calls = count_calls(monkeypatch, ("observability_staircase", "qkf"))
+        assert is_partially_causal_detectable(ex_system).partially_causal_detectable
+        synthesize_estimator(ex_system)
+        assert is_partially_detectable(ex_system)[0]
+        assert sorted(calls) == ["observability_staircase", "qkf"]
+
+    def test_each_tolerance_builds_its_own_structure(self, monkeypatch, ex_system):
+        calls = count_calls(monkeypatch, ("observability_staircase",))
+        is_partially_causal_detectable(ex_system)
+        is_partially_causal_detectable(ex_system, Tolerance(rank_rtol=1e-9))
+        assert len(calls) == 2
+        # An equal tolerance is the same key.
+        is_partially_causal_detectable(ex_system, Tolerance())
+        synthesize_estimator(ex_system, Tolerance(rank_rtol=1e-9))
+        assert len(calls) == 2
+
+    def test_matrices_are_read_only_copies_in_the_input_layout(self):
+        E = np.asfortranarray(np.diag([1.0, 1.0, 0.0]))
+        sys = DescriptorSystem.from_matrices(E, -np.eye(3), np.ones((3, 1)),
+                                             np.ones((1, 3)), np.eye(1, 3))
+        assert sys.E.flags.writeable is False
+        assert all(not getattr(sys, name).flags.writeable for name in "EABCDK")
+        assert sys.E.flags.f_contiguous and sys.A.flags.c_contiguous
+        assert not np.shares_memory(sys.E, E)
+        with pytest.raises(ValueError):
+            sys.E[0, 0] = 2.0
+
+    def test_editing_the_input_in_place_changes_nothing(self):
+        # x1' = x1 is unmeasured and read by K: not detectable.  Editing the
+        # caller's array to x1' = -x1 would make it detectable.
+        mats = dict(E=np.eye(2), A=np.diag([1.0, -1.0]), B=np.zeros((2, 0)),
+                    C=np.array([[0.0, 1.0]]), K=np.array([[1.0, 0.0]]))
+        sys = DescriptorSystem.from_matrices(**mats)
+        assert not is_partially_causal_detectable(sys).partially_causal_detectable
+        mats["A"][0, 0] = -1.0
+        assert sys.A[0, 0] == 1.0
+        assert not is_partially_causal_detectable(sys).partially_causal_detectable
+        assert not is_partially_causal_detectable(copy_of(sys)).partially_causal_detectable
+        edited = DescriptorSystem.from_matrices(**mats)
+        assert is_partially_causal_detectable(edited).partially_causal_detectable

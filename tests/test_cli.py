@@ -123,6 +123,23 @@ class TestToleranceLayers:
         assert tol.rank_rtol == 1e-5
 
 
+class TestInvalidTolerance:
+    @pytest.mark.parametrize("args, env", [
+        (["--rank-rtol", "-1"], {}),
+        (["--margin", "0"], {}),
+        ([], {"DSEST_MARGIN": "abc"}),
+        ([], {"DSEST_RANK_RTOL": "abc"}),
+    ], ids=["rank-rtol-negative", "margin-zero", "env-margin-text",
+            "env-rank-rtol-text"])
+    def test_is_input_error(self, runner, args, env):
+        env = {"DSEST_RANK_RTOL": None, "DSEST_MARGIN": None, **env}
+        res = runner.invoke(main, ["analyze", SYSTEM_JSON, *args], env=env)
+        assert isinstance(res.exception, SystemExit)
+        assert res.exit_code == 1
+        assert "error: invalid tolerance" in res.output
+        assert "Traceback" not in res.output
+
+
 class TestAnalyzeCommand:
     def test_affirmative_exit_zero(self, runner, tmp_path):
         out = tmp_path / "report.json"
@@ -306,3 +323,17 @@ class TestToolkitErrors:
         assert isinstance(res.exception, SystemExit)
         assert res.exit_code == 1
         assert "error: QKF failed" in res.output
+
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    def test_lifted_check_error_is_reported_not_raised(self, runner, monkeypatch,
+                                                       command):
+        # The lifted cross-checks run when the report is first read, after
+        # the verdict; their errors end the command the same way.
+        def fail(*args, **kwargs):
+            raise DecompositionError("lifted check failed")
+        monkeypatch.setattr("dsest.analysis._votes", fail)
+        res = runner.invoke(main, [command, SYSTEM_JSON])
+        assert isinstance(res.exception, SystemExit)
+        assert res.exit_code == 1
+        assert "error: lifted check failed" in res.output
+        assert "Traceback" not in res.output
