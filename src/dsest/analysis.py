@@ -13,17 +13,19 @@ Decides, for a system E x' = A x + B u, y = C x + D u, z = K x:
   detectability alone drops the middle condition.  The structure is built
   once per system and tolerance, and synthesis continues from the one the
   verdict was read from, so the two cannot disagree;
-* partial impulse observability of z with respect to the measurement;
-* partial causality (z expressible without input derivatives) and the
-  five-way cross-check of its equivalent characterizations, as rank and
-  subspace-inclusion computations on n^2-sized block-Toeplitz matrices,
-  which decide nothing and so are computed on a report's first read.
+* partial causality (z expressible without input derivatives), the first
+  two of those conditions, read from the same structure;
+* partial impulse observability of z with respect to the measurement.
+
+The five-way cross-check of the causal part (``characterization_suite``)
+is kept as rank and subspace-inclusion computations on n^2-sized
+block-Toeplitz matrices; it decides nothing, and no verdict or report
+runs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -46,13 +48,13 @@ from .linalg import (
 )
 from .wong import wong_limits
 
-# Fixed generic sample points (right half-plane) for normal-rank decisions.
-GENERIC_LAMBDAS = (0.537, 1.931, 0.271 + 1.413j, 2.089 - 0.667j, 0.913 + 0.377j)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DescriptorSystem:
-    """System data E x' = A x + B u, y = C x + D u, z = K x, as read-only copies."""
+    """System data E x' = A x + B u, y = C x + D u, z = K x, as read-only copies.
+
+    Equality is identity, as for the structures kept on each system.
+    """
 
     E: np.ndarray
     A: np.ndarray
@@ -142,17 +144,17 @@ def build_F_K(E, A, K, k: int):
 
 @dataclass(frozen=True)
 class StackedSystem:
-    """Derived block matrices used by the causal-detectability rank tests.
+    """Derived block matrices of the lifted characterizations of
+    ``characterization_suite``.
 
-    E_bar/A_bar/B_bar stack the output equation into the dynamics; the
-    remaining members are the corner-block matrices appearing next to the
-    Toeplitz matrices in the rank criteria.
+    E_bar/A_bar stack the output equation into the dynamics; the remaining
+    members are the corner-block matrices appearing next to the Toeplitz
+    matrices in the rank criteria.
     """
 
     sys: DescriptorSystem
     E_bar: np.ndarray = field(init=False)
     A_bar: np.ndarray = field(init=False)
-    B_bar: np.ndarray = field(init=False)
     script_E: np.ndarray = field(init=False)
     script_A: np.ndarray = field(init=False)
     corner_A: np.ndarray = field(init=False)     # A in the lowest-left block
@@ -165,8 +167,6 @@ class StackedSystem:
         m, n, l, p = s.m, s.n, s.l, s.p
         object.__setattr__(self, "E_bar", np.vstack([s.E, np.zeros((p, n))]))
         object.__setattr__(self, "A_bar", np.vstack([s.A, s.C]))
-        object.__setattr__(self, "B_bar", np.block(
-            [[s.B, np.zeros((m, p))], [s.D, -np.eye(p)]]))
         object.__setattr__(self, "script_E", np.hstack([s.E, np.zeros((m, l))]))
         object.__setattr__(self, "script_A", np.hstack([s.A, s.B]))
         cA = np.zeros((n * m, n * n))
@@ -185,9 +185,6 @@ class StackedSystem:
     def F_script(self) -> np.ndarray:
         return _toeplitz_F(self.script_E, self.script_A, self.sys.n)
 
-    def F_plain(self) -> np.ndarray:
-        return _toeplitz_F(self.sys.E, self.sys.A, self.sys.n)
-
     def F_stacked(self) -> np.ndarray:
         return _toeplitz_F(self.E_bar, self.A_bar, self.sys.n)
 
@@ -196,37 +193,18 @@ class StackedSystem:
 class AnalysisReport:
     """Result of ``is_partially_causal_detectable``.
 
-    The four lifted cross-checks decide nothing and are computed together on
-    the first read of any of them, so a ``DsestError`` raised inside them
-    surfaces at that read: ``partially_causal``, ``causality_ranks`` (the
-    two ranks of the causality criterion), ``causality_assumption_ok`` (the
-    normal-rank assumption behind necessity) and ``characterization_votes``
-    (the five equivalent criteria of ``characterization_suite``).
+    ``partially_causal_detectable`` (all three rows), ``partially_causal``
+    (rows 1 and 2) and ``partially_detectable`` (rows 1 and 3) are read from
+    the block checks of ``_structure``; ``partially_impulse_observable`` is
+    ``is_partially_impulse_observable``.
     """
 
     partially_impulse_observable: bool
+    partially_causal: bool
     partially_detectable: bool
     block_checks: tuple             # (condition, residual, threshold) rows
     partially_causal_detectable: bool
     diagnostics: dict
-    _sys: DescriptorSystem = field(repr=False, compare=False)
-    _tol: Tolerance = field(repr=False, compare=False)
-    _W_star: Subspace = field(repr=False, compare=False)   # W*_{E,A,0,C}
-
-    @cached_property
-    def _lifted(self) -> tuple:
-        sys, tol = self._sys, self._tol
-        st, _, F_bar = lifted = _lift(sys)
-        r1, r0 = _causal_ranks(*lifted, tol)
-        votes = _votes(lifted, r1 == r0, self._W_star, tol)
-        causal, ranks, assumption_ok = _causal_test(
-            st.E_bar, st.A_bar, st.B_bar, sys.K, tol, F_pl=F_bar)
-        return causal, ranks, assumption_ok, votes
-
-    partially_causal = property(lambda self: self._lifted[0])
-    causality_ranks = property(lambda self: self._lifted[1])
-    causality_assumption_ok = property(lambda self: self._lifted[2])
-    characterization_votes = property(lambda self: self._lifted[3])
 
 
 @dataclass(frozen=True)
@@ -309,14 +287,13 @@ def _inclusion_in_kernel(space: Subspace, K: np.ndarray) -> bool:
     return bool(resid <= SUBSPACE_ATOL * max(1.0, np.linalg.norm(K, 2)))
 
 
-def _impulse_observable_triple(E, A, C, K, tol: Tolerance, W=None) -> bool:
+def _impulse_observable_triple(E, A, C, K, tol: Tolerance) -> bool:
     """W intersect A^{-1}(im E) subseteq ker K, where W = W*_{E,A,0,C}."""
     E = as_matrix(E)
     A = as_matrix(A, rows=E.shape[0], cols=E.shape[1])
     if E.shape[1] == 0:
         return True
-    if W is None:
-        W = wong_limits(E, A, None, C, tol).W_star
+    W = wong_limits(E, A, None, C, tol).W_star
     pre = preimage(A, image(E, tol), tol)
     return _inclusion_in_kernel(intersect(W, pre, tol), as_matrix(K, cols=E.shape[1]))
 
@@ -339,38 +316,17 @@ def is_partially_detectable(sys: DescriptorSystem,
 
 
 def is_partially_causal(E, A, B, K, tol: Tolerance = DEFAULT_TOL):
-    """Rank test for z = K x containing no input derivatives.
+    """Partial causality of the plant E x' = A x + B u, z = K x, with no
+    measurement; returns (verdict, rows).
 
-    Returns (verdict, (rank_without_K, rank_with_K), assumption_ok).  When
-    the normal-rank assumption fails the verdict is still the sufficient
-    direction; callers should surface the caveat.
+    The rows are the free-block and input-derivative checks of
+    ``_structure``; z = K x contains no input derivatives when both
+    residuals are within their thresholds.
     """
-    return _causal_test(E, A, B, K, tol)
-
-
-def _causal_test(E, A, B, K, tol: Tolerance, F_pl=None):
-    """is_partially_causal; F_pl is the depth-n Toeplitz matrix of (E, A)."""
-    sys = DescriptorSystem.from_matrices(E, A, B, np.zeros((0, as_matrix(E).shape[1])), K)
-    st = StackedSystem(sys)
-    F_sc = st.F_script()
-    if F_pl is None:
-        F_pl = st.F_plain()
-    top = np.hstack([F_sc, st.corner_A])
-    bottom = np.hstack([np.zeros((F_pl.shape[0], F_sc.shape[1])), F_pl])
-    L = np.vstack([top, bottom])
-    krow = np.hstack([np.zeros((sys.r, F_sc.shape[1])), st.wide_K])
-    r0 = numeric_rank(L, tol)
-    r1 = numeric_rank(np.vstack([L, krow]), tol)
-
-    # normal-rank assumption: appending K must not raise the pencil's rank
-    assumption_ok = True
-    for lam in GENERIC_LAMBDAS:
-        pencil = lam * sys.E - sys.A
-        if numeric_rank(np.vstack([pencil, sys.K.astype(complex)]), tol) \
-                != numeric_rank(pencil, tol):
-            assumption_ok = False
-            break
-    return bool(r0 == r1), (r0, r1), assumption_ok
+    plant = DescriptorSystem.from_matrices(
+        E, A, B, np.zeros((0, as_matrix(E).shape[1])), K)
+    free, derivative, _ = _structure(plant, tol).checks
+    return _holds(free) and _holds(derivative), (free, derivative)
 
 
 def _causal_ranks(st: StackedSystem, F_sc, F_bar, tol: Tolerance):
@@ -388,12 +344,6 @@ def _causal_ranks(st: StackedSystem, F_sc, F_bar, tol: Tolerance):
     return numeric_rank(with_K, tol), numeric_rank(without_K, tol)
 
 
-def _lift(sys: DescriptorSystem):
-    """StackedSystem(sys), its F_script() and its F_stacked()."""
-    st = StackedSystem(sys)
-    return st, st.F_script(), st.F_stacked()
-
-
 def characterization_suite(sys: DescriptorSystem,
                            tol: Tolerance = DEFAULT_TOL) -> tuple:
     """Five equivalent formulations of the causal part of the criterion.
@@ -404,7 +354,8 @@ def characterization_suite(sys: DescriptorSystem,
     controllable part.  They must agree; disagreement indicates numerical
     trouble and is surfaced by the test suite.
     """
-    lifted = _lift(sys)
+    st = StackedSystem(sys)
+    lifted = st, st.F_script(), st.F_stacked()
     r1, r0 = _causal_ranks(*lifted, tol)
     W_star = wong_limits(sys.E, sys.A, None, sys.C, tol).W_star
     return _votes(lifted, r1 == r0, W_star, tol)
@@ -447,14 +398,9 @@ def is_partially_causal_detectable(sys: DescriptorSystem,
                                    tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
     """Full property analysis.  The headline verdict, the three block checks
     of ``_structure``, holds exactly when a functional ODE estimator exists.
-
-    The lifted cross-checks are left to the report's first read of them
-    (see ``AnalysisReport``).
     """
     structure = _structure(sys, tol)
-    free, _, mode = structure.checks
-    W_star = wong_limits(sys.E, sys.A, None, sys.C, tol).W_star
-    impulse = _impulse_observable_triple(sys.E, sys.A, sys.C, sys.K, tol, W=W_star)
+    free, derivative, mode = structure.checks
 
     s_probe = 1.0 * sys.E - sys.A
     sv = np.linalg.svd(s_probe, compute_uv=False) if s_probe.size else np.array([1.0])
@@ -462,7 +408,8 @@ def is_partially_causal_detectable(sys: DescriptorSystem,
     modes = np.linalg.eigvals(structure.J_f1)
 
     return AnalysisReport(
-        partially_impulse_observable=impulse,
+        partially_impulse_observable=is_partially_impulse_observable(sys, tol),
+        partially_causal=_holds(free) and _holds(derivative),
         partially_detectable=_holds(free) and _holds(mode),
         block_checks=structure.checks,
         partially_causal_detectable=all(map(_holds, structure.checks)),
@@ -472,5 +419,4 @@ def is_partially_causal_detectable(sys: DescriptorSystem,
             "pencil_condition_at_1": cond,
             "non_decaying_modes": [[float(v.real), float(v.imag)] for v in modes],
         },
-        _sys=sys, _tol=tol, _W_star=W_star,
     )

@@ -182,21 +182,9 @@ def report_to_dict(report: AnalysisReport) -> dict:
              "threshold": float(threshold)}
             for condition, residual, threshold in report.block_checks],
         "partially_causal": bool(report.partially_causal),
-        "causality_ranks": [int(r) for r in report.causality_ranks],
-        "causality_assumption_ok": bool(report.causality_assumption_ok),
         "partially_causal_detectable": bool(report.partially_causal_detectable),
-        "characterization_votes": [bool(v) for v in report.characterization_votes],
         "diagnostics": dict(report.diagnostics),
     }
-
-
-_VOTE_NAMES = (
-    "block rank test",
-    "kernel-chain inclusion",
-    "reachability-restricted inclusion",
-    "one-step geometric inclusion",
-    "controllable-part impulse observability",
-)
 
 
 def render_report_markdown(name: str, report: AnalysisReport,
@@ -206,14 +194,8 @@ def render_report_markdown(name: str, report: AnalysisReport,
     lines = [f"# Analysis report: {name}", ""]
     lines.append(f"- partially causal detectable: **{r.partially_causal_detectable}**")
     lines.append(f"- partially detectable: {r.partially_detectable}")
-    lines.append(f"- partially causal (stacked): {r.partially_causal} "
-                 f"(ranks {r.causality_ranks[0]} vs {r.causality_ranks[1]}, "
-                 f"normal-rank assumption ok: {r.causality_assumption_ok})")
+    lines.append(f"- partially causal: {r.partially_causal}")
     lines.append(f"- partially impulse observable: {r.partially_impulse_observable}")
-    lines.append("")
-    lines.append("## Equivalent characterizations")
-    for nm, vote in zip(_VOTE_NAMES, r.characterization_votes):
-        lines.append(f"- {nm}: {vote}")
     lines.append("")
     lines.append("## Block checks on the stacked quasi-Kronecker form")
     for condition, residual, threshold in r.block_checks:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     DimensionMismatchError,
@@ -306,6 +305,9 @@ def spectral_split(M, tol: Tolerance = DEFAULT_TOL):
     when the ordered Schur form selects a different cluster than that
     classification.
     """
+    # Imported here, not at module load, where it is most of the time of
+    # `import dsest`: every analysis splits a spectrum, simulation never does.
+    import scipy.linalg
     M = as_matrix(M)
     n = M.shape[0]
     if M.shape[1] != n:
@@ -366,6 +368,7 @@ def place_poles(A1, A2, target_margin: float, tol: Tolerance = DEFAULT_TOL) -> n
     if slack.size == 0:
         return np.zeros((s, q))
 
+    import scipy.linalg  # not at module load; see spectral_split
     A_shift = A1 + target_margin * np.eye(s)
     try:
         X = scipy.linalg.solve_continuous_are(

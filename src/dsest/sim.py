@@ -389,7 +389,8 @@ def run_estimator(est: EstimatorRealization, t: np.ndarray,
                   w0) -> tuple[np.ndarray, np.ndarray]:
     """Integrate w' = N w + H (u; y) on sampled inputs; returns (w, zhat).
 
-    Midpoint input values are averaged from the neighbouring samples.
+    Midpoint input values are averaged from the neighbouring samples; the
+    stage inputs are laid out as the stage times of ``_rk4_inputs``.
     """
     t = np.asarray(t, dtype=float)
     u_samples = np.atleast_2d(np.asarray(u_samples, dtype=float))
@@ -406,19 +407,10 @@ def run_estimator(est: EstimatorRealization, t: np.ndarray,
     if w0.shape != (est.s,):
         raise SimulationError(f"w0 has length {w0.size}, estimator order is {est.s}")
 
-    w = np.empty((est.s, len(t)))
-    w[:, 0] = w0
-    wk = w0.copy()
-    for k in range(len(t) - 1):
-        h = t[k + 1] - t[k]
-        va, vb = v[:, k], v[:, k + 1]
-        vm = (va + vb) / 2
-        k1 = est.N @ wk + est.H @ va
-        k2 = est.N @ (wk + h / 2 * k1) + est.H @ vm
-        k3 = est.N @ (wk + h / 2 * k2) + est.H @ vm
-        k4 = est.N @ (wk + h * k3) + est.H @ vb
-        wk = wk + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        w[:, k + 1] = wk
+    stages = np.empty((2 * len(t) - 1, v.shape[0]))
+    stages[0::2] = v.T
+    stages[1::2] = ((v[:, :-1] + v[:, 1:]) / 2).T
+    w = _rk4(lambda wk, j: est.N @ wk + est.H @ stages[j], w0, t)
     zhat = est.R @ w + est.M @ v
     return w, zhat
 

@@ -228,7 +228,35 @@ def _per_stage_run(sys, est, x0, w0, u, T, dt):
     return x, traj[n:]
 
 
+def _per_step_estimator_run(est, t, v, w0):
+    """run_estimator's RK4 on the samples v of (u; y), one step at a time
+    with the midpoint input averaged in the step; returns w."""
+    w = [np.asarray(w0, dtype=float)]
+    for k in range(len(t) - 1):
+        h, wk = t[k + 1] - t[k], w[-1]
+        va, vb = v[:, k], v[:, k + 1]
+        vm = (va + vb) / 2
+        k1 = est.N @ wk + est.H @ va
+        k2 = est.N @ (wk + h / 2 * k1) + est.H @ vm
+        k3 = est.N @ (wk + h / 2 * k2) + est.H @ vm
+        k4 = est.N @ (wk + h * k3) + est.H @ vb
+        w.append(wk + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+    return np.array(w).T
+
+
 class TestInputSampling:
+    def test_sampled_estimator_run_matches_per_step_loop(
+            self, ex_system, ex_reference_estimator):
+        plant = solve_plant(ex_system, [1.0, 2.0, 3.0, 0.0], u=ramp(),
+                            T=2.0, dt=0.01)
+        u_samples = ramp().eval(plant.t)
+        w, _ = run_estimator(ex_reference_estimator, plant.t, u_samples,
+                             plant.y, [4.0, 5.0])
+        v = np.vstack([u_samples, plant.y])
+        assert np.array_equal(
+            w, _per_step_estimator_run(ex_reference_estimator, plant.t, v,
+                                       [4.0, 5.0]))
+
     def test_stage_samples_match_per_stage_evaluation(self, sigma_violating_system):
         # x1 = -u' reads the first input derivative at every stage.
         u = InputSignal.polynomial([[0.5, -1.0, 0.75, 0.25]])
