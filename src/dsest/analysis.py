@@ -46,7 +46,7 @@ from .linalg import (
     preimage,
     spectral_split,
 )
-from .wong import wong_limits
+from .wong import _W_star, wong_limits
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +293,7 @@ def _impulse_observable_triple(E, A, C, K, tol: Tolerance) -> bool:
     A = as_matrix(A, rows=E.shape[0], cols=E.shape[1])
     if E.shape[1] == 0:
         return True
-    W = wong_limits(E, A, None, C, tol).W_star
+    W = _W_star(E, A, C, tol)
     pre = preimage(A, image(E, tol), tol)
     return _inclusion_in_kernel(intersect(W, pre, tol), as_matrix(K, cols=E.shape[1]))
 
@@ -357,7 +357,7 @@ def characterization_suite(sys: DescriptorSystem,
     st = StackedSystem(sys)
     lifted = st, st.F_script(), st.F_stacked()
     r1, r0 = _causal_ranks(*lifted, tol)
-    W_star = wong_limits(sys.E, sys.A, None, sys.C, tol).W_star
+    W_star = _W_star(sys.E, sys.A, sys.C, tol)
     return _votes(lifted, r1 == r0, W_star, tol)
 
 

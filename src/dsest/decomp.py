@@ -14,6 +14,7 @@ rank tolerance before giving up.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -98,21 +99,11 @@ class PencilQKF:
 
     def split_left(self, M) -> list[np.ndarray]:
         """Row blocks of P @ M in (eps, f, sigma, eta) order."""
-        PM = self.P @ as_matrix(M, rows=self.P.shape[1])
-        out, r0 = [], 0
-        for r in self.row_sizes:
-            out.append(PM[r0:r0 + r, :])
-            r0 += r
-        return out
+        return _split(self.P @ as_matrix(M, rows=self.P.shape[1]), self.row_sizes, 0)
 
     def split_right(self, M) -> list[np.ndarray]:
         """Column blocks of M @ Q in (eps, f, sigma, eta) order."""
-        MQ = as_matrix(M, cols=self.Q.shape[0]) @ self.Q
-        out, c0 = [], 0
-        for c in self.col_sizes:
-            out.append(MQ[:, c0:c0 + c])
-            c0 += c
-        return out
+        return _split(as_matrix(M, cols=self.Q.shape[0]) @ self.Q, self.col_sizes, 1)
 
     def blocks_E(self) -> np.ndarray:
         return _blkdiag(self.E_eps, np.eye(self.n_f), self.J_sigma, self.E_eta)
@@ -121,15 +112,24 @@ class PencilQKF:
         return _blkdiag(self.A_eps, self.J_f, np.eye(self.n_sigma), self.A_eta)
 
 
+def _offsets(sizes) -> list[int]:
+    """Where each block of the given sizes starts, then the total size."""
+    return [0, *accumulate(sizes)]
+
+
+def _split(M: np.ndarray, sizes, axis: int) -> list[np.ndarray]:
+    """Consecutive blocks of M of the given sizes along ``axis`` (0 or 1)."""
+    o = _offsets(sizes)
+    return [M[o[k]:o[k + 1]] if axis == 0 else M[:, o[k]:o[k + 1]]
+            for k in range(len(sizes))]
+
+
 def _blkdiag(*blocks) -> np.ndarray:
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
+    ro = _offsets(b.shape[0] for b in blocks)
+    co = _offsets(b.shape[1] for b in blocks)
+    out = np.zeros((ro[-1], co[-1]))
+    for k, b in enumerate(blocks):
+        out[ro[k]:ro[k + 1], co[k]:co[k + 1]] = b
     return out
 
 
@@ -158,13 +158,6 @@ def _solve_coupling(Eii, Aii, Ejj, Ajj, Eij, Aij):
     return X, Y, resid
 
 
-def _offsets(sizes):
-    out = [0]
-    for s in sizes:
-        out.append(out[-1] + s)
-    return out
-
-
 @dataclass
 class _TriangularForm:
     """P (lambda E - A) Q = lambda TE - TA, block upper triangular.
@@ -182,10 +175,14 @@ class _TriangularForm:
     TA: np.ndarray
     row_sizes: list[int]
     col_sizes: list[int]
+    ro: list[int] = field(init=False, repr=False)   # block offsets
+    co: list[int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.ro, self.co = _offsets(self.row_sizes), _offsets(self.col_sizes)
 
     def blk(self, M, i, j) -> np.ndarray:
-        ro, co = _offsets(self.row_sizes), _offsets(self.col_sizes)
-        return M[ro[i]:ro[i + 1], co[j]:co[j + 1]]
+        return M[self.ro[i]:self.ro[i + 1], self.co[j]:self.co[j + 1]]
 
 
 def _structural_zero(i: int, j: int) -> bool:
@@ -248,7 +245,7 @@ def _remove_couplings(tri: _TriangularForm, scale: float) -> None:
     """Zero the couplings above the diagonal of `tri` in place, bottom row
     block first so that zeroed blocks are never touched again."""
     m, n = tri.P.shape[0], tri.Q.shape[0]
-    ro, co = _offsets(tri.row_sizes), _offsets(tri.col_sizes)
+    ro, co = tri.ro, tri.co
     for (i, j) in ((2, 3), (1, 3), (0, 1), (0, 2), (0, 3)):
         if tri.row_sizes[i] * tri.col_sizes[j] == 0:
             continue
@@ -273,7 +270,7 @@ def _normalized(tri: _TriangularForm, tol: Tolerance) -> PencilQKF:
     """Scale the f rows of `tri` to E_f = I and the sigma rows to A_sigma = I
     (in place), and return its diagonal blocks as a PencilQKF with the
     transformations of `tri`."""
-    ro = _offsets(tri.row_sizes)
+    ro = tri.ro
     n_f, n_sig = tri.row_sizes[1], tri.row_sizes[2]
     E_f = tri.blk(tri.TE, 1, 1)
     if n_f and numeric_rank(E_f, tol) < n_f:
@@ -325,9 +322,7 @@ def _qkf_once(E: np.ndarray, A: np.ndarray, tol: Tolerance) -> PencilQKF:
 
 def certify_qkf(E, A, form: PencilQKF, tol: Tolerance = DEFAULT_TOL) -> None:
     """Check every PencilQKF invariant; raise DecompositionError otherwise."""
-    m, n = E.shape
-    if (form.m_eps + form.n_f + form.n_sigma + form.m_eta != m
-            or form.n_eps + form.n_f + form.n_sigma + form.n_eta != n):
+    if (sum(form.row_sizes), sum(form.col_sizes)) != E.shape:
         raise DecompositionError("QKF certification: block sizes do not sum up")
     scale = _residual_scale(E, A)
     TE, TA = form.blocks_E(), form.blocks_A()
@@ -418,12 +413,8 @@ class StaircaseDecomposition:
 
     def split_columns(self, M) -> list[np.ndarray]:
         """Conformal column partition of M @ V_O, e.g. C -> [C_O, C_{k-1}, ..., C_1]."""
-        MV = as_matrix(M, cols=self.V_O.shape[0]) @ self.V_O
-        out, c0 = [], 0
-        for c in self.col_partition:
-            out.append(MV[:, c0:c0 + c])
-            c0 += c
-        return out
+        return _split(as_matrix(M, cols=self.V_O.shape[0]) @ self.V_O,
+                      self.col_partition, 1)
 
 
 def observability_staircase(E, A, B, tol: Tolerance = DEFAULT_TOL) -> StaircaseDecomposition:
@@ -549,9 +540,8 @@ def _kalman_once(E, A, B, C, tol: Tolerance, limits=None) -> KalmanDecomposition
 
 def certify_kalman(E, A, B, dec: KalmanDecomposition, tol: Tolerance) -> None:
     scale = _residual_scale(E, A, B)
-    (m1, n1), (m2, n2), (m3, n3) = dec.sizes
-    rows = [0, m1, m1 + m2, m1 + m2 + m3]
-    cols = [0, n1, n1 + n2, n1 + n2 + n3]
+    (m1, n1), (m2, n2), (_, n3) = dec.sizes
+    rows, cols = (_offsets(sizes) for sizes in zip(*dec.sizes))
     for M in (dec.E_blocks, dec.A_blocks):
         for i in range(1, 3):
             for j in range(i):

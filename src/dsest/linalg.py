@@ -29,7 +29,7 @@ CONSISTENCY_ATOL = 1e-8
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical thresholds used throughout the toolkit.
+    """Numerical thresholds used throughout the toolkit; all must be finite.
 
     rank_rtol: relative SVD threshold; a singular value counts towards the
         rank when it exceeds ``max(m, n) * sigma_max * rank_rtol``.
@@ -43,6 +43,9 @@ class Tolerance:
     synthesis_margin: float = 0.5
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.rank_rtol <= 0:
             raise ValueError("rank_rtol must be positive")
         if self.eig_stability_margin < 0:
@@ -66,9 +69,9 @@ def as_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray
     m = np.asarray(a)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.issubdtype(m.dtype, np.inexact):
+    if m.dtype.kind not in "fc":    # not inexact: coerce to float
         m = m.astype(float)
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     if rows is not None and m.shape[0] != rows:
         raise DimensionMismatchError(f"expected {rows} rows, got {m.shape[0]}")
@@ -132,8 +135,9 @@ def pseudo_inverse(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 class Subspace:
     """A linear subspace of R^ambient_dim, stored as an orthonormal basis.
 
-    The zero subspace has a basis with zero columns.  Instances are
-    immutable; all operations return new subspaces.
+    Orthonormal means np.allclose(B^H B, I, rtol=1e-5, atol=1e-10), NaN
+    failing.  The zero subspace has a basis with zero columns.  Instances
+    are immutable; all operations return new subspaces.
     """
 
     __slots__ = ("ambient_dim", "basis")
@@ -145,8 +149,12 @@ class Subspace:
         if basis.shape[0] != ambient_dim:
             raise DimensionMismatchError("basis rows do not match ambient_dim")
         d = basis.shape[1]
-        if d and not np.allclose(basis.conj().T @ basis, np.eye(d), atol=1e-10):
-            raise ValueError("basis columns must be orthonormal")
+        if d:   # dev = |B^H B - I|; max(dev) <= atol spares the exact test
+            dev = basis.conj().T @ basis
+            dev.flat[::d + 1] -= 1.0
+            dev = np.abs(dev)
+            if not (dev.max() <= 1e-10 or (dev <= 1e-10 + 1e-5 * np.eye(d)).all()):
+                raise ValueError("basis columns must be orthonormal")
         object.__setattr__(self, "ambient_dim", int(ambient_dim))
         object.__setattr__(self, "basis", basis)
 
@@ -208,8 +216,7 @@ def kernel(M, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> Subspace:
 
 def image(M, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Column space of M as a Subspace of R^rows."""
-    M = as_matrix(M)
-    return Subspace.from_span(M, M.shape[0], tol)
+    return Subspace.from_span(M, tol=tol)
 
 
 def subspace_sum(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:

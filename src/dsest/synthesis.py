@@ -11,7 +11,7 @@ satisfies zhat(t) - z(t) -> 0 along every plant trajectory.  The pipeline:
 2. quasi-Kronecker form of the measurement-stacked pencil ([E_O; 0], [A_O; C_O]);
 3. spectral separation of the finite block into decaying / non-decaying parts;
 4. row normalization of the overdetermined block to ([I; 0], [A1; A2]);
-5. stabilizing gain L for the overdetermined dynamics;
+5. stabilizing gain L for the overdetermined dynamics, unless folded (L = 0);
 6. assembly, with the overdetermined state folded into the feedthrough M
    whenever the algebraic rows determine it uniquely from (u; y).
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .exceptions import SynthesisError
 from .analysis import DescriptorSystem, _holds, _structure
-from .decomp import PencilQKF, StaircaseDecomposition, _blkdiag
+from .decomp import PencilQKF, StaircaseDecomposition, _blkdiag, _split
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -83,7 +83,7 @@ class SynthesisTrace:
     K_eta: np.ndarray
     B_eps: np.ndarray
     B_sigma: np.ndarray
-    L: np.ndarray                   # stabilizing gain (step 5)
+    L: np.ndarray                   # stabilizing gain (step 5); 0 when folded
     eta_folded: bool                # overdetermined state resolved algebraically
     eta_fold: np.ndarray            # x_eta = eta_fold @ (u; y) when folded
     state_map: np.ndarray = field(repr=False)  # rows mapping full x -> (x_f2; x_eta)
@@ -143,21 +143,19 @@ def synthesize_estimator(sys: DescriptorSystem,
     A_eta1, A_eta2 = A_eta_n[:n_eta, :], A_eta_n[n_eta:, :]
     B_eta1, B_eta2 = B_eta_n[:n_eta, :], B_eta_n[n_eta:, :]
 
-    # Step 5: stabilizing gain for the overdetermined dynamics.
-    L = place_poles(A_eta1, A_eta2, tol.synthesis_margin, tol)
-
-    # Step 6 with algebraic folding: when the constraint rows determine
-    # x_eta uniquely from (u; y), resolve it into the feedthrough instead of
-    # carrying a dynamic state.
+    # Steps 5 and 6 with algebraic folding: when the constraint rows
+    # determine x_eta uniquely from (u; y), resolve it into the feedthrough
+    # instead of carrying a dynamic state; only a dynamic x_eta needs the
+    # stabilizing gain L.
     M = -K_sigma @ B_sigma if form.n_sigma else np.zeros((r, l + p))
     fold = (n_eta > 0 and numeric_rank(A_eta2, tol) == n_eta)
     if fold:
+        L = np.zeros((n_eta, m_eta - n_eta))
         eta_fold = -pseudo_inverse(A_eta2, tol) @ B_eta2
         M = M + K_eta @ eta_fold
-        N = J_f2
-        H = B_f2
-        R = K_f2
+        N, H, R = J_f2, B_f2, K_f2
     else:
+        L = place_poles(A_eta1, A_eta2, tol.synthesis_margin, tol)
         eta_fold = np.zeros((n_eta, l + p))
         N = np.block([
             [J_f2, np.zeros((J_f2.shape[0], n_eta))],
@@ -185,13 +183,10 @@ def synthesize_estimator(sys: DescriptorSystem,
     # finite-block similarity.
     Q_tilde = form.Q @ _blkdiag(np.eye(form.n_eps), U1,
                                 np.eye(form.n_sigma), np.eye(n_eta))
-    sel = np.zeros((J_f2.shape[0] + (0 if fold else n_eta), n_O))
-    inv_rows = np.linalg.inv(Q_tilde)
-    f2_start = form.n_eps + n_f1
-    sel[:J_f2.shape[0], :] = inv_rows[f2_start:f2_start + J_f2.shape[0], :]
-    if not fold:
-        eta_start = form.n_eps + form.n_f + form.n_sigma
-        sel[J_f2.shape[0]:, :] = inv_rows[eta_start:eta_start + n_eta, :]
+    _, _, f2_rows, _, eta_rows = _split(
+        np.linalg.inv(Q_tilde),
+        (form.n_eps, n_f1, J_f2.shape[0], form.n_sigma, n_eta), 0)
+    sel = f2_rows if fold else np.vstack([f2_rows, eta_rows])
     state_map = sel @ st.V_O.T[:n_O, :]
 
     trace = SynthesisTrace(

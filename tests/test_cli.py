@@ -142,8 +142,12 @@ class TestInvalidTolerance:
         (["--margin", "0"], {}),
         ([], {"DSEST_MARGIN": "abc"}),
         ([], {"DSEST_RANK_RTOL": "abc"}),
+        ([], {"DSEST_MARGIN": "nan"}),
+        ([], {"DSEST_RANK_RTOL": "inf"}),
+        (["--rank-rtol", "nan"], {}),
     ], ids=["rank-rtol-negative", "margin-zero", "env-margin-text",
-            "env-rank-rtol-text"])
+            "env-rank-rtol-text", "env-margin-nan", "env-rank-rtol-inf",
+            "rank-rtol-nan"])
     def test_is_input_error(self, runner, args, env):
         env = {"DSEST_RANK_RTOL": None, "DSEST_MARGIN": None, **env}
         res = runner.invoke(main, ["analyze", SYSTEM_JSON, *args], env=env)
@@ -151,6 +155,36 @@ class TestInvalidTolerance:
         assert res.exit_code == 1
         assert "error: invalid tolerance" in res.output
         assert "Traceback" not in res.output
+
+    def test_env_nan_margin_stops_synth(self, runner, tmp_path):
+        # A NaN margin used to skip pole placement without a word.
+        out = tmp_path / "est.json"
+        res = runner.invoke(main, ["synth", SYSTEM_JSON, "-o", str(out)],
+                            env={"DSEST_RANK_RTOL": None, "DSEST_MARGIN": "nan"})
+        assert res.exit_code == 1
+        assert "synthesis_margin must be finite" in res.output
+        assert not out.exists()
+
+    def test_nan_in_system_file(self, runner, tmp_path):
+        # x' = x, z = x with no output: an unstable mode read by the
+        # functional.  json reads the NaN, which used to turn the verdict
+        # affirmative (Re >= -NaN is never true).
+        path = tmp_path / "sys.json"
+        path.write_text('{"E": [[1]], "A": [[1]], "B": [[]], "C": [], "D": [],'
+                        ' "K": [[1]], "tolerance": {"eig_stability_margin": NaN}}')
+        res = runner.invoke(main, ["analyze", str(path)],
+                            env={"DSEST_RANK_RTOL": None, "DSEST_MARGIN": None})
+        assert res.exit_code == 1
+        assert "error: invalid tolerance: eig_stability_margin must be finite" \
+            in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("field", ["rank_rtol", "eig_stability_margin",
+                                       "synthesis_margin"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_library_refuses_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Tolerance(**{field: value})
 
 
 class TestAnalyzeCommand:

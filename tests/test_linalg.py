@@ -7,6 +7,7 @@ from dsest.linalg import (
     Subspace,
     Tolerance,
     apply_map,
+    as_matrix,
     contains,
     image,
     intersect,
@@ -112,6 +113,52 @@ class TestSubspace:
             k = int(RNG.integers(0, n + 1))
             s = Subspace.from_span(RNG.standard_normal((n, k)))
             assert s.dim + s.complement().dim == n
+
+
+class TestValidation:
+    """The input checks of as_matrix and of Subspace, at their boundaries."""
+
+    @staticmethod
+    def basis_with_gram_offset(eps):
+        # Columns e1 and e2 + eps e1: B^T B has eps off the diagonal and
+        # 1 + eps^2 on it.
+        B = np.eye(3)[:, :2].copy()
+        B[0, 1] = eps
+        return B
+
+    def test_gram_off_diagonal_boundary(self):
+        Subspace(self.basis_with_gram_offset(5e-11))
+        with pytest.raises(ValueError, match="orthonormal"):
+            Subspace(self.basis_with_gram_offset(2e-10))
+
+    @pytest.mark.parametrize("delta, accepted", [
+        (9e-6, True), (-9e-6, True), (2e-5, False), (-2e-5, False)])
+    def test_gram_diagonal_boundary(self, delta, accepted):
+        B = np.eye(3)[:, :2].copy()
+        B[1, 1] = np.sqrt(1.0 + delta)
+        if accepted:
+            Subspace(B)
+        else:
+            with pytest.raises(ValueError, match="orthonormal"):
+                Subspace(B)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_basis_is_rejected(self, bad):
+        B = np.eye(3)[:, :2].copy()
+        B[2, 0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            Subspace(B)
+
+    def test_int_matrix_becomes_float64(self):
+        assert as_matrix(np.array([[1, 2], [3, 4]])).dtype == np.float64
+        assert Subspace(np.eye(3, dtype=int)).basis.dtype == np.float64
+
+    def test_float32_and_complex_bases_are_accepted(self):
+        H = np.array([[1, 1], [1, -1], [1, 1], [1, -1]], dtype=np.float32) / 2
+        assert Subspace(H).basis.dtype == np.float32
+        C = np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2.0)
+        assert Subspace(C).dim == 2
+        assert Subspace(C).basis.dtype == np.complex128
 
 
 class TestPencilEigenvalues:

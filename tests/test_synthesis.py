@@ -88,6 +88,49 @@ class TestRefusal:
             synthesize_estimator(sigma_violating_system)
 
 
+class TestFoldedBlock:
+    """A folded overdetermined block is resolved into M and needs no gain."""
+
+    @staticmethod
+    def built(sys):
+        est, trace = synthesize_estimator(sys)
+        return [est.N, est.H, est.R, est.M, trace.state_map], trace
+
+    def assert_same_build_without_place_poles(self, make_system, monkeypatch):
+        ref, trace = self.built(make_system())
+        assert trace.eta_folded
+        def refuse(*args, **kwargs):
+            raise AssertionError("a folded block placed poles")
+        with monkeypatch.context() as patch:
+            patch.setattr("dsest.synthesis.place_poles", refuse)
+            got, trace = self.built(make_system())
+        assert trace.eta_folded
+        assert not trace.L.any()
+        assert trace.L.shape == (trace.A_eta1.shape[0], trace.A_eta2.shape[0])
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_worked_example(self, ex_system, monkeypatch):
+        matrices = {k: getattr(ex_system, k) for k in "EABCDK"}
+        self.assert_same_build_without_place_poles(
+            lambda: DescriptorSystem(**matrices), monkeypatch)
+
+    def test_random_draws(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        folded = 0
+        for _ in range(60):
+            sys = random_system(rng)
+            if not is_partially_causal_detectable(sys).partially_causal_detectable:
+                continue
+            if not synthesize_estimator(sys)[1].eta_folded:
+                continue
+            matrices = {k: getattr(sys, k) for k in "EABCDK"}
+            self.assert_same_build_without_place_poles(
+                lambda: DescriptorSystem(**matrices), monkeypatch)
+            folded += 1
+        assert folded >= 5
+
+
 class TestStiffSpectrum:
     def test_slow_decaying_mode_is_estimated(self):
         est, _ = synthesize_estimator(stiff_system(-1e-4))

@@ -1,8 +1,12 @@
 import numpy as np
+import pytest
 
-from dsest import DescriptorSystem, wong_limits
-from dsest.linalg import Subspace, apply_map, contains, image, subspace_sum
-from dsest.wong import wong_V_at
+from dsest import (DescriptorSystem, is_partially_causal_detectable,
+                   is_partially_impulse_observable, wong_limits)
+from dsest import wong
+from dsest.linalg import (Subspace, apply_map, as_matrix, contains, image,
+                          intersect, kernel, preimage, subspace_sum)
+from dsest.wong import _stabilized, wong_V_at
 
 from conftest import random_system
 
@@ -69,3 +73,93 @@ class TestInvariants:
         for step in range(len(lim.V_chain)):
             v = wong_V_at(ex_system.E, ex_system.A, ex_system.B, None, step)
             assert v.dim == lim.V_chain[step].dim
+
+
+def two_loop_wong_limits(E, A, B=None, C=None):
+    """wong_limits as two separate loops, one per chain (the reference for
+    the shared chain helper)."""
+    E = as_matrix(E)
+    A = as_matrix(A, rows=E.shape[0], cols=E.shape[1])
+    m, n = E.shape
+    B = np.zeros((m, 0)) if B is None else as_matrix(B, rows=m)
+    C = np.zeros((0, n)) if C is None else as_matrix(C, cols=n)
+    im_B, ker_C = image(B), kernel(C)
+
+    V_chain = [ker_C]
+    for _ in range(n + 1):
+        prev = V_chain[-1]
+        nxt = intersect(preimage(A, subspace_sum(apply_map(E, prev), im_B)), ker_C)
+        V_chain.append(nxt)
+        if _stabilized(prev, nxt):
+            break
+
+    W_chain = [Subspace.zero(n)]
+    for _ in range(n + 1):
+        prev = W_chain[-1]
+        nxt = intersect(preimage(E, subspace_sum(apply_map(A, prev), im_B)), ker_C)
+        W_chain.append(nxt)
+        if _stabilized(prev, nxt):
+            break
+    return V_chain, W_chain
+
+
+def assert_chains_bitwise_equal(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.ambient_dim == b.ambient_dim
+        assert a.basis.shape == b.basis.shape
+        assert a.basis.tobytes() == b.basis.tobytes()
+
+
+class TestSharedChainHelper:
+    def test_chains_match_two_loop_version(self, ex_system):
+        rng = np.random.default_rng(7)
+        systems = [ex_system] + [random_system(rng) for _ in range(300)]
+        for sys in systems:
+            for B, C in ((sys.B, sys.C), (None, sys.C), (sys.B, None)):
+                lim = wong_limits(sys.E, sys.A, B, C)
+                V_ref, W_ref = two_loop_wong_limits(sys.E, sys.A, B, C)
+                assert_chains_bitwise_equal(lim.V_chain, V_ref)
+                assert_chains_bitwise_equal(lim.W_chain, W_ref)
+                assert lim.V_star is lim.V_chain[-1]
+                assert lim.W_star is lim.W_chain[-1]
+
+    def test_impulse_observability_runs_no_V_chain(self, ex_system,
+                                                    monkeypatch):
+        forbid_V_chain_with_C(monkeypatch)
+        with pytest.raises(AssertionError, match="V chain"):
+            wong_limits(ex_system.E, ex_system.A, None, ex_system.C)
+        assert is_partially_impulse_observable(ex_system)
+        report = is_partially_causal_detectable(ex_system)
+        assert report.partially_impulse_observable
+        assert report.partially_causal_detectable
+
+    def test_verdicts_unchanged_without_V_chain(self, monkeypatch):
+        def answers():
+            rng = np.random.default_rng(7)
+            out = []
+            for _ in range(60):
+                sys = random_system(rng)
+                report = is_partially_causal_detectable(sys)
+                out.append((is_partially_impulse_observable(sys),
+                            report.partially_impulse_observable,
+                            report.partially_causal_detectable))
+            return out
+
+        expected = answers()
+        forbid_V_chain_with_C(monkeypatch)
+        assert answers() == expected
+
+
+def forbid_V_chain_with_C(monkeypatch):
+    """Make the V chain of a tuple with a proper ker C raise.  The QKF and
+    the Kalman decomposition run V chains of tuples without C, which stay
+    allowed."""
+    chain = wong._chain
+
+    def guarded(pre, fwd, start, im_B, ker_C, tol):
+        if start is ker_C and ker_C.dim < ker_C.ambient_dim:
+            raise AssertionError("V chain of a tuple with C computed")
+        return chain(pre, fwd, start, im_B, ker_C, tol)
+
+    monkeypatch.setattr(wong, "_chain", guarded)
