@@ -17,10 +17,10 @@ Decides, for a system E x' = A x + B u, y = C x + D u, z = K x:
   two of those conditions, read from the same structure;
 * partial impulse observability of z with respect to the measurement.
 
-The five-way cross-check of the causal part (``characterization_suite``)
-is kept as rank and subspace-inclusion computations on n^2-sized
-block-Toeplitz matrices; it decides nothing, and no verdict or report
-runs it.
+The five-way cross-check of the causal part is one function,
+``characterization_suite``: rank and subspace-inclusion computations on
+the n^2-sized block-Toeplitz matrices of ``_toeplitz_F``.  It decides
+nothing, and no verdict or report runs it.
 """
 
 from __future__ import annotations
@@ -140,53 +140,6 @@ def build_F_K(E, A, K, k: int):
     row = np.zeros((K.shape[0], F.shape[1]))
     row[:, n:2 * n] = K
     return np.vstack([F, row])
-
-
-@dataclass(frozen=True)
-class StackedSystem:
-    """Derived block matrices of the lifted characterizations of
-    ``characterization_suite``.
-
-    E_bar/A_bar stack the output equation into the dynamics; the remaining
-    members are the corner-block matrices appearing next to the Toeplitz
-    matrices in the rank criteria.
-    """
-
-    sys: DescriptorSystem
-    E_bar: np.ndarray = field(init=False)
-    A_bar: np.ndarray = field(init=False)
-    script_E: np.ndarray = field(init=False)
-    script_A: np.ndarray = field(init=False)
-    corner_A: np.ndarray = field(init=False)     # A in the lowest-left block
-    corner_A1: np.ndarray = field(init=False)    # [0; ...; 0; A]
-    wide_C: np.ndarray = field(init=False)       # [C, 0, ..., 0]
-    wide_K: np.ndarray = field(init=False)       # [K, 0, ..., 0]
-
-    def __post_init__(self):
-        s = self.sys
-        m, n, l, p = s.m, s.n, s.l, s.p
-        object.__setattr__(self, "E_bar", np.vstack([s.E, np.zeros((p, n))]))
-        object.__setattr__(self, "A_bar", np.vstack([s.A, s.C]))
-        object.__setattr__(self, "script_E", np.hstack([s.E, np.zeros((m, l))]))
-        object.__setattr__(self, "script_A", np.hstack([s.A, s.B]))
-        cA = np.zeros((n * m, n * n))
-        cA[(n - 1) * m:, :n] = s.A
-        object.__setattr__(self, "corner_A", cA)
-        cA1 = np.zeros((n * m, n))
-        cA1[(n - 1) * m:, :] = s.A
-        object.__setattr__(self, "corner_A1", cA1)
-        wC = np.zeros((p, n * n))
-        wC[:, :n] = s.C
-        object.__setattr__(self, "wide_C", wC)
-        wK = np.zeros((s.r, n * n))
-        wK[:, :n] = s.K
-        object.__setattr__(self, "wide_K", wK)
-
-    def F_script(self) -> np.ndarray:
-        return _toeplitz_F(self.script_E, self.script_A, self.sys.n)
-
-    def F_stacked(self) -> np.ndarray:
-        return _toeplitz_F(self.E_bar, self.A_bar, self.sys.n)
 
 
 @dataclass(frozen=True)
@@ -329,21 +282,6 @@ def is_partially_causal(E, A, B, K, tol: Tolerance = DEFAULT_TOL):
     return _holds(free) and _holds(derivative), (free, derivative)
 
 
-def _causal_ranks(st: StackedSystem, F_sc, F_bar, tol: Tolerance):
-    """The stacked rank pair (with K, without K) whose equality is criterion (i)."""
-    sys = st.sys
-    cols_left = F_sc.shape[1]
-    zero = lambda rows: np.zeros((rows, cols_left))
-    without_K = np.vstack([
-        np.hstack([F_sc, st.corner_A]),
-        np.hstack([zero(sys.p), st.wide_C]),
-        np.hstack([zero(F_bar.shape[0]), F_bar]),
-    ])
-    with_K = np.vstack([without_K,
-                        np.hstack([zero(sys.r), st.wide_K])])
-    return numeric_rank(with_K, tol), numeric_rank(without_K, tol)
-
-
 def characterization_suite(sys: DescriptorSystem,
                            tol: Tolerance = DEFAULT_TOL) -> tuple:
     """Five equivalent formulations of the causal part of the criterion.
@@ -354,31 +292,44 @@ def characterization_suite(sys: DescriptorSystem,
     controllable part.  They must agree; disagreement indicates numerical
     trouble and is surfaced by the test suite.
     """
-    st = StackedSystem(sys)
-    lifted = st, st.F_script(), st.F_stacked()
-    r1, r0 = _causal_ranks(*lifted, tol)
-    W_star = _W_star(sys.E, sys.A, sys.C, tol)
-    return _votes(lifted, r1 == r0, W_star, tol)
+    m, n, l, p = sys.m, sys.n, sys.l, sys.p
+    # Toeplitz matrices of [E 0] / [A B] and of the measurement-stacked
+    # pencil [E; 0] / [A; C]; A sits in the lowest-left block of the corner
+    # matrices, C and K in the first block of the wide ones.
+    F_sc = _toeplitz_F(np.hstack([sys.E, np.zeros((m, l))]),
+                       np.hstack([sys.A, sys.B]), n)
+    F_bar = _toeplitz_F(np.vstack([sys.E, np.zeros((p, n))]),
+                        np.vstack([sys.A, sys.C]), n)
+    corner_A1 = np.zeros((n * m, n))
+    corner_A1[(n - 1) * m:] = sys.A
+    corner_A = np.hstack([corner_A1, np.zeros((n * m, n * n - n))])
+    wide_C = np.hstack([sys.C, np.zeros((p, n * n - n))])
+    wide_K = np.hstack([sys.K, np.zeros((sys.r, n * n - n))])
 
+    zero = lambda rows: np.zeros((rows, F_sc.shape[1]))
+    without_K = np.vstack([
+        np.hstack([F_sc, corner_A]),
+        np.hstack([zero(p), wide_C]),
+        np.hstack([zero(F_bar.shape[0]), F_bar]),
+    ])
+    with_K = np.vstack([without_K, np.hstack([zero(sys.r), wide_K])])
+    vote1 = numeric_rank(with_K, tol) == numeric_rank(without_K, tol)
 
-def _votes(lifted, vote1: bool, W_star: Subspace, tol: Tolerance) -> tuple:
-    """characterization_suite, given vote 1 and W*_{E,A,0,C}."""
-    st, F_sc, F_bar = lifted
-    sys = st.sys
     imF = image(F_sc, tol)
     space2 = intersect(
-        intersect(preimage(st.corner_A, imF, tol), kernel(st.wide_C, tol), tol),
+        intersect(preimage(corner_A, imF, tol), kernel(wide_C, tol), tol),
         kernel(F_bar, tol), tol)
-    vote2 = _inclusion_in_kernel(space2, st.wide_K)
+    vote2 = _inclusion_in_kernel(space2, wide_K)
 
-    space3 = intersect(preimage(st.corner_A1, imF, tol), W_star, tol)
+    W_star = _W_star(sys.E, sys.A, sys.C, tol)
+    space3 = intersect(preimage(corner_A1, imF, tol), W_star, tol)
     vote3 = _inclusion_in_kernel(space3, sys.K)
 
     # V^{n-1} of (E, A, B, 0), read from the limits the Kalman
     # decomposition of vote 5 is built on.
     lim = wong_limits(sys.E, sys.A, sys.B, None, tol)
-    V_pre = lim.V_chain[min(sys.n - 1, len(lim.V_chain) - 1)]
-    EV = Subspace.from_span(sys.E @ V_pre.basis, sys.m, tol,
+    V_pre = lim.V_chain[min(n - 1, len(lim.V_chain) - 1)]
+    EV = Subspace.from_span(sys.E @ V_pre.basis, m, tol,
                             scale=float(np.linalg.norm(sys.E)) or 1.0)
     space4 = intersect(preimage(sys.A, EV, tol), W_star, tol)
     vote4 = _inclusion_in_kernel(space4, sys.K)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import sys as _sys
+from dataclasses import replace
 
 import click
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from . import io as dsio
 from .analysis import is_partially_causal_detectable
 from .exceptions import DsestError, SynthesisError
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import Tolerance
 from .sim import decay_metrics, simulate
 from .signals import InputSignal
 from .synthesis import synthesize_estimator
@@ -28,23 +29,12 @@ EXIT_INPUT = 1
 
 def _effective_tolerance(file_tol: dict | None, rank_rtol: float | None,
                          margin: float | None) -> Tolerance:
-    tol = dsio.tolerance_from_dict(file_tol)
-    env_rtol = os.environ.get("DSEST_RANK_RTOL")
-    env_margin = os.environ.get("DSEST_MARGIN")
-    kwargs = {
-        "rank_rtol": tol.rank_rtol,
-        "eig_stability_margin": tol.eig_stability_margin,
-        "synthesis_margin": tol.synthesis_margin,
-    }
-    if env_rtol is not None:
-        kwargs["rank_rtol"] = float(env_rtol)
-    if env_margin is not None:
-        kwargs["synthesis_margin"] = float(env_margin)
-    if rank_rtol is not None:
-        kwargs["rank_rtol"] = rank_rtol
-    if margin is not None:
-        kwargs["synthesis_margin"] = margin
-    return Tolerance(**kwargs)
+    # System file, then DSEST_* environment, then flags: a later layer wins.
+    layers = (("rank_rtol", os.environ.get("DSEST_RANK_RTOL")),
+              ("synthesis_margin", os.environ.get("DSEST_MARGIN")),
+              ("rank_rtol", rank_rtol), ("synthesis_margin", margin))
+    return replace(dsio.tolerance_from_dict(file_tol),
+                   **{k: float(v) for k, v in layers if v is not None})
 
 
 def _load_system(path: str, rank_rtol, margin):

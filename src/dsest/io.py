@@ -4,6 +4,7 @@ CSV traces, and a dependency-free SVG line plot."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -51,6 +52,8 @@ def _read_json_object(path: str) -> dict:
         raise InputFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") \
             from None
+    except ValueError as exc:   # an integer literal beyond Python's digit limit
+        raise InputFormatError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise InputFormatError(f"{path}: top level must be a JSON object")
     return doc
@@ -64,9 +67,16 @@ def tolerance_from_dict(doc: Optional[dict],
     unknown = set(doc) - allowed
     if unknown:
         raise InputFormatError(f"unknown tolerance keys: {sorted(unknown)}")
-    kwargs = {k: base.__dict__[k] for k in allowed}
-    kwargs.update({k: float(v) for k, v in doc.items()})
-    return Tolerance(**kwargs)
+    values = {}
+    for k, v in doc.items():
+        if v is None or isinstance(v, (bool, list, dict)):
+            raise ValueError(f"{k} must be a number, got {json.dumps(v)}")
+        try:
+            values[k] = float(v)
+        except OverflowError:
+            raise ValueError(f"{k} must be finite, got an integer beyond "
+                             "the float range") from None
+    return replace(base, **values)
 
 
 def load_system(path: str) -> tuple[DescriptorSystem, str, Optional[dict]]:

@@ -15,7 +15,9 @@ differently:
 Dynamic parts are integrated with fixed-step classical RK4; algebraic parts
 are evaluated exactly from analytic input derivatives.  The input and each
 derivative order the nilpotent block reads are sampled once, vectorised, on
-all RK4 stage times before stepping (``_rk4_inputs``).
+all RK4 stage times before stepping (``_rk4_inputs``).  ``solve_plant`` and
+``simulate`` share one pass (``_run``), which integrates the plant alone or
+with the estimator's state appended.
 """
 
 from __future__ import annotations
@@ -106,38 +108,25 @@ class _PlantSolver:
         # Underdetermined block: column operation Z so that E_eps @ Z = [I 0];
         # the trailing columns of Z span the free directions.
         me, ne = dec.m_eps, dec.n_eps
-        if ne:
-            Zp = pseudo_inverse(dec.E_eps)
-            Zn = kernel(dec.E_eps, tol, scale=self.scale).basis
-            self.Z = np.hstack([Zp, Zn]) if Zn.size else Zp
-            if self.Z.shape != (ne, ne):
-                raise SimulationError("underdetermined block normalization failed")
-            self.Zinv = np.linalg.inv(self.Z)
-            self.AZ = dec.A_eps @ self.Z
-        else:
-            self.Z = np.zeros((0, 0))
-            self.Zinv = self.Z
-            self.AZ = np.zeros((me, 0))
+        self.Z = np.hstack([pseudo_inverse(dec.E_eps),
+                            kernel(dec.E_eps, tol, scale=self.scale).basis])
+        if self.Z.shape != (ne, ne):
+            raise SimulationError("underdetermined block normalization failed")
+        self.Zinv = np.linalg.inv(self.Z)
+        self.AZ = dec.A_eps @ self.Z
         self.n_free = ne - me
 
         # Overdetermined block: row operation U so that U @ E_eta = [I; 0];
         # the trailing rows of U expose the algebraic consistency equations.
         meta_, neta = dec.m_eta, dec.n_eta
-        if meta_:
-            Up = pseudo_inverse(dec.E_eta)
-            left_null = kernel(dec.E_eta.conj().T, tol, scale=self.scale).basis
-            self.U = np.vstack([Up, left_null.conj().T]) if left_null.size else Up
-            if self.U.shape != (meta_, meta_):
-                raise SimulationError("overdetermined block normalization failed")
-            UA = self.U @ dec.A_eta
-            UB = self.U @ self.B_eta
-            self.A_eta_dyn, self.A_eta_alg = UA[:neta], UA[neta:]
-            self.B_eta_dyn, self.B_eta_alg = UB[:neta], UB[neta:]
-        else:
-            self.A_eta_dyn = np.zeros((0, 0))
-            self.A_eta_alg = np.zeros((0, 0))
-            self.B_eta_dyn = np.zeros((0, sys.l))
-            self.B_eta_alg = np.zeros((0, sys.l))
+        left_null = kernel(dec.E_eta.conj().T, tol, scale=self.scale).basis
+        self.U = np.vstack([pseudo_inverse(dec.E_eta), left_null.conj().T])
+        if self.U.shape != (meta_, meta_):
+            raise SimulationError("overdetermined block normalization failed")
+        UA = self.U @ dec.A_eta
+        UB = self.U @ self.B_eta
+        self.A_eta_dyn, self.A_eta_alg = UA[:neta], UA[neta:]
+        self.B_eta_dyn, self.B_eta_alg = UB[:neta], UB[neta:]
 
         # Nilpotent block: x_sigma(t) = -sum_i J^i B u^(i)(t).
         self.sigma_coeffs = []
@@ -165,21 +154,12 @@ class _PlantSolver:
         D_v[:me, :me] = self.AZ[:, :me]
         D_v[me:me + nf, me:me + nf] = dec.J_f
         D_v[me + nf:, me + nf:] = self.A_eta_dyn
-        B_v = np.vstack([self.B_eps[:me] if me else np.zeros((0, sys.l)),
-                         self.B_f, self.B_eta_dyn]) \
-            if self.n_dyn else np.zeros((0, sys.l))
-        C_free = np.vstack([self.AZ[:, me:],
-                            np.zeros((nf + neta2, self.n_free))]) \
-            if self.n_dyn else np.zeros((0, self.n_free))
-        Qv_pinv = pseudo_inverse(self.Q_v) if self.n_dyn \
-            else np.zeros((0, sys.n))
-        self.Qv_pinv = Qv_pinv
-        self.F = _snap_roundoff(self.Q_v @ D_v @ Qv_pinv) if self.n_dyn \
-            else np.zeros((sys.n, sys.n))
-        self.Gu = _snap_roundoff(self.Q_v @ B_v) if self.n_dyn \
-            else np.zeros((sys.n, sys.l))
-        self.Gfree = _snap_roundoff(self.Q_v @ C_free) if self.n_dyn \
-            else np.zeros((sys.n, self.n_free))
+        B_v = np.vstack([self.B_eps[:me], self.B_f, self.B_eta_dyn])
+        C_free = np.vstack([self.AZ[:, me:], np.zeros((nf + neta2, self.n_free))])
+        Qv_pinv = pseudo_inverse(self.Q_v)
+        self.F = _snap_roundoff(self.Q_v @ D_v @ Qv_pinv)
+        self.Gu = _snap_roundoff(self.Q_v @ B_v)
+        self.Gfree = _snap_roundoff(self.Q_v @ C_free)
         self.free_map = _snap_roundoff(Q_eps @ Z2)
         self.sigma_maps = [_snap_roundoff(Q_sig @ c) for c in self.sigma_coeffs]
         # Algebraic consistency rows of the eta-block, expressed on X.
@@ -258,12 +238,8 @@ class _PlantSolver:
                     "inconsistent initial state: overdetermined-block "
                     f"algebraic row {row} has residual {np.abs(res).max():.3e}")
 
-        if ne:
-            zeta0 = self.Zinv @ xi_eps
-            zeta1_0, zeta2_0 = zeta0[:me], zeta0[me:]
-        else:
-            zeta1_0 = np.zeros(0)
-            zeta2_0 = np.zeros(0)
+        zeta0 = self.Zinv @ xi_eps
+        zeta1_0, zeta2_0 = zeta0[:me], zeta0[me:]
 
         if eps_signal is None:
             const = zeta2_0.copy()
@@ -286,7 +262,7 @@ class _PlantSolver:
                 raise SimulationError("eps_signal must be callable")
 
         v0 = np.concatenate([zeta1_0, xi_f, xi_eta])
-        X0 = self.Q_v @ v0 if self.n_dyn else np.zeros(self.sys.n)
+        X0 = self.Q_v @ v0
         return X0, free
 
     def eta_residual(self, X: np.ndarray, u_samples: np.ndarray) -> float:
@@ -337,6 +313,54 @@ def _rk4(rhs: Callable[[np.ndarray, int], np.ndarray],
     return out
 
 
+def _run(sys: DescriptorSystem, x0, u: InputSignal, T: float, dt: float,
+         tol: Tolerance, eps_signal, est: Optional[EstimatorRealization] = None,
+         w0: Optional[np.ndarray] = None) -> SimulationTrace:
+    """One RK4 pass over the plant, joined by the estimator when ``est`` is
+    given.  RK4 acts elementwise on the state, so the plant part of a joint
+    run is bit-identical to the plant-only run."""
+    solver = _PlantSolver(sys, tol)
+    X0, free = solver.initial_dynamic_state(x0, u, eps_signal)
+    n = sys.n
+    t = _time_grid(T, dt)
+    times, rows, u_jet = _rk4_inputs(solver, u, t)
+
+    if est is None:
+        v0 = X0
+
+        def rhs(Xk, j):
+            return solver.rhs(times[j], Xk, rows[0][j], free)
+    else:
+        v0 = np.concatenate([X0, w0])
+
+        def rhs(state, j):
+            tj, jet = times[j], [r[j] for r in rows]
+            Xk, wk = state[:n], state[n:]
+            ut = jet[0]
+            dX = solver.rhs(tj, Xk, ut, free)
+            xk = solver.assemble_x(Xk, jet, free, tj)
+            yk = sys.C @ xk + sys.D @ ut
+            dw = est.N @ wk + est.H @ np.concatenate([ut, yk])
+            return np.concatenate([dX, dw])
+
+    traj = _rk4(rhs, v0, t)
+    X = traj[:n]
+    x = solver.assemble_x(X, u_jet, free, t)
+    u_samples = u_jet[0]
+    y = sys.C @ x + sys.D @ u_samples
+    est_fields = {}
+    if est is not None:
+        w = traj[n:]
+        est_fields = dict(w=w, zhat=est.R @ w + est.M @ np.vstack([u_samples, y]),
+                          e=estimation_error(sys, est, x, u_samples, w))
+    return SimulationTrace(
+        t=t, x=x, y=y, z=sys.K @ x, **est_fields,
+        meta={"dt": dt, "T": t[-1], "integrator_order": 4,
+              "eta_residual_max": solver.eta_residual(X, u_samples),
+              "block_dims": (solver.dec.n_eps, solver.dec.n_f,
+                             solver.dec.n_sigma, solver.dec.n_eta)})
+
+
 def solve_plant(sys: DescriptorSystem, x0, u: Optional[InputSignal] = None,
                 T: float = DEFAULT_HORIZON, dt: float = DEFAULT_DT,
                 tol: Tolerance = DEFAULT_TOL,
@@ -347,22 +371,7 @@ def solve_plant(sys: DescriptorSystem, x0, u: Optional[InputSignal] = None,
     the default holds it constant at its initial value, which keeps x(0)
     exactly as supplied.
     """
-    u = _as_signal(u, sys.l)
-    solver = _PlantSolver(sys, tol)
-    X0, free = solver.initial_dynamic_state(x0, u, eps_signal)
-    t = _time_grid(T, dt)
-    times, rows, u_jet = _rk4_inputs(solver, u, t)
-    X = _rk4(lambda Xk, j: solver.rhs(times[j], Xk, rows[0][j], free), X0, t)
-    x = solver.assemble_x(X, u_jet, free, t)
-    u_samples = u_jet[0]
-    y = sys.C @ x + sys.D @ u_samples
-    z = sys.K @ x
-    return SimulationTrace(
-        t=t, x=x, y=y, z=z,
-        meta={"dt": dt, "T": t[-1], "integrator_order": 4,
-              "eta_residual_max": solver.eta_residual(X, u_samples),
-              "block_dims": (solver.dec.n_eps, solver.dec.n_f,
-                             solver.dec.n_sigma, solver.dec.n_eta)})
+    return _run(sys, x0, _as_signal(u, sys.l), T, dt, tol, eps_signal)
 
 
 def estimation_error(sys: DescriptorSystem, est: EstimatorRealization,
@@ -397,8 +406,7 @@ def run_estimator(est: EstimatorRealization, t: np.ndarray,
     y_samples = np.atleast_2d(np.asarray(y_samples, dtype=float))
     if u_samples.shape[1] != len(t) or y_samples.shape[1] != len(t):
         raise SimulationError("sampling grids of u, y, t do not match")
-    v = np.vstack([u_samples, y_samples]) if (u_samples.size or y_samples.size) \
-        else np.zeros((0, len(t)))
+    v = np.vstack([u_samples, y_samples])
     if v.shape[0] != est.H.shape[1]:
         raise SimulationError(
             f"estimator expects {est.H.shape[1]} input+output channels, "
@@ -425,8 +433,6 @@ def simulate(sys: DescriptorSystem, est: EstimatorRealization, x0, w0,
     combined scheme keeps full fourth-order accuracy.
     """
     u = _as_signal(u, sys.l)
-    solver = _PlantSolver(sys, tol)
-    X0, free = solver.initial_dynamic_state(x0, u, eps_signal)
     w0 = np.asarray(w0, dtype=float).reshape(-1)
     if w0.shape != (est.s,):
         raise SimulationError(f"w0 has length {w0.size}, estimator order is {est.s}")
@@ -439,36 +445,7 @@ def simulate(sys: DescriptorSystem, est: EstimatorRealization, x0, w0,
                 f"estimator {name} is {'x'.join(map(str, got))}, expected "
                 f"{shape[0]}x{shape[1]} for order s={est.s} and the plant's "
                 f"l={sys.l}, p={sys.p}, r={sys.r}")
-    n = sys.n
-    t = _time_grid(T, dt)
-    times, rows, u_jet = _rk4_inputs(solver, u, t)
-
-    def joint_rhs(state, j):
-        tj, jet = times[j], [r[j] for r in rows]
-        Xk, wk = state[:n], state[n:]
-        ut = jet[0]
-        dX = solver.rhs(tj, Xk, ut, free)
-        xk = solver.assemble_x(Xk, jet, free, tj)
-        yk = sys.C @ xk + sys.D @ ut
-        dw = est.N @ wk + est.H @ np.concatenate([ut, yk])
-        return np.concatenate([dX, dw])
-
-    traj = _rk4(joint_rhs, np.concatenate([X0, w0]), t)
-    X, w = traj[:n], traj[n:]
-    x = solver.assemble_x(X, u_jet, free, t)
-    u_samples = u_jet[0]
-    y = sys.C @ x + sys.D @ u_samples
-    z = sys.K @ x
-    io = np.vstack([u_samples, y]) if (u_samples.size or y.size) \
-        else np.zeros((0, len(t)))
-    zhat = est.R @ w + est.M @ io
-    return SimulationTrace(
-        t=t, x=x, y=y, z=z, w=w, zhat=zhat,
-        e=estimation_error(sys, est, x, u_samples, w),
-        meta={"dt": dt, "T": t[-1], "integrator_order": 4,
-              "eta_residual_max": solver.eta_residual(X, u_samples),
-              "block_dims": (solver.dec.n_eps, solver.dec.n_f,
-                             solver.dec.n_sigma, solver.dec.n_eta)})
+    return _run(sys, x0, u, T, dt, tol, eps_signal, est, w0)
 
 
 @dataclass(frozen=True)
@@ -483,8 +460,7 @@ def decay_metrics(trace: SimulationTrace) -> DecayMetrics:
     """Tail supremum and fitted exponential decay rate of the error."""
     if trace.e is None:
         raise SimulationError("trace has no error signal")
-    enorm = np.linalg.norm(trace.e, axis=0) if trace.e.shape[0] else \
-        np.zeros(len(trace.t))
+    enorm = np.linalg.norm(trace.e, axis=0)
     sup_tail = np.maximum.accumulate(enorm[::-1])[::-1]
     peak = sup_tail[0]
     if peak == 0.0:

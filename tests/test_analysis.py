@@ -147,10 +147,13 @@ class TestFullStateRegression:
         space intersected with ker C and ker E being trivial, combined with
         the detectability rank test at every candidate frequency."""
         from dsest.linalg import intersect, kernel, preimage, image
-        from dsest.analysis import StackedSystem
-        st = StackedSystem(sys)
-        F = st.F_script()
-        pre = preimage(st.corner_A1, image(F))
+        from dsest.analysis import _toeplitz_F
+        m, n = sys.E.shape
+        F = _toeplitz_F(np.hstack([sys.E, np.zeros((m, sys.l))]),
+                        np.hstack([sys.A, sys.B]), n)
+        corner_A1 = np.zeros((n * m, n))    # [0; ...; 0; A]
+        corner_A1[(n - 1) * m:] = sys.A
+        pre = preimage(corner_A1, image(F))
         cap = intersect(intersect(pre, kernel(sys.C)), kernel(sys.E))
         causal = cap.dim == 0
         detectable = True
@@ -258,7 +261,7 @@ class TestDecidedInDimensionN:
         assert sorted(calls) == ["observability_staircase", "qkf"]
 
 
-LIFTED = ("_causal_ranks", "_votes")
+LIFTED = ("characterization_suite", "_toeplitz_F")
 
 
 def count_calls(monkeypatch, names) -> list:
@@ -292,7 +295,7 @@ class TestLiftedOnFirstRead:
 
         def refuse(*args, **kwargs):
             raise AssertionError("the verdict path ran lifted code")
-        for name in LIFTED + ("StackedSystem",):
+        for name in LIFTED:
             monkeypatch.setattr(f"dsest.analysis.{name}", refuse)
         for (sys, verdict), eager in zip(cases, expected):
             report = is_partially_causal_detectable(sys)

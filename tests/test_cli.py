@@ -135,6 +135,11 @@ class TestToleranceLayers:
         tol = _effective_tolerance({"rank_rtol": 1e-5}, None, None)
         assert tol.rank_rtol == 1e-5
 
+    def test_file_numeric_string_is_a_number(self, monkeypatch):
+        monkeypatch.delenv("DSEST_RANK_RTOL", raising=False)
+        monkeypatch.delenv("DSEST_MARGIN", raising=False)
+        assert _effective_tolerance({"rank_rtol": "1e-5"}, None, None).rank_rtol == 1e-5
+
 
 class TestInvalidTolerance:
     @pytest.mark.parametrize("args, env", [
@@ -177,6 +182,53 @@ class TestInvalidTolerance:
         assert res.exit_code == 1
         assert "error: invalid tolerance: eig_stability_margin must be finite" \
             in res.output
+        assert "Traceback" not in res.output
+
+    @staticmethod
+    def with_file_rank_rtol(tmp_path, value) -> str:
+        with open(SYSTEM_JSON) as fh:
+            doc = json.load(fh)
+        doc["tolerance"] = {"rank_rtol": value}
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["analyze", "synth"])
+    @pytest.mark.parametrize("value, shown", [
+        (None, "null"), ([1e-10], "[1e-10]"), ({"value": 1e-10}, '{"value": 1e-10}'),
+        (True, "true"),
+    ], ids=["null", "list", "object", "true"])
+    def test_file_value_not_a_number(self, runner, tmp_path, command, value, shown):
+        out = tmp_path / "out.json"
+        args = ["--json-out", str(out)] if command == "analyze" else ["-o", str(out)]
+        res = runner.invoke(
+            main, [command, self.with_file_rank_rtol(tmp_path, value), *args],
+            env={"DSEST_RANK_RTOL": None, "DSEST_MARGIN": None})
+        assert isinstance(res.exception, SystemExit)
+        assert res.exit_code == 1
+        assert (f"error: invalid tolerance: rank_rtol must be a number, got {shown}"
+                in res.output)
+        assert "Traceback" not in res.output
+        assert not out.exists()
+
+    def test_file_integer_beyond_float_range(self, runner, tmp_path):
+        path = self.with_file_rank_rtol(tmp_path, 10 ** 400)
+        res = runner.invoke(main, ["analyze", path],
+                            env={"DSEST_RANK_RTOL": None, "DSEST_MARGIN": None})
+        assert res.exit_code == 1
+        assert ("error: invalid tolerance: rank_rtol must be finite, got an "
+                "integer beyond the float range") in res.output
+        assert "Traceback" not in res.output
+
+    def test_file_integer_beyond_parser_limit(self, runner, tmp_path):
+        # json refuses to parse an integer literal of more than 4,300 digits.
+        path = tmp_path / "sys.json"
+        self.with_file_rank_rtol(tmp_path, 0)
+        path.write_text(path.read_text().replace('"rank_rtol": 0',
+                                                 '"rank_rtol": 1' + "0" * 5000))
+        res = runner.invoke(main, ["analyze", str(path)])
+        assert res.exit_code == 1
+        assert "error: " in res.output and "Exceeds the limit" in res.output
         assert "Traceback" not in res.output
 
     @pytest.mark.parametrize("field", ["rank_rtol", "eig_stability_margin",
@@ -375,7 +427,7 @@ class TestToolkitErrors:
     def test_commands_run_no_lifted_code(self, runner, monkeypatch, command):
         def fail(*args, **kwargs):
             raise DecompositionError("lifted check ran")
-        for name in ("_votes", "_causal_ranks", "StackedSystem"):
+        for name in ("characterization_suite", "_toeplitz_F"):
             monkeypatch.setattr(f"dsest.analysis.{name}", fail)
         res = runner.invoke(main, [command, SYSTEM_JSON])
         assert res.exit_code == 0, res.output

@@ -74,6 +74,14 @@ class TestPlantClosedForms:
 
 
 class TestAlgebraicBlocks:
+    def test_plant_with_no_dynamic_part(self):
+        # 0 = x + u: the whole state is the nilpotent block.
+        sys = DescriptorSystem.from_matrices(
+            [[0.0]], [[1.0]], [[1.0]], np.zeros((0, 1)), [[1.0]])
+        tr = solve_plant(sys, [0.0], u=ramp(), T=2.0)
+        assert tr.meta["block_dims"] == (0, 0, 1, 0)
+        assert np.array_equal(tr.x[0], -tr.t)
+
     def test_overdetermined_constant_solution(self, eta_plant):
         u = InputSignal.polynomial([[1.0]])
         tr = solve_plant(eta_plant, [1.0], u=u, T=5.0)
@@ -195,6 +203,34 @@ class TestEstimatorRuns:
         with pytest.raises(SimulationError, match="w0"):
             simulate(ex_system, ex_reference_estimator,
                      [1.0, 2.0, 3.0, 0.0], [4.0], u=ramp(), T=1.0)
+
+
+class TestOnePass:
+    """The plant part of a joint run is the plant-only run, bit for bit."""
+
+    @staticmethod
+    def assert_same_plant(sys, est, x0, u, **kwargs):
+        joint = simulate(sys, est, x0, np.ones(est.s), u=u, T=3.0, **kwargs)
+        plant = solve_plant(sys, x0, u=u, T=3.0, **kwargs)
+        for name in ("t", "x", "y", "z"):
+            assert np.array_equal(getattr(joint, name), getattr(plant, name))
+        assert joint.meta == plant.meta
+
+    def test_worked_example_under_ramp(self, ex_system, ex_reference_estimator):
+        self.assert_same_plant(ex_system, ex_reference_estimator,
+                               [1.0, 2.0, 3.0, 0.0], ramp())
+
+    def test_overdetermined_plant(self, eta_plant):
+        est = EstimatorRealization(N=-np.eye(1), H=np.ones((1, 1)),
+                                   R=np.ones((1, 1)), M=np.zeros((1, 1)))
+        self.assert_same_plant(eta_plant, est, [1.0],
+                               InputSignal.polynomial([[1.0]]))
+
+    def test_underdetermined_plant(self, eps_plant):
+        est = EstimatorRealization(N=-np.eye(1), H=np.zeros((1, 0)),
+                                   R=np.ones((1, 1)), M=np.zeros((1, 0)))
+        self.assert_same_plant(eps_plant, est, [1.0, 2.0], None,
+                               eps_signal=InputSignal.sinusoid([1.0], 2.0))
 
 
 def _per_stage_run(sys, est, x0, w0, u, T, dt):

@@ -79,7 +79,7 @@ class TestRefusal:
         # neither runs the lifted rank tests nor needs them to refuse.
         def refuse(*args, **kwargs):
             raise AssertionError("synthesis ran a lifted rank test")
-        for name in ("_causal_ranks", "_votes"):
+        for name in ("characterization_suite", "_toeplitz_F"):
             monkeypatch.setattr(f"dsest.analysis.{name}", refuse)
         est, _ = synthesize_estimator(ex_system)
         assert est.s == 2
