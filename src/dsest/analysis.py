@@ -19,8 +19,9 @@ Decides, for a system E x' = A x + B u, y = C x + D u, z = K x:
 
 The five-way cross-check of the causal part is one function,
 ``characterization_suite``: rank and subspace-inclusion computations on
-the n^2-sized block-Toeplitz matrices of ``_toeplitz_F``.  It decides
-nothing, and no verdict or report runs it.
+the n^2-sized block-Toeplitz matrices of ``_toeplitz_F``, and for vote 5
+the controllable part of ``kalman_controllability``.  It decides nothing,
+and no verdict or report runs it.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionMismatchError
-from .decomp import (PencilQKF, StaircaseDecomposition, _kalman_once,
-                     _with_relaxed_retry, observability_staircase, qkf)
+from .decomp import (PencilQKF, StaircaseDecomposition, kalman_controllability,
+                     observability_staircase, qkf)
 from .linalg import (
     CONSISTENCY_ATOL,
     DEFAULT_TOL,
@@ -325,8 +326,7 @@ def characterization_suite(sys: DescriptorSystem,
     space3 = intersect(preimage(corner_A1, imF, tol), W_star, tol)
     vote3 = _inclusion_in_kernel(space3, sys.K)
 
-    # V^{n-1} of (E, A, B, 0), read from the limits the Kalman
-    # decomposition of vote 5 is built on.
+    # V^{n-1} of (E, A, B, 0).
     lim = wong_limits(sys.E, sys.A, sys.B, None, tol)
     V_pre = lim.V_chain[min(n - 1, len(lim.V_chain) - 1)]
     EV = Subspace.from_span(sys.E @ V_pre.basis, m, tol,
@@ -334,10 +334,7 @@ def characterization_suite(sys: DescriptorSystem,
     space4 = intersect(preimage(sys.A, EV, tol), W_star, tol)
     vote4 = _inclusion_in_kernel(space4, sys.K)
 
-    kd = _with_relaxed_retry(
-        "Kalman decomposition",
-        lambda E, A, B, C, t: _kalman_once(E, A, B, C, t, lim if t is tol else None),
-        sys.E, sys.A, sys.B, sys.C, tol=tol)
+    kd = kalman_controllability(sys.E, sys.A, sys.B, sys.C, tol)
     E11, A11, _, C11 = kd.controllable_part
     K11 = kd.functional_part(sys.K)
     vote5 = _impulse_observable_triple(E11, A11, C11, K11, tol)
@@ -352,10 +349,6 @@ def is_partially_causal_detectable(sys: DescriptorSystem,
     """
     structure = _structure(sys, tol)
     free, derivative, mode = structure.checks
-
-    s_probe = 1.0 * sys.E - sys.A
-    sv = np.linalg.svd(s_probe, compute_uv=False) if s_probe.size else np.array([1.0])
-    cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
     modes = np.linalg.eigvals(structure.J_f1)
 
     return AnalysisReport(
@@ -367,7 +360,6 @@ def is_partially_causal_detectable(sys: DescriptorSystem,
         diagnostics={
             "rank_rtol": tol.rank_rtol,
             "eig_stability_margin": tol.eig_stability_margin,
-            "pencil_condition_at_1": cond,
             "non_decaying_modes": [[float(v.real), float(v.imag)] for v in modes],
         },
     )

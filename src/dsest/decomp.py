@@ -18,14 +18,12 @@ from itertools import accumulate
 
 import numpy as np
 
-from .exceptions import DecompositionError, DimensionMismatchError
+from .exceptions import DecompositionError
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
-    apply_map,
     as_matrix,
-    contains,
     image,
     intersect,
     kernel,
@@ -42,8 +40,7 @@ def _residual_scale(*mats) -> float:
     return max([1.0] + [float(np.linalg.norm(M)) for M in mats if M.size])
 
 
-def _complement_within(inner: Subspace, outer: Subspace,
-                       tol: Tolerance) -> np.ndarray:
+def _complement_within(inner: Subspace, outer: Subspace) -> np.ndarray:
     """Orthonormal basis completing `inner` to `outer` (within outer).
 
     With orthonormal inputs the projected basis has singular values near 1
@@ -63,6 +60,22 @@ def _complement_within(inner: Subspace, outer: Subspace,
             "subspace complement: ambiguous singular values "
             f"{np.array2string(s, precision=3)}")
     return u[:, :keep]
+
+
+def _adapted_bases(inner: Subspace, outers, tol: Tolerance) -> list[np.ndarray]:
+    """Orthonormal bases adapted to inner <= each outer: inner, each outer
+    beyond inner, then the orthogonal complement of the sum of the outers."""
+    total = outers[0]
+    for outer in outers[1:]:
+        total = subspace_sum(total, outer, tol)
+    return [inner.basis, *(_complement_within(inner, outer) for outer in outers),
+            total.complement().basis]
+
+
+def _pencil_image(E, A, cols: np.ndarray, tol: Tolerance, scale: float) -> Subspace:
+    """E im(cols) + A im(cols), with rank decisions relative to `scale`."""
+    span = lambda M: Subspace.from_span(M, E.shape[0], tol, scale=scale)
+    return subspace_sum(span(E @ cols), span(A @ cols), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -194,31 +207,18 @@ def _triangular_form(E: np.ndarray, A: np.ndarray, tol: Tolerance) -> _Triangula
     m, n = E.shape
     lim = wong_limits(E, A, None, None, tol)
     V, W = lim.V_star, lim.W_star
-    R = intersect(V, W, tol)
-    VW = subspace_sum(V, W, tol)
-
-    C_eps = R.basis
-    C_f = _complement_within(R, V, tol)
-    C_sig = _complement_within(R, W, tol)
-    C_eta = VW.complement().basis
-    col_sizes = [C_eps.shape[1], C_f.shape[1], C_sig.shape[1], C_eta.shape[1]]
-    Q = np.hstack([C_eps, C_f, C_sig, C_eta])
+    cols = _adapted_bases(intersect(V, W, tol), [V, W], tol)   # eps, f, sigma, eta
+    col_sizes = [c.shape[1] for c in cols]
+    Q = np.hstack(cols)
     if Q.shape != (n, n) or numeric_rank(Q, tol) < n:
         raise DecompositionError("QKF: column splitting is not a basis of R^n")
 
-    data_scale = _residual_scale(E, A)
-    span = lambda cols: Subspace.from_span(cols, m, tol, scale=data_scale)
-    M1 = subspace_sum(span(E @ C_eps), span(A @ C_eps), tol)
-    M2 = subspace_sum(M1, subspace_sum(span(E @ C_f), span(A @ C_f), tol), tol)
-    M3 = subspace_sum(M1, subspace_sum(span(E @ C_sig), span(A @ C_sig), tol), tol)
-    M23 = subspace_sum(M2, M3, tol)
-
-    R_eps = M1.basis
-    R_f = _complement_within(M1, M2, tol)
-    R_sig = _complement_within(M1, M3, tol)
-    R_eta = M23.complement().basis
-    row_sizes = [R_eps.shape[1], R_f.shape[1], R_sig.shape[1], R_eta.shape[1]]
-    Pl = np.hstack([R_eps, R_f, R_sig, R_eta])
+    scale = _residual_scale(E, A)
+    M1 = _pencil_image(E, A, cols[0], tol, scale)
+    rows = _adapted_bases(M1, [subspace_sum(M1, _pencil_image(E, A, C, tol, scale), tol)
+                               for C in cols[1:3]], tol)
+    row_sizes = [r.shape[1] for r in rows]
+    Pl = np.hstack(rows)
     if Pl.shape != (m, m) or numeric_rank(Pl, tol) < m:
         raise DecompositionError("QKF: row splitting is not a basis of R^m")
     P = np.linalg.inv(Pl)
@@ -235,7 +235,7 @@ def _triangular_form(E: np.ndarray, A: np.ndarray, tol: Tolerance) -> _Triangula
             if _structural_zero(i, j):
                 r = max(np.linalg.norm(tri.blk(tri.TE, i, j)),
                         np.linalg.norm(tri.blk(tri.TA, i, j)))
-                if r > 1e-7 * data_scale:
+                if r > 1e-7 * scale:
                     raise DecompositionError(
                         f"QKF: block ({i},{j}) not zero (residual {r:.2e})")
     return tri
@@ -504,32 +504,19 @@ class KalmanDecomposition:
         return (as_matrix(K, cols=self.T.shape[0]) @ self.T)[:, :n1]
 
 
-def _kalman_once(E, A, B, C, tol: Tolerance, limits=None) -> KalmanDecomposition:
-    """One attempt at tol; ``limits`` is wong_limits(E, A, B, None, tol) when
-    the caller already holds it."""
-    m, n = E.shape
-    lim = wong_limits(E, A, B, None, tol) if limits is None else limits
+def _kalman_once(E, A, B, C, tol: Tolerance) -> KalmanDecomposition:
+    lim = wong_limits(E, A, B, None, tol)
     V, W = lim.V_star, lim.W_star
-    R = intersect(V, W, tol)
+    cols = _adapted_bases(intersect(V, W, tol), [V], tol)
+    T = np.hstack(cols)
 
-    T1 = R.basis
-    T2 = _complement_within(R, V, tol)
-    T3 = V.complement().basis
-    T = np.hstack([T1, T2, T3])
+    scale = _residual_scale(E, A, B)
+    M1 = subspace_sum(_pencil_image(E, A, cols[0], tol, scale), image(B, tol), tol)
+    rows = _adapted_bases(
+        M1, [subspace_sum(M1, _pencil_image(E, A, cols[1], tol, scale), tol)], tol)
+    S = np.hstack(rows).T
 
-    data_scale = _residual_scale(E, A, B)
-    span = lambda cols: Subspace.from_span(cols, m, tol, scale=data_scale)
-    M1 = subspace_sum(subspace_sum(span(E @ T1), span(A @ T1), tol),
-                      image(B, tol), tol)
-    M2 = subspace_sum(M1, subspace_sum(span(E @ T2), span(A @ T2), tol), tol)
-    S1 = M1.basis
-    S2 = _complement_within(M1, M2, tol)
-    S3 = M2.complement().basis
-    S = np.hstack([S1, S2, S3]).T
-
-    sizes = ((S1.shape[1], T1.shape[1]),
-             (S2.shape[1], T2.shape[1]),
-             (S3.shape[1], T3.shape[1]))
+    sizes = tuple((r.shape[1], c.shape[1]) for r, c in zip(rows, cols))
     dec = KalmanDecomposition(
         S=S, T=T, sizes=sizes,
         E_blocks=S @ E @ T, A_blocks=S @ A @ T,

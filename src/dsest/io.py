@@ -4,6 +4,7 @@ CSV traces, and a dependency-free SVG line plot."""
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import replace
 from typing import Optional
 
@@ -33,10 +34,15 @@ def _as_matrix_field(doc: dict, key: str, path: str) -> np.ndarray:
     widths = {len(r) for r in raw}
     if len(widths) > 1:
         raise InputFormatError(f"{path}: matrix '{key}' has ragged rows")
-    try:
-        M = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"{path}: matrix '{key}': {exc}") from None
+    for i, row in enumerate(raw):
+        for j, v in enumerate(row):
+            # Not a bool or string; NaN, infinity and huge integers fail the bound.
+            if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+                shown = json.dumps(v)
+                raise InputFormatError(
+                    f"{path}: matrix '{key}' entry ({i}, {j}) must be a finite "
+                    f"number, got {shown if len(shown) <= 24 else shown[:20] + '...'}")
+    M = np.array(raw, dtype=float)
     if M.ndim == 1:  # zero rows
         M = M.reshape(0, 0)
     return M

@@ -53,8 +53,9 @@ class Tolerance:
         if self.synthesis_margin <= 0:
             raise ValueError("synthesis_margin must be positive")
 
-    def relaxed(self, factor: float = 10.0) -> "Tolerance":
-        return Tolerance(self.rank_rtol * factor, self.eig_stability_margin,
+    def relaxed(self) -> "Tolerance":
+        """rank_rtol 10x looser: the one retry after a failed certification."""
+        return Tolerance(self.rank_rtol * 10.0, self.eig_stability_margin,
                          self.synthesis_margin)
 
 

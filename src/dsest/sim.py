@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .analysis import DescriptorSystem
-from .decomp import PencilQKF, qkf
+from .decomp import _blkdiag, _split, qkf
 from .exceptions import SimulationError
 from .linalg import (CONSISTENCY_ATOL, DEFAULT_TOL, Tolerance, _snap_roundoff,
                      kernel, pseudo_inverse)
@@ -69,6 +69,8 @@ class SimulationTrace:
 
 
 def _time_grid(T: float, dt: float) -> np.ndarray:
+    if not (0 < T < math.inf and 0 < dt < math.inf):
+        raise SimulationError(f"T and dt must be finite and positive, got T={T}, dt={dt}")
     n_steps = int(round(T / dt))
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
         n_steps = max(1, math.ceil(T / dt - 1e-12))
@@ -97,42 +99,37 @@ class _PlantSolver:
 
     def __init__(self, sys: DescriptorSystem, tol: Tolerance = DEFAULT_TOL):
         self.sys = sys
-        dec = qkf(sys.E, sys.A, tol)
-        self.dec = dec
-        self.tol = tol
-        Bt = dec.split_left(sys.B)
-        self.B_eps, self.B_f, self.B_sigma, self.B_eta = Bt
+        self.dec = dec = qkf(sys.E, sys.A, tol)
+        B_eps, B_f, B_sigma, B_eta = dec.split_left(sys.B)
         self.scale = max(1.0, max((np.abs(M).max() if M.size else 0.0)
                                   for M in (sys.E, sys.A, sys.B)))
 
         # Underdetermined block: column operation Z so that E_eps @ Z = [I 0];
         # the trailing columns of Z span the free directions.
         me, ne = dec.m_eps, dec.n_eps
-        self.Z = np.hstack([pseudo_inverse(dec.E_eps),
-                            kernel(dec.E_eps, tol, scale=self.scale).basis])
-        if self.Z.shape != (ne, ne):
+        Z = np.hstack([pseudo_inverse(dec.E_eps),
+                       kernel(dec.E_eps, tol, scale=self.scale).basis])
+        if Z.shape != (ne, ne):
             raise SimulationError("underdetermined block normalization failed")
-        self.Zinv = np.linalg.inv(self.Z)
-        self.AZ = dec.A_eps @ self.Z
+        self.Zinv = np.linalg.inv(Z)
+        AZ = dec.A_eps @ Z
         self.n_free = ne - me
 
         # Overdetermined block: row operation U so that U @ E_eta = [I; 0];
         # the trailing rows of U expose the algebraic consistency equations.
-        meta_, neta = dec.m_eta, dec.n_eta
+        neta = dec.n_eta
         left_null = kernel(dec.E_eta.conj().T, tol, scale=self.scale).basis
-        self.U = np.vstack([pseudo_inverse(dec.E_eta), left_null.conj().T])
-        if self.U.shape != (meta_, meta_):
+        U = np.vstack([pseudo_inverse(dec.E_eta), left_null.conj().T])
+        if U.shape != (dec.m_eta, dec.m_eta):
             raise SimulationError("overdetermined block normalization failed")
-        UA = self.U @ dec.A_eta
-        UB = self.U @ self.B_eta
-        self.A_eta_dyn, self.A_eta_alg = UA[:neta], UA[neta:]
-        self.B_eta_dyn, self.B_eta_alg = UB[:neta], UB[neta:]
+        A_eta_dyn, self.A_eta_alg = np.split(U @ dec.A_eta, [neta])
+        B_eta_dyn, self.B_eta_alg = np.split(U @ B_eta, [neta])
 
         # Nilpotent block: x_sigma(t) = -sum_i J^i B u^(i)(t).
         self.sigma_coeffs = []
         Ji = np.eye(dec.n_sigma)
         for _ in range(dec.h if dec.n_sigma else 0):
-            self.sigma_coeffs.append(-Ji @ self.B_sigma)
+            self.sigma_coeffs.append(-Ji @ B_sigma)
             Ji = dec.J_sigma @ Ji
 
         # Dynamic state v = (driven part of eps-block, finite block,
@@ -140,45 +137,27 @@ class _PlantSolver:
         # original coordinates.  All runtime matrices are formed as
         # basis-sandwiched products so that the decomposition's internal
         # rotations cancel, then snapped to restore exact structural zeros.
-        self.dims = (me, dec.n_f, dec.n_eta)
-        self.n_dyn = sum(self.dims)
-        Qb = dec.Q
-        nf, ns, neta2 = dec.n_f, dec.n_sigma, dec.n_eta
-        Q_eps = Qb[:, :ne]
-        Q_f = Qb[:, ne:ne + nf]
-        Q_sig = Qb[:, ne + nf:ne + nf + ns]
-        Q_eta = Qb[:, ne + nf + ns:]
-        Z1, Z2 = self.Z[:, :me], self.Z[:, me:]
-        self.Q_v = np.hstack([Q_eps @ Z1, Q_f, Q_eta])
-        D_v = np.zeros((self.n_dyn, self.n_dyn))
-        D_v[:me, :me] = self.AZ[:, :me]
-        D_v[me:me + nf, me:me + nf] = dec.J_f
-        D_v[me + nf:, me + nf:] = self.A_eta_dyn
-        B_v = np.vstack([self.B_eps[:me], self.B_f, self.B_eta_dyn])
-        C_free = np.vstack([self.AZ[:, me:], np.zeros((nf + neta2, self.n_free))])
+        Q_eps, Q_f, Q_sig, Q_eta = _split(dec.Q, dec.col_sizes, 1)
+        self.Q_v = np.hstack([Q_eps @ Z[:, :me], Q_f, Q_eta])
+        D_v = _blkdiag(AZ[:, :me], dec.J_f, A_eta_dyn)
+        B_v = np.vstack([B_eps, B_f, B_eta_dyn])
+        C_free = np.vstack([AZ[:, me:], np.zeros((dec.n_f + neta, self.n_free))])
         Qv_pinv = pseudo_inverse(self.Q_v)
         self.F = _snap_roundoff(self.Q_v @ D_v @ Qv_pinv)
         self.Gu = _snap_roundoff(self.Q_v @ B_v)
         self.Gfree = _snap_roundoff(self.Q_v @ C_free)
-        self.free_map = _snap_roundoff(Q_eps @ Z2)
+        self.free_map = _snap_roundoff(Q_eps @ Z[:, me:])
         self.sigma_maps = [_snap_roundoff(Q_sig @ c) for c in self.sigma_coeffs]
         # Algebraic consistency rows of the eta-block, expressed on X.
-        self.R_alg = _snap_roundoff(self.A_eta_alg @ Qv_pinv[me + nf:]) \
-            if (neta2 and self.A_eta_alg.shape[0]) else np.zeros((0, sys.n))
+        Qv_pinv_eta = _split(Qv_pinv, (me, dec.n_f, neta), 0)[2]
+        self.R_alg = _snap_roundoff(self.A_eta_alg @ Qv_pinv_eta) \
+            if (neta and self.A_eta_alg.shape[0]) else np.zeros((0, sys.n))
 
     # -- algebraic evaluations ----------------------------------------------
 
     def input_jet(self, u: InputSignal, t) -> list:
         """Samples of u and of each derivative the nilpotent block reads."""
         return [u.eval(t, order=i) for i in range(max(1, len(self.sigma_maps)))]
-
-    def sigma_state(self, u_jet: list) -> np.ndarray:
-        """Nilpotent-block state in decomposed coordinates."""
-        out = np.zeros((self.dec.n_sigma,) + np.shape(u_jet[0])[1:])
-        for coeff, ui in zip(self.sigma_coeffs, u_jet):
-            if coeff.size:
-                out += coeff @ ui
-        return out
 
     def algebraic_x(self, u_jet: list, free, t) -> np.ndarray:
         """Algebraic + free contribution to x at time(s) t, from the input
@@ -191,9 +170,6 @@ class _PlantSolver:
         if self.n_free:
             out += self.free_map @ np.asarray(free(t), dtype=float)
         return out
-
-    def assemble_x(self, X: np.ndarray, u_jet: list, free, t) -> np.ndarray:
-        return X + self.algebraic_x(u_jet, free, t)
 
     def rhs(self, t: float, X: np.ndarray, u_t: np.ndarray, free) -> np.ndarray:
         """X' at time t, given the input sample u_t = u(t)."""
@@ -213,24 +189,22 @@ class _PlantSolver:
             raise SimulationError(
                 f"x0 has length {x0.size}, plant state dimension is {self.sys.n}")
         xi0 = np.linalg.solve(self.dec.Q, x0)
-        me, nf, neta = self.dims
-        ne, ns = self.dec.n_eps, self.dec.n_sigma
-        xi_eps = xi0[:ne]
-        xi_f = xi0[ne:ne + nf]
-        xi_sig = xi0[ne + nf:ne + nf + ns]
-        xi_eta = xi0[ne + nf + ns:]
+        xi_eps, xi_f, xi_sig, xi_eta = _split(xi0, self.dec.col_sizes, 0)
 
         atol = CONSISTENCY_ATOL * self.scale * max(1.0, np.abs(x0).max())
         u0 = self.input_jet(u, 0.0)
-        if ns:
-            expected = self.sigma_state(u0)
+        if xi_sig.size:
+            expected = np.zeros(xi_sig.shape)   # the nilpotent-block state at t = 0
+            for coeff, ui in zip(self.sigma_coeffs, u0):
+                if coeff.size:
+                    expected += coeff @ ui
             gap = np.abs(xi_sig - expected)
             if gap.max() > atol:
                 raise SimulationError(
                     "inconsistent initial state: nilpotent algebraic "
                     f"constraint violated by {gap.max():.3e} "
                     f"(component {int(gap.argmax())} of the nilpotent block)")
-        if neta and self.A_eta_alg.shape[0]:
+        if xi_eta.size and self.A_eta_alg.shape[0]:
             res = self.A_eta_alg @ xi_eta + self.B_eta_alg @ u0[0]
             if res.size and np.abs(res).max() > atol:
                 row = int(np.abs(res).argmax())
@@ -239,7 +213,7 @@ class _PlantSolver:
                     f"algebraic row {row} has residual {np.abs(res).max():.3e}")
 
         zeta0 = self.Zinv @ xi_eps
-        zeta1_0, zeta2_0 = zeta0[:me], zeta0[me:]
+        zeta1_0, zeta2_0 = np.split(zeta0, [self.dec.m_eps])
 
         if eps_signal is None:
             const = zeta2_0.copy()
@@ -319,10 +293,10 @@ def _run(sys: DescriptorSystem, x0, u: InputSignal, T: float, dt: float,
     """One RK4 pass over the plant, joined by the estimator when ``est`` is
     given.  RK4 acts elementwise on the state, so the plant part of a joint
     run is bit-identical to the plant-only run."""
+    t = _time_grid(T, dt)
     solver = _PlantSolver(sys, tol)
     X0, free = solver.initial_dynamic_state(x0, u, eps_signal)
     n = sys.n
-    t = _time_grid(T, dt)
     times, rows, u_jet = _rk4_inputs(solver, u, t)
 
     if est is None:
@@ -338,14 +312,14 @@ def _run(sys: DescriptorSystem, x0, u: InputSignal, T: float, dt: float,
             Xk, wk = state[:n], state[n:]
             ut = jet[0]
             dX = solver.rhs(tj, Xk, ut, free)
-            xk = solver.assemble_x(Xk, jet, free, tj)
+            xk = Xk + solver.algebraic_x(jet, free, tj)
             yk = sys.C @ xk + sys.D @ ut
             dw = est.N @ wk + est.H @ np.concatenate([ut, yk])
             return np.concatenate([dX, dw])
 
     traj = _rk4(rhs, v0, t)
     X = traj[:n]
-    x = solver.assemble_x(X, u_jet, free, t)
+    x = X + solver.algebraic_x(u_jet, free, t)
     u_samples = u_jet[0]
     y = sys.C @ x + sys.D @ u_samples
     est_fields = {}
@@ -357,8 +331,7 @@ def _run(sys: DescriptorSystem, x0, u: InputSignal, T: float, dt: float,
         t=t, x=x, y=y, z=sys.K @ x, **est_fields,
         meta={"dt": dt, "T": t[-1], "integrator_order": 4,
               "eta_residual_max": solver.eta_residual(X, u_samples),
-              "block_dims": (solver.dec.n_eps, solver.dec.n_f,
-                             solver.dec.n_sigma, solver.dec.n_eta)})
+              "block_dims": solver.dec.col_sizes})
 
 
 def solve_plant(sys: DescriptorSystem, x0, u: Optional[InputSignal] = None,

@@ -239,6 +239,48 @@ class TestInvalidTolerance:
             Tolerance(**{field: value})
 
 
+class TestMatrixEntries:
+    """A matrix entry must be a finite JSON number within the float range."""
+
+    @staticmethod
+    def with_entry(tmp_path, source, key, literal) -> str:
+        with open(source) as fh:
+            doc = json.load(fh)
+        doc[key][0][0] = "@entry@"
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc).replace('"@entry@"', literal))
+        return str(path)
+
+    @pytest.mark.parametrize("key, literal, shown", [
+        ("D", "true", "true"), ("K", '"1"', '"1"'), ("A", "1e400", "Infinity"),
+        ("A", "NaN", "NaN"), ("E", "1" + "0" * 400, "1" + "0" * 19 + "..."),
+    ], ids=["true", "numeric-string", "1e400", "NaN", "400-digit-integer"])
+    def test_analyze_refuses(self, runner, tmp_path, key, literal, shown):
+        path = self.with_entry(tmp_path, SYSTEM_JSON, key, literal)
+        res = runner.invoke(main, ["analyze", path])
+        assert res.exit_code == 1
+        assert (f"error: {path}: matrix '{key}' entry (0, 0) must be a finite "
+                f"number, got {shown}") in res.output
+        assert "Traceback" not in res.output
+
+    def test_simulate_refuses_estimator_entry(self, runner, tmp_path):
+        est = self.with_entry(tmp_path, ESTIMATOR_JSON, "N", "true")
+        out = tmp_path / "t.csv"
+        res = runner.invoke(main, [
+            "simulate", SYSTEM_JSON, est, "--x0", "1,2,3,0", "--w0", "4,5",
+            "--tf", "1", "--dt", "0.1", "--out", str(out)])
+        assert res.exit_code == 1
+        assert f"error: {est}: matrix 'N' entry (0, 0) must be a finite number, " \
+            "got true" in res.output
+        assert not out.exists()
+
+    def test_numbers_are_read(self, runner, tmp_path):
+        path = self.with_entry(tmp_path, SYSTEM_JSON, "E", "1")
+        system, _, _ = dsio.load_system(path)
+        reference, _, _ = dsio.load_system(SYSTEM_JSON)
+        assert np.array_equal(system.E, reference.E)
+
+
 class TestAnalyzeCommand:
     def test_affirmative_exit_zero(self, runner, tmp_path):
         out = tmp_path / "report.json"
@@ -316,6 +358,20 @@ class TestSimulateCommand:
         text = svg.read_text()
         assert text.lstrip().startswith("<svg") or "<svg" in text
         assert "<polyline" in text
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--dt", "0"), ("--dt", "nan"), ("--tf", "inf"), ("--tf", "0"), ("--tf", "-1"),
+    ])
+    def test_invalid_horizon_or_step_exit_one(self, runner, tmp_path, flag, value):
+        out = tmp_path / "t.csv"
+        grid = {"--tf": "1", "--dt": "0.1", flag: value}
+        res = runner.invoke(main, [
+            "simulate", SYSTEM_JSON, ESTIMATOR_JSON, "--x0", "1,2,3,0",
+            "--w0", "4,5", "--out", str(out), *(a for kv in grid.items() for a in kv)])
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.exit_code == 1
+        assert "error: T and dt must be finite and positive" in res.output
+        assert not out.exists()
 
     def test_inconsistent_x0_exit_one(self, runner, tmp_path):
         res = runner.invoke(main, [

@@ -121,6 +121,27 @@ class TestAlgebraicBlocks:
             solve_plant(ex_system, [1.0, 2.0], T=1.0)
 
 
+class TestTimeGrid:
+    BAD = [(0.0, 0.1), (-1.0, 0.1), (float("inf"), 0.1), (float("nan"), 0.1),
+           (1.0, 0.0), (1.0, -0.1), (1.0, float("nan")), (1.0, float("inf"))]
+
+    @pytest.mark.parametrize("T, dt", BAD)
+    def test_solve_plant_refuses(self, ex_system, T, dt):
+        with pytest.raises(SimulationError, match="T and dt must be finite and positive"):
+            solve_plant(ex_system, [1.0, 2.0, 3.0, 0.0], T=T, dt=dt)
+
+    @pytest.mark.parametrize("T, dt", BAD)
+    def test_simulate_refuses(self, ex_system, ex_reference_estimator, T, dt):
+        with pytest.raises(SimulationError, match="T and dt must be finite and positive"):
+            simulate(ex_system, ex_reference_estimator, [1.0, 2.0, 3.0, 0.0],
+                     [4.0, 5.0], T=T, dt=dt)
+
+    def test_valid_grids(self):
+        assert np.array_equal(_time_grid(1.0, 0.25), [0.0, 0.25, 0.5, 0.75, 1.0])
+        # A step longer than the horizon still takes one step.
+        assert np.array_equal(_time_grid(0.1, 0.25), [0.0, 0.25])
+
+
 class TestIntegratorOrder:
     def test_rk4_halving_factor(self, ex_system):
         u = InputSignal.sinusoid([1.0], 1.0)
@@ -245,7 +266,7 @@ def _per_stage_run(sys, est, x0, w0, u, T, dt):
         jet = solver.input_jet(u, tk)
         Xk, wk = state[:n], state[n:]
         dX = solver.rhs(tk, Xk, jet[0], free)
-        xk = solver.assemble_x(Xk, jet, free, tk)
+        xk = Xk + solver.algebraic_x(jet, free, tk)
         yk = sys.C @ xk + sys.D @ jet[0]
         return np.concatenate([dX, est.N @ wk + est.H @ np.concatenate([jet[0], yk])])
 
@@ -260,7 +281,7 @@ def _per_stage_run(sys, est, x0, w0, u, T, dt):
         v = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         traj.append(v)
     traj = np.array(traj).T
-    x = solver.assemble_x(traj[:n], solver.input_jet(u, t), free, t)
+    x = traj[:n] + solver.algebraic_x(solver.input_jet(u, t), free, t)
     return x, traj[n:]
 
 
