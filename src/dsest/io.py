@@ -242,23 +242,14 @@ def render_report_markdown(name: str, report: AnalysisReport,
 
 def write_trace_csv(path: str, trace: SimulationTrace) -> None:
     """CSV with t first, then z, zhat, e columns (one per component)."""
-    r = trace.z.shape[0]
-    header = ["t"]
-    header += [f"z{i+1}" for i in range(r)]
-    if trace.zhat is not None:
-        header += [f"zhat{i+1}" for i in range(r)]
-    if trace.e is not None:
-        header += [f"e{i+1}" for i in range(r)]
-    cols = [trace.t, *trace.z]
-    if trace.zhat is not None:
-        cols += list(trace.zhat)
-    if trace.e is not None:
-        cols += list(trace.e)
-    data = np.column_stack(cols) if cols else np.zeros((len(trace.t), 0))
+    blocks = [(name, rows) for name, rows in
+              (("z", trace.z), ("zhat", trace.zhat), ("e", trace.e)) if rows is not None]
+    header = ["t"] + [f"{name}{i + 1}" for name, rows in blocks for i in range(len(rows))]
+    line = ",".join(["%.12g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for row in data:
-            fh.write(",".join(format(v, ".12g") for v in row) + "\r\n")
+        for values in np.column_stack([trace.t, *(r for _, rows in blocks for r in rows)]):
+            fh.write(line % tuple(values.tolist()))
 
 
 def _polyline(ts, vs, x0, y0, w, h, tmin, tmax, vmin, vmax) -> str:

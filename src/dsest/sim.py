@@ -16,15 +16,15 @@ Dynamic parts are integrated with fixed-step classical RK4; algebraic parts
 are evaluated exactly from analytic input derivatives.  The input and each
 derivative order the nilpotent block reads are sampled once, vectorised, on
 all RK4 stage times before stepping (``_rk4_inputs``).  ``solve_plant`` and
-``simulate`` share one pass (``_run``), which integrates the plant alone or
-with the estimator's state appended.
+``simulate`` share ``_run``: a plant RK4 pass, then an estimator pass.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -71,6 +71,12 @@ class SimulationTrace:
 def _time_grid(T: float, dt: float) -> np.ndarray:
     if not (0 < T < math.inf and 0 < dt < math.inf):
         raise SimulationError(f"T and dt must be finite and positive, got T={T}, dt={dt}")
+    # Refuse a step count that overflows or whose stage times (16 B a step) exceed memory.
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") \
+        if hasattr(os, "sysconf") else np.iinfo(np.intp).max
+    if not 16 * (T / dt) <= memory:
+        raise SimulationError(f"T/dt = {T / dt:.3g} steps do not fit in memory "
+                              f"(T={T}, dt={dt})")
     n_steps = int(round(T / dt))
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
         n_steps = max(1, math.ceil(T / dt - 1e-12))
@@ -149,9 +155,7 @@ class _PlantSolver:
         self.free_map = _snap_roundoff(Q_eps @ Z[:, me:])
         self.sigma_maps = [_snap_roundoff(Q_sig @ c) for c in self.sigma_coeffs]
         # Algebraic consistency rows of the eta-block, expressed on X.
-        Qv_pinv_eta = _split(Qv_pinv, (me, dec.n_f, neta), 0)[2]
-        self.R_alg = _snap_roundoff(self.A_eta_alg @ Qv_pinv_eta) \
-            if (neta and self.A_eta_alg.shape[0]) else np.zeros((0, sys.n))
+        self.R_alg = _snap_roundoff(self.A_eta_alg @ Qv_pinv[me + dec.n_f:])
 
     # -- algebraic evaluations ----------------------------------------------
 
@@ -170,13 +174,6 @@ class _PlantSolver:
         if self.n_free:
             out += self.free_map @ np.asarray(free(t), dtype=float)
         return out
-
-    def rhs(self, t: float, X: np.ndarray, u_t: np.ndarray, free) -> np.ndarray:
-        """X' at time t, given the input sample u_t = u(t)."""
-        dX = self.F @ X + self.Gu @ u_t
-        if self.n_free:
-            dX = dX + self.Gfree @ np.asarray(free(t), dtype=float)
-        return dX
 
     # -- initial conditions --------------------------------------------------
 
@@ -204,129 +201,142 @@ class _PlantSolver:
                     "inconsistent initial state: nilpotent algebraic "
                     f"constraint violated by {gap.max():.3e} "
                     f"(component {int(gap.argmax())} of the nilpotent block)")
-        if xi_eta.size and self.A_eta_alg.shape[0]:
+        if self.A_eta_alg.shape[0]:     # also when the block has no columns
             res = self.A_eta_alg @ xi_eta + self.B_eta_alg @ u0[0]
-            if res.size and np.abs(res).max() > atol:
+            if np.abs(res).max() > atol:
                 row = int(np.abs(res).argmax())
                 raise SimulationError(
                     "inconsistent initial state: overdetermined-block "
                     f"algebraic row {row} has residual {np.abs(res).max():.3e}")
 
-        zeta0 = self.Zinv @ xi_eps
-        zeta1_0, zeta2_0 = np.split(zeta0, [self.dec.m_eps])
-
+        zeta1_0, zeta2_0 = np.split(self.Zinv @ xi_eps, [self.dec.m_eps])
+        free = eps_signal
         if eps_signal is None:
-            const = zeta2_0.copy()
-
             def free(t):
-                if np.ndim(t) == 0:
-                    return const
-                return np.repeat(const[:, None], np.shape(t)[0], axis=1)
-        else:
-            sig = eps_signal
-            if isinstance(sig, InputSignal):
-                if sig.dim != self.n_free:
-                    raise SimulationError(
-                        f"free-part signal has {sig.dim} components, "
-                        f"expected {self.n_free}")
-                free = sig
-            elif callable(sig):
-                free = lambda t: np.asarray(sig(t), dtype=float)  # noqa: E731
-            else:
-                raise SimulationError("eps_signal must be callable")
+                return np.multiply.outer(zeta2_0, np.ones_like(t))
+        elif not callable(eps_signal):
+            raise SimulationError("eps_signal must be callable")
+        elif isinstance(eps_signal, InputSignal) and eps_signal.dim != self.n_free:
+            raise SimulationError(f"free-part signal has {eps_signal.dim} "
+                                  f"components, expected {self.n_free}")
 
-        v0 = np.concatenate([zeta1_0, xi_f, xi_eta])
-        X0 = self.Q_v @ v0
-        return X0, free
+        return self.Q_v @ np.concatenate([zeta1_0, xi_f, xi_eta]), free
 
     def eta_residual(self, X: np.ndarray, u_samples: np.ndarray) -> float:
-        if not self.R_alg.shape[0]:
-            return 0.0
         res = self.R_alg @ X + self.B_eta_alg @ u_samples
         return float(np.abs(res).max()) if res.size else 0.0
 
 
 def _rk4_inputs(solver: _PlantSolver, u: InputSignal, t: np.ndarray):
     """The times at which ``_rk4`` samples the right-hand side on grid t,
-    and the input jets (``_PlantSolver.input_jet``) there.
-
-    Entry 2k of the times is t_k and entry 2k+1 the midpoint t_k + h/2 of
-    step k, with the step's own arithmetic.  The last stage's time t_k + h
-    is t_{k+1} exactly, because h = t_{k+1} - t_k is exact when
-    t_{k+1} <= 2 t_k (Sterbenz), as on every ``_time_grid``.  Each
-    derivative order of u is evaluated once, on all sample times together.
-    Returns the times, the jet as rows (``rows[i][j]`` is the order-i
-    sample at time j) and the jet on the grid t.
+    and the input jets (``_PlantSolver.input_jet``) there, each order
+    evaluated once on all times.  Entry 2k of the times is t_k and entry 2k+1
+    the midpoint t_k + h/2 of step k, with the step's own arithmetic; the
+    last stage's time t_k + h is t_{k+1} exactly, as h = t_{k+1} - t_k is
+    exact when t_{k+1} <= 2 t_k (Sterbenz), as on every ``_time_grid``.
+    Returns the times, the jet as rows (``rows[i][j]`` is the order-i sample
+    at time j) and the jet on the grid t.
     """
     times = np.empty(2 * len(t) - 1)
     times[0::2] = t
     times[1::2] = t[:-1] + (t[1:] - t[:-1]) / 2
     jet = solver.input_jet(u, times)
-    rows = [np.ascontiguousarray(ui.T) for ui in jet]
-    return times, rows, [ui[:, 0::2] for ui in jet]
+    return times, [ui.T for ui in jet], [ui[:, 0::2] for ui in jet]
 
 
-def _rk4(rhs: Callable[[np.ndarray, int], np.ndarray],
-         v0: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Classical fixed-step RK4 on a uniform grid; returns (dim, len(t)).
+def _stacked(M: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """M @ r for every row r of ``rows``, each by its own matrix-vector
+    product, as one stage makes it; one matrix-matrix product ``M @ rows.T``
+    may associate its sums differently."""
+    return (M @ np.ascontiguousarray(rows)[:, :, None])[:, :, 0]
 
-    ``rhs(v, j)`` is the right-hand side at state v and at time j of
-    ``_rk4_inputs``: t_k for j = 2k, the midpoint of step k for j = 2k+1.
-    """
+
+def _slope(M: np.ndarray, v: np.ndarray, forcing: list, j: int) -> np.ndarray:
+    d = M @ v
+    for g in forcing:
+        d += g[j]
+    return d
+
+
+def _rk4(M: np.ndarray, forcing: list, v0: np.ndarray, t: np.ndarray,
+         per_stage: bool = False,
+         stages: Optional[np.ndarray] = None) -> np.ndarray:
+    """Classical fixed-step RK4 of v' = M v + sum_i g_i on a uniform grid;
+    returns (dim, len(t)).  The rows of each forcing g_i are added to M v one
+    at a time, in order.  Stages 1-4 of step k read rows 2k, 2k+1, 2k+1,
+    2k+2 (the times of ``_rk4_inputs``), or 4k to 4k+3 with ``per_stage``.
+    ``stages[k]``, when given, receives the arguments of stages 2-4 of step
+    k; stage 1's is v at t_k."""
+    (o1, o2, o3, o4), stride = ((0, 1, 2, 3), 4) if per_stage else ((0, 1, 1, 2), 2)
     out = np.empty((v0.size, len(t)))
-    out[:, 0] = v0
-    v = v0.astype(float).copy()
+    out[:, 0] = v = v0.astype(float)
     for k in range(len(t) - 1):
-        h = t[k + 1] - t[k]
-        k1 = rhs(v, 2 * k)
-        k2 = rhs(v + h / 2 * k1, 2 * k + 1)
-        k3 = rhs(v + h / 2 * k2, 2 * k + 1)
-        k4 = rhs(v + h * k3, 2 * k + 2)
+        h, j = t.item(k + 1) - t.item(k), stride * k
+        k1 = _slope(M, v, forcing, j + o1)
+        v2 = v + h / 2 * k1
+        k2 = _slope(M, v2, forcing, j + o2)
+        v3 = v + h / 2 * k2
+        k3 = _slope(M, v3, forcing, j + o3)
+        v4 = v + h * k3
+        k4 = _slope(M, v4, forcing, j + o4)
+        if stages is not None:
+            stages[k] = v2, v3, v4
         v = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         out[:, k + 1] = v
     return out
 
 
+def _stage_forcing(sys: DescriptorSystem, est: EstimatorRealization,
+                   solver: _PlantSolver, X: np.ndarray, stages: np.ndarray,
+                   rows: list, free_rows) -> np.ndarray:
+    """H (u; y) at every stage of the plant pass, row 4k+s for stage s of
+    step k.  x at a stage is its argument (X at t_k, then ``stages``) plus
+    the algebraic part, summed in ``algebraic_x``'s order; stages 2 and 3
+    share a time but not a state."""
+    n_steps, args = len(stages), (X.T[:-1], *stages.transpose(1, 0, 2))
+    g = np.empty((n_steps, 4, est.s))
+    for s, r in enumerate((0, 1, 1, 2)):    # stage s of step k is at time 2k + r
+        at = slice(r, r + 2 * n_steps, 2)
+        jet = [ui[at] for ui in rows]
+        alg = np.zeros((n_steps, sys.n))
+        for smap, ui in zip(solver.sigma_maps, jet):
+            if smap.size:
+                alg += _stacked(smap, ui)
+        if solver.n_free:
+            alg += _stacked(solver.free_map, free_rows[at])
+        alg += args[s]                      # x; the sum commutes exactly
+        y = _stacked(sys.C, alg) + _stacked(sys.D, jet[0])
+        g[:, s] = _stacked(est.H, np.hstack([jet[0], y]))
+    return g.reshape(4 * n_steps, est.s)
+
+
 def _run(sys: DescriptorSystem, x0, u: InputSignal, T: float, dt: float,
          tol: Tolerance, eps_signal, est: Optional[EstimatorRealization] = None,
          w0: Optional[np.ndarray] = None) -> SimulationTrace:
-    """One RK4 pass over the plant, joined by the estimator when ``est`` is
-    given.  RK4 acts elementwise on the state, so the plant part of a joint
-    run is bit-identical to the plant-only run."""
+    """The plant's RK4 pass, then, when ``est`` is given, the estimator's.
+    The plant does not read w and RK4 acts elementwise, so the two passes
+    repeat one RK4 run of the joint system operation for operation."""
     t = _time_grid(T, dt)
     solver = _PlantSolver(sys, tol)
     X0, free = solver.initial_dynamic_state(x0, u, eps_signal)
-    n = sys.n
     times, rows, u_jet = _rk4_inputs(solver, u, t)
-
-    if est is None:
-        v0 = X0
-
-        def rhs(Xk, j):
-            return solver.rhs(times[j], Xk, rows[0][j], free)
-    else:
-        v0 = np.concatenate([X0, w0])
-
-        def rhs(state, j):
-            tj, jet = times[j], [r[j] for r in rows]
-            Xk, wk = state[:n], state[n:]
-            ut = jet[0]
-            dX = solver.rhs(tj, Xk, ut, free)
-            xk = Xk + solver.algebraic_x(jet, free, tj)
-            yk = sys.C @ xk + sys.D @ ut
-            dw = est.N @ wk + est.H @ np.concatenate([ut, yk])
-            return np.concatenate([dX, dw])
-
-    traj = _rk4(rhs, v0, t)
-    X = traj[:n]
+    free_rows = np.asarray(free(times), dtype=float).T if solver.n_free else None
+    forcing = [_stacked(solver.Gu, rows[0])]
+    if solver.n_free:
+        forcing.append(_stacked(solver.Gfree, free_rows))
+    stages = None if est is None else np.empty((len(t) - 1, 3, sys.n))
+    X = _rk4(solver.F, forcing, X0, t, stages=stages)
+    del times, forcing                  # freed before the stage forcing is formed
+    if est is not None:
+        g = _stage_forcing(sys, est, solver, X, stages, rows, free_rows)
+        del stages
+        w = _rk4(est.N, [g], w0, t, per_stage=True)
     x = X + solver.algebraic_x(u_jet, free, t)
     u_samples = u_jet[0]
     y = sys.C @ x + sys.D @ u_samples
-    est_fields = {}
-    if est is not None:
-        w = traj[n:]
-        est_fields = dict(w=w, zhat=est.R @ w + est.M @ np.vstack([u_samples, y]),
-                          e=estimation_error(sys, est, x, u_samples, w))
+    est_fields = {} if est is None else dict(
+        w=w, zhat=est.R @ w + est.M @ np.vstack([u_samples, y]),
+        e=estimation_error(sys, est, x, u_samples, w))
     return SimulationTrace(
         t=t, x=x, y=y, z=sys.K @ x, **est_fields,
         meta={"dt": dt, "T": t[-1], "integrator_order": 4,
@@ -391,16 +401,15 @@ def run_estimator(est: EstimatorRealization, t: np.ndarray,
     stages = np.empty((2 * len(t) - 1, v.shape[0]))
     stages[0::2] = v.T
     stages[1::2] = ((v[:, :-1] + v[:, 1:]) / 2).T
-    w = _rk4(lambda wk, j: est.N @ wk + est.H @ stages[j], w0, t)
-    zhat = est.R @ w + est.M @ v
-    return w, zhat
+    w = _rk4(est.N, [_stacked(est.H, stages)], w0, t)
+    return w, est.R @ w + est.M @ v
 
 
 def simulate(sys: DescriptorSystem, est: EstimatorRealization, x0, w0,
              u: Optional[InputSignal] = None, T: float = DEFAULT_HORIZON,
              dt: float = DEFAULT_DT, tol: Tolerance = DEFAULT_TOL,
              eps_signal=None) -> SimulationTrace:
-    """Joint plant + estimator simulation with one RK4 pass.
+    """Joint plant + estimator simulation: RK4 of the joint system.
 
     The estimator sees exact plant outputs at every RK4 stage, so the
     combined scheme keeps full fourth-order accuracy.

@@ -373,6 +373,16 @@ class TestSimulateCommand:
         assert "error: T and dt must be finite and positive" in res.output
         assert not out.exists()
 
+    def test_step_count_that_does_not_fit_exit_one(self, runner, tmp_path):
+        out = tmp_path / "t.csv"
+        res = runner.invoke(main, [
+            "simulate", SYSTEM_JSON, ESTIMATOR_JSON, "--x0", "1,2,3,0",
+            "--w0", "4,5", "--tf", "1e300", "--out", str(out)])
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.exit_code == 1
+        assert "error: T/dt = 1e+303 steps do not fit in memory" in res.output
+        assert not out.exists()
+
     def test_inconsistent_x0_exit_one(self, runner, tmp_path):
         res = runner.invoke(main, [
             "simulate", SYSTEM_JSON, ESTIMATOR_JSON,

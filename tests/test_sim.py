@@ -12,7 +12,10 @@ from dsest import (
     simulate,
     solve_plant,
 )
+from dsest import wong_limits
 from dsest.sim import SimulationTrace, _PlantSolver, _time_grid
+
+from conftest import lifted_system
 
 
 def ramp():
@@ -116,6 +119,19 @@ class TestAlgebraicBlocks:
         # and the free state actually moved
         assert np.ptp(tr.x[1]) > 0.5
 
+    def test_overdetermined_block_without_columns(self):
+        # x' = -x and the row 0 = u: the overdetermined block has no columns.
+        sys = DescriptorSystem.from_matrices(
+            [[1.0], [0.0]], [[-1.0], [0.0]], [[0.0], [1.0]], np.zeros((0, 1)),
+            [[1.0]])
+        with pytest.raises(SimulationError, match="overdetermined-block"):
+            solve_plant(sys, [1.0], u=InputSignal.polynomial([[1.0]]), T=1.0)
+        tr = solve_plant(sys, [1.0], T=1.0)
+        assert tr.meta["eta_residual_max"] == 0.0
+        # u(0) = 0 passes the x0 check; the residual records u(t) = t.
+        tr = solve_plant(sys, [1.0], u=ramp(), T=1.0)
+        assert tr.meta["eta_residual_max"] == pytest.approx(1.0)
+
     def test_x0_length_checked(self, ex_system):
         with pytest.raises(SimulationError, match="x0"):
             solve_plant(ex_system, [1.0, 2.0], T=1.0)
@@ -135,6 +151,17 @@ class TestTimeGrid:
         with pytest.raises(SimulationError, match="T and dt must be finite and positive"):
             simulate(ex_system, ex_reference_estimator, [1.0, 2.0, 3.0, 0.0],
                      [4.0, 5.0], T=T, dt=dt)
+
+    # Steps beyond any array size, and a step count that overflows; neither
+    # case allocates anything.
+    HUGE = [(1e300, 1e-3), (1e300, 1e-300)]
+
+    @pytest.mark.parametrize("T, dt", HUGE)
+    def test_step_count_that_does_not_fit(self, ex_system, T, dt):
+        with pytest.raises(SimulationError, match="do not fit in memory"):
+            _time_grid(T, dt)
+        with pytest.raises(SimulationError, match="do not fit in memory"):
+            solve_plant(ex_system, [1.0, 2.0, 3.0, 0.0], T=T, dt=dt)
 
     def test_valid_grids(self):
         assert np.array_equal(_time_grid(1.0, 0.25), [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -254,18 +281,20 @@ class TestOnePass:
                                eps_signal=InputSignal.sinusoid([1.0], 2.0))
 
 
-def _per_stage_run(sys, est, x0, w0, u, T, dt):
-    """The joint RK4 run evaluating u and its derivatives at each stage time
-    as it comes; returns (x, w)."""
+def _per_stage_run(sys, est, x0, w0, u, T, dt, eps_signal=None):
+    """The joint RK4 run evaluating u, its derivatives and the free signal at
+    each stage time as it comes; returns (x, w)."""
     solver = _PlantSolver(sys)
-    X0, free = solver.initial_dynamic_state(x0, u, None)
+    X0, free = solver.initial_dynamic_state(x0, u, eps_signal)
     t = _time_grid(T, dt)
     n = sys.n
 
     def rhs(tk, state):
         jet = solver.input_jet(u, tk)
         Xk, wk = state[:n], state[n:]
-        dX = solver.rhs(tk, Xk, jet[0], free)
+        dX = solver.F @ Xk + solver.Gu @ jet[0]
+        if solver.n_free:
+            dX = dX + solver.Gfree @ np.asarray(free(tk), dtype=float)
         xk = Xk + solver.algebraic_x(jet, free, tk)
         yk = sys.C @ xk + sys.D @ jet[0]
         return np.concatenate([dX, est.N @ wk + est.H @ np.concatenate([jet[0], yk])])
@@ -283,6 +312,22 @@ def _per_stage_run(sys, est, x0, w0, u, T, dt):
     traj = np.array(traj).T
     x = traj[:n] + solver.algebraic_x(solver.input_jet(u, t), free, t)
     return x, traj[n:]
+
+
+def _dense_case():
+    """A 6-state plant with two inputs, two outputs and feedthrough, and an
+    order-3 estimator reading all four channels: sums of up to six products,
+    whose association shows in the last bits.  Returns (sys, est, x0, w0)
+    with x0 in V*."""
+    plant = lifted_system(6, 3)
+    rng = np.random.default_rng(3)
+    sys = DescriptorSystem.from_matrices(plant.E, plant.A, plant.B, plant.C,
+                                         plant.K, D=rng.standard_normal((2, 2)))
+    est = EstimatorRealization(N=rng.standard_normal((3, 3)) - 3 * np.eye(3),
+                               H=rng.standard_normal((3, 4)),
+                               R=np.ones((2, 3)), M=np.zeros((2, 4)))
+    x0 = wong_limits(sys.E, sys.A).V_star.basis @ rng.standard_normal(4)
+    return sys, est, x0, rng.standard_normal(3)
 
 
 def _per_step_estimator_run(est, t, v, w0):
@@ -325,6 +370,54 @@ class TestInputSampling:
         assert np.array_equal(tr.x, x)
         assert np.array_equal(tr.w, w)
 
+    # In the cases below the estimator reads y, so H (u; y) at every stage
+    # enters the comparison.  Long steps keep a last-bit difference of a
+    # slope from vanishing in v + h/2 k.
+    def test_free_signal_matches_per_stage_evaluation(self, eps_plant):
+        # x1' = -0.5 x1 + x2 + 0.8 u with x2 free, measured with feedthrough.
+        sys = DescriptorSystem.from_matrices(eps_plant.E, [[-0.5, 1.0]], [[0.8]],
+                                             [[1.0, -0.5]], eps_plant.K, D=[[0.3]])
+        est = EstimatorRealization(N=-np.eye(1), H=np.array([[0.7, -0.4]]),
+                                   R=np.ones((1, 1)), M=np.zeros((1, 2)))
+        u, free = ramp(), InputSignal.sinusoid([1.5], 2.0, 0.3)
+        tr = simulate(sys, est, [1.0, 2.0], [0.5], u=u, T=4.0, dt=0.1,
+                      eps_signal=free)
+        x, w = _per_stage_run(sys, est, [1.0, 2.0], [0.5], u, 4.0, 0.1,
+                              eps_signal=free)
+        assert np.array_equal(tr.x, x)
+        assert np.array_equal(tr.w, w)
+
+    def test_overdetermined_input_matches_per_stage_evaluation(self, eta_plant):
+        # The ramp leaves the consistency row 0 = x - u after t = 0; the
+        # comparison is of the arithmetic, which reports that residual.
+        sys = DescriptorSystem.from_matrices(eta_plant.E, eta_plant.A, eta_plant.B,
+                                             [[2.0]], eta_plant.K)
+        est = EstimatorRealization(N=np.array([[-2.0]]), H=np.array([[0.7, -0.4]]),
+                                   R=np.ones((1, 1)), M=np.zeros((1, 2)))
+        u = InputSignal.polynomial([[1.0, 0.5, -0.25]])
+        tr = simulate(sys, est, [1.0], [0.3], u=u, T=4.0, dt=0.1)
+        x, w = _per_stage_run(sys, est, [1.0], [0.3], u, 4.0, 0.1)
+        assert np.array_equal(tr.x, x)
+        assert np.array_equal(tr.w, w)
+
+    def test_dense_system_matches_per_stage_evaluation(self):
+        sys, est, x0, w0 = _dense_case()
+        # Flat to third order at t = 0, so x0 in V* is consistent.
+        u = InputSignal.polynomial([[0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, -1.0]])
+        tr = simulate(sys, est, x0, w0, u=u, T=1.0, dt=0.01)
+        x, w = _per_stage_run(sys, est, x0, w0, u, 1.0, 0.01)
+        assert np.array_equal(tr.x, x)
+        assert np.array_equal(tr.w, w)
+
+    def test_sinusoid_estimator_run_matches_per_step_loop(self):
+        sys, est, x0, w0 = _dense_case()
+        u = InputSignal.sinusoid([1.0, -0.5], 1.3)     # u(0) = 0
+        plant = solve_plant(sys, x0, u=u, T=4.0, dt=0.1)
+        u_samples = u.eval(plant.t)
+        w, _ = run_estimator(est, plant.t, u_samples, plant.y, w0)
+        v = np.vstack([u_samples, plant.y])
+        assert np.array_equal(w, _per_step_estimator_run(est, plant.t, v, w0))
+
     def test_eval_calls_bounded_by_stages(self, monkeypatch, ex_system,
                                           ex_reference_estimator):
         calls = []
@@ -340,6 +433,27 @@ class TestInputSampling:
                       [4.0, 5.0], u=ramp(), T=4.0, dt=4.0 / steps)
         assert len(tr.t) == steps + 1
         assert 0 < len(calls) <= 4 * steps + 8
+
+
+class TestFormedOnce:
+    def test_algebraic_x_calls_do_not_grow_with_steps(
+            self, monkeypatch, ex_system, ex_reference_estimator):
+        calls = []
+        original = _PlantSolver.algebraic_x
+
+        def counted(self, u_jet, free, t):
+            calls.append(np.shape(t))
+            return original(self, u_jet, free, t)
+
+        monkeypatch.setattr(_PlantSolver, "algebraic_x", counted)
+        counts = []
+        for steps in (100, 400):
+            calls.clear()
+            simulate(ex_system, ex_reference_estimator, [1.0, 2.0, 3.0, 0.0],
+                     [4.0, 5.0], u=ramp(), T=1.0, dt=1.0 / steps)
+            counts.append(len(calls))
+        # One call, on the output grid; never one per stage.
+        assert counts == [1, 1]
 
 
 class TestDecayMetrics:
