@@ -67,13 +67,13 @@ class DescriptorSystem:
                               compare=False)
 
     def __post_init__(self):
-        E = as_matrix(self.E)
+        E = as_matrix(self.E, name="E")
         m, n = E.shape
-        A = as_matrix(self.A, rows=m, cols=n)
-        B = as_matrix(self.B, rows=m)
-        C = as_matrix(self.C, cols=n)
-        D = as_matrix(self.D, rows=C.shape[0], cols=B.shape[1])
-        K = as_matrix(self.K, cols=n)
+        A = as_matrix(self.A, m, n, name="A")
+        B = as_matrix(self.B, rows=m, name="B")
+        C = as_matrix(self.C, cols=n, name="C")
+        D = as_matrix(self.D, C.shape[0], B.shape[1], name="D")
+        K = as_matrix(self.K, cols=n, name="K")
         if K.shape[0] > n:
             raise DimensionMismatchError(
                 f"functional dimension r={K.shape[0]} exceeds state dimension n={n}")
@@ -104,11 +104,8 @@ class DescriptorSystem:
 
     @classmethod
     def from_matrices(cls, E, A, B, C, K, D=None) -> "DescriptorSystem":
-        E = as_matrix(E)
-        B = as_matrix(B, rows=E.shape[0])
-        C = as_matrix(C, cols=E.shape[1])
         if D is None:
-            D = np.zeros((C.shape[0], B.shape[1]))
+            D = np.zeros((as_matrix(C, name="C").shape[0], as_matrix(B, name="B").shape[1]))
         return cls(E=E, A=A, B=B, C=C, D=D, K=K)
 
 
@@ -242,14 +239,13 @@ def _inclusion_in_kernel(space: Subspace, K: np.ndarray) -> bool:
 
 
 def _impulse_observable_triple(E, A, C, K, tol: Tolerance) -> bool:
-    """W intersect A^{-1}(im E) subseteq ker K, where W = W*_{E,A,0,C}."""
-    E = as_matrix(E)
-    A = as_matrix(A, rows=E.shape[0], cols=E.shape[1])
+    """W intersect A^{-1}(im E) subseteq ker K, where W = W*_{E,A,0,C}; the
+    matrices are a system's, or blocks of its Kalman decomposition."""
     if E.shape[1] == 0:
         return True
     W = _W_star(E, A, C, tol)
     pre = preimage(A, image(E, tol), tol)
-    return _inclusion_in_kernel(intersect(W, pre, tol), as_matrix(K, cols=E.shape[1]))
+    return _inclusion_in_kernel(intersect(W, pre, tol), K)
 
 
 def is_partially_impulse_observable(sys: DescriptorSystem,

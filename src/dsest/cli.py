@@ -98,11 +98,22 @@ def parse_input_spec(spec: str, dim: int) -> InputSignal:
 
 
 class _Main(click.Group):
-    """Every DsestError ends a command with "error: ..." and exit code 1."""
+    """Every DsestError ends a command with "error: ..." and exit code 1; a
+    usage error keeps click's message and exits 1 too, not click's 2."""
+
+    def parse_args(self, ctx, args):
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:     # no command, or a bad main option
+            exc.exit_code = EXIT_INPUT
+            raise
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_INPUT
+            raise
         except DsestError as exc:
             click.echo(f"error: {exc}", err=True)
             _sys.exit(EXIT_INPUT)

@@ -409,7 +409,6 @@ class StaircaseDecomposition:
     E_O: np.ndarray
     A_O: np.ndarray
     B_O: np.ndarray
-    stage_blocks: tuple[np.ndarray, ...] = field(repr=False)  # (A_1, ..., A_{k-1})
 
     def split_columns(self, M) -> list[np.ndarray]:
         """Conformal column partition of M @ V_O, e.g. C -> [C_O, C_{k-1}, ..., C_1]."""
@@ -435,7 +434,7 @@ def observability_staircase(E, A, B, tol: Tolerance = DEFAULT_TOL) -> StaircaseD
     V = np.eye(n)
     TE, TA, TB = E.astype(float).copy(), A.astype(float).copy(), B.astype(float).copy()
     mr, nc = m, n
-    stages: list[tuple[int, int, np.ndarray]] = []
+    stages: list[tuple[int, int]] = []
     # Sub-blocks of the transformed system may be pure roundoff; rank
     # decisions must be relative to the size of the original data.
     scale = _residual_scale(E, A, B)
@@ -463,18 +462,17 @@ def observability_staircase(E, A, B, tol: Tolerance = DEFAULT_TOL) -> StaircaseD
         TE[:, :nc] = TE[:, :nc] @ Vi
         TA[:, :nc] = TA[:, :nc] @ Vi
         V[:, :nc] = V[:, :nc] @ Vi
-        stages.append((d, c, TA[q:mr, nc - c:nc].copy()))
+        stages.append((d, c))
         mr, nc = q, nc - c
     else:
         raise DecompositionError("staircase: did not terminate")
 
-    row_partition = (mr,) + tuple(d for d, _, _ in reversed(stages))
-    col_partition = (nc,) + tuple(c for _, c, _ in reversed(stages))
+    row_partition = (mr,) + tuple(d for d, _ in reversed(stages))
+    col_partition = (nc,) + tuple(c for _, c in reversed(stages))
     return StaircaseDecomposition(
         U_O=U, V_O=V, k=len(stages) + 1,
         row_partition=row_partition, col_partition=col_partition,
-        E_O=TE[:mr, :nc].copy(), A_O=TA[:mr, :nc].copy(), B_O=TB[:mr, :].copy(),
-        stage_blocks=tuple(blk for _, _, blk in stages))
+        E_O=TE[:mr, :nc].copy(), A_O=TA[:mr, :nc].copy(), B_O=TB[:mr, :].copy())
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,12 @@ class InputFormatError(DsestError):
 _MATRIX_KEYS = ("E", "A", "B", "C", "D", "K")
 
 
+def _shown(v) -> str:
+    """A JSON value as written, cut to 24 characters."""
+    shown = json.dumps(v)
+    return shown if len(shown) <= 24 else shown[:20] + "..."
+
+
 def _as_matrix_field(doc: dict, key: str, path: str) -> np.ndarray:
     if key not in doc:
         raise InputFormatError(f"{path}: missing matrix '{key}'")
@@ -38,10 +44,9 @@ def _as_matrix_field(doc: dict, key: str, path: str) -> np.ndarray:
         for j, v in enumerate(row):
             # Not a bool or string; NaN, infinity and huge integers fail the bound.
             if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
-                shown = json.dumps(v)
                 raise InputFormatError(
                     f"{path}: matrix '{key}' entry ({i}, {j}) must be a finite "
-                    f"number, got {shown if len(shown) <= 24 else shown[:20] + '...'}")
+                    f"number, got {_shown(v)}")
     M = np.array(raw, dtype=float)
     if M.ndim == 1:  # zero rows
         M = M.reshape(0, 0)
@@ -88,32 +93,16 @@ def tolerance_from_dict(doc: Optional[dict],
 def load_system(path: str) -> tuple[DescriptorSystem, str, Optional[dict]]:
     """Load a SystemFile; returns (system, name, tolerance-override dict)."""
     doc = _read_json_object(path)
-    mats = {k: _as_matrix_field(doc, k, path) for k in _MATRIX_KEYS}
-    E, A, B, C, D, K = (mats[k] for k in _MATRIX_KEYS)
-    m, n = E.shape
-    if A.shape != (m, n):
-        raise InputFormatError(
-            f"{path}: shape mismatch E vs A ({m}x{n} vs "
-            f"{A.shape[0]}x{A.shape[1]})")
-    if B.shape[0] != m:
-        raise InputFormatError(
-            f"{path}: shape mismatch E vs B ({m} vs {B.shape[0]} rows)")
-    if C.shape[1] != n and C.size:
-        raise InputFormatError(
-            f"{path}: shape mismatch E vs C ({n} vs {C.shape[1]} columns)")
-    if C.shape[1] != n:
+    E, A, B, C, D, K = (_as_matrix_field(doc, k, path) for k in _MATRIX_KEYS)
+    # JSON [] carries no width: C or K without rows reads n columns, and an
+    # empty D is zero.  DescriptorSystem checks every shape.
+    n = E.shape[1]
+    if C.shape[0] == 0:
         C = C.reshape(0, n)
+    if K.shape[0] == 0:
+        K = K.reshape(0, n)
     if D.size == 0:
         D = np.zeros((C.shape[0], B.shape[1]))
-    if D.shape != (C.shape[0], B.shape[1]):
-        raise InputFormatError(
-            f"{path}: shape mismatch D ({D.shape[0]}x{D.shape[1]}, expected "
-            f"{C.shape[0]}x{B.shape[1]})")
-    if K.shape[1] != n and K.size:
-        raise InputFormatError(
-            f"{path}: shape mismatch E vs K ({n} vs {K.shape[1]} columns)")
-    if K.shape[1] != n:
-        K = K.reshape(0, n)
     try:
         sys_ = DescriptorSystem(E=E, A=A, B=B, C=C, D=D, K=K)
     except DsestError as exc:
@@ -160,28 +149,22 @@ def save_estimator(path: str, est: EstimatorRealization,
 
 def load_estimator(path: str) -> tuple[EstimatorRealization, str]:
     doc = _read_json_object(path)
-    mats = {key: _as_matrix_field(doc, key, path) for key in ("N", "H", "R", "M")}
-    s = int(doc.get("s", mats["N"].shape[0]))
-    if mats["N"].shape != (s, s):
-        raise InputFormatError(f"{path}: N must be {s}x{s}")
+    N, H, R, M = (_as_matrix_field(doc, key, path) for key in "NHRM")
+    s = N.shape[0]
+    if "s" in doc and (type(doc["s"]) not in (int, float) or doc["s"] != s):
+        raise InputFormatError(f"{path}: 's' must equal the {s} rows of N, "
+                               f"got {_shown(doc['s'])}")
     # A matrix with no rows is saved as [], which carries no width: R (empty
     # functional) has s columns, H (order 0) the columns of M, and M (empty
-    # functional) the columns of H.
-    if mats["R"].shape[0] == 0:
-        mats["R"] = mats["R"].reshape(0, s)
-    if mats["H"].shape[0] != s or mats["R"].shape[1] != s:
-        raise InputFormatError(f"{path}: H/R shapes inconsistent with s={s}")
-    if s == 0:
-        mats["H"] = mats["H"].reshape(0, mats["M"].shape[1])
-    if mats["M"].shape[0] == 0:
-        mats["M"] = mats["M"].reshape(0, mats["H"].shape[1])
-    if mats["M"].shape != (mats["R"].shape[0], mats["H"].shape[1]):
-        raise InputFormatError(
-            f"{path}: M is {mats['M'].shape[0]}x{mats['M'].shape[1]}, expected "
-            f"{mats['R'].shape[0]}x{mats['H'].shape[1]} (rows of R x columns of H)")
+    # functional) the columns of H.  EstimatorRealization checks every shape.
+    if R.shape[0] == 0:
+        R = R.reshape(0, s)
+    if H.shape[0] == 0:
+        H = H.reshape(0, M.shape[1])
+    if M.shape[0] == 0:
+        M = M.reshape(0, H.shape[1])
     try:
-        est = EstimatorRealization(N=mats["N"], H=mats["H"],
-                                   R=mats["R"], M=mats["M"])
+        est = EstimatorRealization(N=N, H=H, R=R, M=M)
     except DsestError as exc:
         raise InputFormatError(f"{path}: {exc}") from None
     return est, str(doc.get("name", "estimator"))

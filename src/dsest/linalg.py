@@ -62,22 +62,25 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def as_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Validate and coerce ``a`` to a float (or complex) 2-D array.
+def as_matrix(a, rows: int | None = None, cols: int | None = None,
+              name: str = "matrix") -> np.ndarray:
+    """Validate and coerce ``a`` to a float (or complex) 2-D array; a float
+    array comes back unchanged.
 
-    Rejects NaN/Inf entries and, when given, enforces the expected shape.
+    Rejects NaN/Inf entries and, when given, enforces the expected shape;
+    each message names the matrix.
     """
     m = np.asarray(a)
     if m.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={m.ndim}")
+        raise DimensionMismatchError(f"expected a 2-D {name}, got ndim={m.ndim}")
     if m.dtype.kind not in "fc":    # not inexact: coerce to float
         m = m.astype(float)
     if m.size and not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    if rows is not None and m.shape[0] != rows:
-        raise DimensionMismatchError(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise DimensionMismatchError(f"expected {cols} cols, got {m.shape[1]}")
+        raise ValueError(f"{name} entries must be finite (no NaN/Inf)")
+    want = (m.shape[0] if rows is None else rows, m.shape[1] if cols is None else cols)
+    if m.shape != want:
+        raise DimensionMismatchError(f"shape mismatch: {name} is {m.shape[0]}x"
+                                     f"{m.shape[1]}, expected {want[0]}x{want[1]}")
     return m
 
 

@@ -216,9 +216,6 @@ class _PlantSolver:
                 return np.multiply.outer(zeta2_0, np.ones_like(t))
         elif not callable(eps_signal):
             raise SimulationError("eps_signal must be callable")
-        elif isinstance(eps_signal, InputSignal) and eps_signal.dim != self.n_free:
-            raise SimulationError(f"free-part signal has {eps_signal.dim} "
-                                  f"components, expected {self.n_free}")
 
         return self.Q_v @ np.concatenate([zeta1_0, xi_f, xi_eta]), free
 
@@ -321,6 +318,10 @@ def _run(sys: DescriptorSystem, x0, u: InputSignal, T: float, dt: float,
     X0, free = solver.initial_dynamic_state(x0, u, eps_signal)
     times, rows, u_jet = _rk4_inputs(solver, u, t)
     free_rows = np.asarray(free(times), dtype=float).T if solver.n_free else None
+    if solver.n_free and free_rows.shape != (len(times), solver.n_free):
+        raise SimulationError(f"free-part signal has shape {free_rows.T.shape} on "
+                              f"{len(times)} stage times, expected "
+                              f"({solver.n_free}, {len(times)})")
     forcing = [_stacked(solver.Gu, rows[0])]
     if solver.n_free:
         forcing.append(_stacked(solver.Gfree, free_rows))
@@ -418,15 +419,11 @@ def simulate(sys: DescriptorSystem, est: EstimatorRealization, x0, w0,
     w0 = np.asarray(w0, dtype=float).reshape(-1)
     if w0.shape != (est.s,):
         raise SimulationError(f"w0 has length {w0.size}, estimator order is {est.s}")
-    io_dim = sys.l + sys.p
-    for name, shape in (("N", (est.s, est.s)), ("H", (est.s, io_dim)),
-                        ("R", (sys.r, est.s)), ("M", (sys.r, io_dim))):
-        got = np.shape(getattr(est, name))
-        if got != shape:
-            raise SimulationError(
-                f"estimator {name} is {'x'.join(map(str, got))}, expected "
-                f"{shape[0]}x{shape[1]} for order s={est.s} and the plant's "
-                f"l={sys.l}, p={sys.p}, r={sys.r}")
+    if est.H.shape[1] != sys.l + sys.p or est.R.shape[0] != sys.r:
+        raise SimulationError(
+            f"estimator H is {est.H.shape[0]}x{est.H.shape[1]} and R is "
+            f"{est.R.shape[0]}x{est.R.shape[1]}; the plant needs H with l + p = "
+            f"{sys.l + sys.p} columns and R with r = {sys.r} rows")
     return _run(sys, x0, u, T, dt, tol, eps_signal, est, w0)
 
 

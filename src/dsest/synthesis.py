@@ -38,6 +38,7 @@ from .decomp import PencilQKF, StaircaseDecomposition, _blkdiag, _split
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    as_matrix,
     numeric_rank,
     place_poles,
     pseudo_inverse,
@@ -53,6 +54,15 @@ class EstimatorRealization:
     H: np.ndarray
     R: np.ndarray
     M: np.ndarray
+
+    def __post_init__(self):
+        s = as_matrix(self.N, name="estimator N").shape[0]
+        N = as_matrix(self.N, s, s, name="estimator N")
+        H = as_matrix(self.H, rows=s, name="estimator H")
+        R = as_matrix(self.R, cols=s, name="estimator R")
+        M = as_matrix(self.M, R.shape[0], H.shape[1], name="estimator M")
+        for name, X in zip("NHRM", (N, H, R, M)):
+            object.__setattr__(self, name, X)
 
     @property
     def s(self) -> int:

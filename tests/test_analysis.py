@@ -7,6 +7,7 @@ import sympy
 from dsest import (
     AnalysisReport,
     DescriptorSystem,
+    DimensionMismatchError,
     Tolerance,
     build_F,
     build_F_K,
@@ -22,6 +23,31 @@ from dsest import (
 
 from conftest import (detect_candidate_lambdas, detectability_matrices,
                       lifted_system, random_pencil, random_system, stiff_system)
+
+
+class TestShapeContract:
+    # E is 2x3: A must be 2x3, B have 2 rows, C and K 3 columns, D be p x l.
+    GOOD = dict(E=np.ones((2, 3)), A=np.ones((2, 3)), B=np.ones((2, 1)),
+                C=np.ones((1, 3)), D=np.zeros((1, 1)), K=np.ones((1, 3)))
+
+    @pytest.mark.parametrize("name, bad, message", [
+        ("A", np.ones((3, 3)), "A is 3x3, expected 2x3"),
+        ("B", np.ones((3, 1)), "B is 3x1, expected 2x1"),
+        ("C", np.ones((1, 2)), "C is 1x2, expected 1x3"),
+        ("D", np.zeros((1, 2)), "D is 1x2, expected 1x1"),
+        ("K", np.ones((1, 4)), "K is 1x4, expected 1x3"),
+    ], ids="ABCDK")
+    def test_mismatch_names_the_matrix(self, name, bad, message):
+        with pytest.raises(DimensionMismatchError) as info:
+            DescriptorSystem(**{**self.GOOD, name: bad})
+        assert str(info.value) == "shape mismatch: " + message
+
+    def test_from_matrices_fills_in_D(self):
+        args = {k: v for k, v in self.GOOD.items() if k != "D"}
+        assert np.array_equal(DescriptorSystem.from_matrices(**args).D,
+                              np.zeros((1, 1)))
+        with pytest.raises(DimensionMismatchError, match="shape mismatch: C is"):
+            DescriptorSystem.from_matrices(**{**args, "C": np.ones((1, 2))})
 
 
 class TestBlockToeplitz:

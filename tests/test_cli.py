@@ -60,6 +60,33 @@ class TestSystemFileRoundTrip:
         with pytest.raises(dsio.InputFormatError, match="shape mismatch"):
             dsio.load_system(str(path))
 
+    def test_shape_message_names_the_matrix_under_the_path(self, tmp_path):
+        doc = {"E": [[1.0, 0.0]], "A": [[1.0, 0.0]], "B": [[1.0]],
+               "C": [], "D": [], "K": [[1.0, 0.0, 0.0]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(dsio.InputFormatError) as info:
+            dsio.load_system(str(path))
+        assert str(info.value) == f"{path}: shape mismatch: K is 1x3, expected 1x2"
+
+
+class TestUsageErrors:
+    # Exit code 2 means "no estimator exists"; a usage error must not read so.
+    @pytest.mark.parametrize("args, message", [
+        ([], "Usage:"),
+        (["--nope"], "No such option '--nope'"),
+        (["bogus"], "No such command 'bogus'"),
+        (["analyze"], "Missing argument 'SYSTEM'"),
+        (["analyze", "--nope", SYSTEM_JSON], "No such option '--nope'"),
+        (["simulate", SYSTEM_JSON, ESTIMATOR_JSON, "--tf", "abc"],
+         "Invalid value for '--tf'"),
+    ], ids=["no-arguments", "main-option", "command", "argument", "option",
+            "value"])
+    def test_usage_error_exit_one(self, runner, args, message):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert message in res.output
+
 
 class TestInputSpecs:
     def test_poly_sin_probe_zero(self):
@@ -412,6 +439,24 @@ class TestSimulateCommand:
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert res.exit_code == 1
         assert "error:" in res.output and message in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("order", ["x", None, [1], 1.5, True],
+                             ids=["string", "null", "list", "fraction", "boolean"])
+    def test_malformed_order_exit_one(self, runner, tmp_path, order):
+        with open(ESTIMATOR_JSON) as fh:
+            doc = json.load(fh)
+        doc["s"] = order
+        bad = tmp_path / "est.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "t.csv"
+        res = runner.invoke(main, [
+            "simulate", SYSTEM_JSON, str(bad), "--x0", "1,2,3,0", "--w0", "4,5",
+            "--tf", "1", "--dt", "0.1", "--out", str(out)])
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.exit_code == 1
+        assert (f"error: {bad}: 's' must equal the 2 rows of N, got "
+                f"{json.dumps(order)}") in res.output
         assert not out.exists()
 
     def test_order_zero_estimator_file_round_trip(self, runner, tmp_path,

@@ -119,6 +119,23 @@ class TestAlgebraicBlocks:
         # and the free state actually moved
         assert np.ptp(tr.x[1]) > 0.5
 
+    @pytest.mark.parametrize("free", [
+        lambda t: np.zeros((3,) + np.shape(t)),     # three rows, one direction
+        lambda t: np.sin(t),                        # a 1-D result
+        InputSignal.sinusoid([1.0, 2.0], 1.0),      # two channels
+    ], ids=["three-rows", "one-dimensional", "two-channel-signal"])
+    @pytest.mark.parametrize("with_estimator", [False, True])
+    def test_free_signal_of_wrong_size(self, eps_plant, free, with_estimator):
+        # x1' = x2 has one free direction: free(t) must be 1 x len(t).
+        est = EstimatorRealization(N=-np.eye(1), H=np.zeros((1, 0)),
+                                   R=np.ones((1, 1)), M=np.zeros((1, 0)))
+        with pytest.raises(SimulationError, match="free-part signal has shape"):
+            if with_estimator:
+                simulate(eps_plant, est, [1.0, 0.0], [0.0], T=1.0, dt=0.1,
+                         eps_signal=free)
+            else:
+                solve_plant(eps_plant, [1.0, 0.0], T=1.0, dt=0.1, eps_signal=free)
+
     def test_overdetermined_block_without_columns(self):
         # x' = -x and the row 0 = u: the overdetermined block has no columns.
         sys = DescriptorSystem.from_matrices(

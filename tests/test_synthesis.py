@@ -4,6 +4,8 @@ from scipy.linalg import expm
 
 from dsest import (
     DescriptorSystem,
+    DimensionMismatchError,
+    EstimatorRealization,
     InputSignal,
     SynthesisError,
     is_partially_causal_detectable,
@@ -15,6 +17,31 @@ from conftest import random_system, stiff_system
 
 def ramp():
     return InputSignal.polynomial([[0.0, 1.0]])
+
+
+class TestEstimatorShapeContract:
+    # Order 2 reading three channels, one functional.
+    GOOD = dict(N=-np.eye(2), H=np.ones((2, 3)), R=np.ones((1, 2)),
+                M=np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("name, bad, message", [
+        ("N", -np.ones((2, 3)), "N is 2x3, expected 2x2"),
+        ("H", np.ones((3, 3)), "H is 3x3, expected 2x3"),
+        ("R", np.ones((1, 3)), "R is 1x3, expected 1x2"),
+        ("M", np.zeros((2, 3)), "M is 2x3, expected 1x3"),
+        ("M", np.zeros((1, 2)), "M is 1x2, expected 1x3"),
+    ], ids=["N", "H", "R", "M-rows", "M-columns"])
+    def test_inconsistent_block_is_rejected(self, name, bad, message):
+        with pytest.raises(DimensionMismatchError) as info:
+            EstimatorRealization(**{**self.GOOD, name: bad})
+        assert str(info.value) == "shape mismatch: estimator " + message
+
+    def test_float_arrays_are_kept_and_entries_checked(self):
+        est = EstimatorRealization(**self.GOOD)
+        assert all(getattr(est, k) is v for k, v in self.GOOD.items())
+        assert EstimatorRealization(N=[[-1]], H=[[1]], R=[[1]], M=[[0]]).N.dtype == float
+        with pytest.raises(ValueError, match="finite"):
+            EstimatorRealization(**{**self.GOOD, "R": np.array([[1.0, np.nan]])})
 
 
 class TestWorkedExample:
