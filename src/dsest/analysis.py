@@ -163,23 +163,20 @@ class _Structure:
     """The n-dimensional data that decides the existence criterion.
 
     Synthesis steps 1-3: the staircase of (E, A, B), the QKF of the stacked
-    pencil ([E_O; 0], [A_O; C_O]) with K_O split conformally, and the
-    similarity U1 splitting J_f into its non-decaying part J_f1 and its
-    decaying part J_f2.  ``checks`` holds the three block conditions as
-    (condition, residual, threshold) rows; a row holds when its residual is
-    within its threshold.
+    pencil ([E_O; 0], [A_O; C_O]), and the similarity U1 splitting J_f into
+    its non-decaying part J_f1 and its decaying part J_f2, with the blocks
+    of K_O that synthesis reads.  ``checks`` holds the three block
+    conditions as (condition, residual, threshold) rows; a row holds when
+    its residual is within its threshold.
     """
 
     staircase: StaircaseDecomposition
     form: PencilQKF
-    K_eps: np.ndarray
-    K_f: np.ndarray
     K_sigma: np.ndarray
     K_eta: np.ndarray
     U1: np.ndarray
     J_f1: np.ndarray
     J_f2: np.ndarray
-    K_f1: np.ndarray
     K_f2: np.ndarray
     checks: tuple
 
@@ -204,7 +201,7 @@ def _build_structure(sys: DescriptorSystem, tol: Tolerance) -> _Structure:
     K_eps, K_f, K_sigma, K_eta = form.split_right(K_O)
 
     # Step 3: split the finite block into non-decaying / decaying parts.
-    U1, J_f1, J_f2 = spectral_split(form.J_f, tol)
+    U1, J_f1, J_f2 = spectral_split(form.J_f)
     K_f_split = K_f @ U1
     n_f1 = J_f1.shape[0]
     K_f1, K_f2 = K_f_split[:, :n_f1], K_f_split[:, n_f1:]
@@ -216,9 +213,8 @@ def _build_structure(sys: DescriptorSystem, tol: Tolerance) -> _Structure:
             ("the functional depends on the free block", K_eps),
             ("the functional depends on input derivatives", K_sigma @ form.J_sigma),
             ("the functional depends on a non-decaying undetected mode", K_f1)))
-    return _Structure(staircase=st, form=form, K_eps=K_eps, K_f=K_f,
-                      K_sigma=K_sigma, K_eta=K_eta, U1=U1, J_f1=J_f1, J_f2=J_f2,
-                      K_f1=K_f1, K_f2=K_f2, checks=checks)
+    return _Structure(staircase=st, form=form, K_sigma=K_sigma, K_eta=K_eta,
+                      U1=U1, J_f1=J_f1, J_f2=J_f2, K_f2=K_f2, checks=checks)
 
 
 def _holds(row) -> bool:
@@ -355,7 +351,6 @@ def is_partially_causal_detectable(sys: DescriptorSystem,
         partially_causal_detectable=all(map(_holds, structure.checks)),
         diagnostics={
             "rank_rtol": tol.rank_rtol,
-            "eig_stability_margin": tol.eig_stability_margin,
             "non_decaying_modes": [[float(v.real), float(v.imag)] for v in modes],
         },
     )

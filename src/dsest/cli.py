@@ -7,7 +7,6 @@ could not be certified (printed as "error: ...", never as a traceback).
 
 from __future__ import annotations
 
-import json
 import os
 import sys as _sys
 from dataclasses import replace
@@ -143,11 +142,8 @@ def analyze(system, rank_rtol, margin, json_out, md_out):
     """Decide partial causal detectability of the functional z = K x."""
     sys_, name, tol = _load_system(system, rank_rtol, margin)
     report = is_partially_causal_detectable(sys_, tol)
-    doc = dsio.report_to_dict(report)
     if json_out:
-        with open(json_out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        dsio.write_json(json_out, dsio.report_to_dict(report))
     md = dsio.render_report_markdown(name, report)
     if md_out:
         with open(md_out, "w") as fh:

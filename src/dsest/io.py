@@ -13,7 +13,7 @@ import numpy as np
 from .analysis import AnalysisReport, DescriptorSystem
 from .exceptions import DsestError
 from .linalg import DEFAULT_TOL, Tolerance
-from .sim import DecayMetrics, SimulationTrace
+from .sim import SimulationTrace
 from .synthesis import EstimatorRealization
 
 
@@ -70,11 +70,25 @@ def _read_json_object(path: str) -> dict:
     return doc
 
 
+def _name_field(doc: dict, path: str, default: str) -> str:
+    name = doc.get("name", default)
+    if not isinstance(name, str):
+        raise InputFormatError(f"{path}: 'name' must be a string, got {_shown(name)}")
+    return name
+
+
+def write_json(path: str, doc: dict) -> None:
+    """``doc`` as indented JSON with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def tolerance_from_dict(doc: Optional[dict],
                         base: Tolerance = DEFAULT_TOL) -> Tolerance:
     if not doc:
         return base
-    allowed = {"rank_rtol", "eig_stability_margin", "synthesis_margin"}
+    allowed = {"rank_rtol", "synthesis_margin"}
     unknown = set(doc) - allowed
     if unknown:
         raise InputFormatError(f"unknown tolerance keys: {sorted(unknown)}")
@@ -107,11 +121,11 @@ def load_system(path: str) -> tuple[DescriptorSystem, str, Optional[dict]]:
         sys_ = DescriptorSystem(E=E, A=A, B=B, C=C, D=D, K=K)
     except DsestError as exc:
         raise InputFormatError(f"{path}: {exc}") from None
-    name = doc.get("name", "unnamed")
+    name = _name_field(doc, path, "unnamed")
     tol_doc = doc.get("tolerance")
     if tol_doc is not None and not isinstance(tol_doc, dict):
         raise InputFormatError(f"{path}: 'tolerance' must be an object")
-    return sys_, str(name), tol_doc
+    return sys_, name, tol_doc
 
 
 def _matrix_to_lists(M: np.ndarray) -> list:
@@ -127,9 +141,7 @@ def save_system(path: str, sys_: DescriptorSystem, name: str = "unnamed",
         doc[key] = _matrix_to_lists(M)
     if tolerance:
         doc["tolerance"] = tolerance
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def save_estimator(path: str, est: EstimatorRealization,
@@ -142,9 +154,7 @@ def save_estimator(path: str, est: EstimatorRealization,
     }
     if summary:
         doc["synthesis_summary"] = summary
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_estimator(path: str) -> tuple[EstimatorRealization, str]:
@@ -167,7 +177,7 @@ def load_estimator(path: str) -> tuple[EstimatorRealization, str]:
         est = EstimatorRealization(N=N, H=H, R=R, M=M)
     except DsestError as exc:
         raise InputFormatError(f"{path}: {exc}") from None
-    return est, str(doc.get("name", "estimator"))
+    return est, _name_field(doc, path, "estimator")
 
 
 # -- reports -----------------------------------------------------------------
@@ -187,7 +197,6 @@ def report_to_dict(report: AnalysisReport) -> dict:
 
 
 def render_report_markdown(name: str, report: AnalysisReport,
-                           decay: Optional[DecayMetrics] = None,
                            synthesis_summary: Optional[dict] = None) -> str:
     r = report
     lines = [f"# Analysis report: {name}", ""]
@@ -210,13 +219,6 @@ def render_report_markdown(name: str, report: AnalysisReport,
         lines.append("## Synthesis summary")
         for k, v in synthesis_summary.items():
             lines.append(f"- {k}: {v}")
-    if decay is not None:
-        lines.append("")
-        lines.append("## Error decay")
-        lines.append(f"- verdict: {decay.verdict}")
-        rate = "n/a" if decay.fitted_rate is None else f"{decay.fitted_rate:.6g}"
-        lines.append(f"- fitted exponential rate: {rate}")
-        lines.append(f"- final tail supremum: {decay.sup_tail[-1]:.6g}")
     lines.append("")
     return "\n".join(lines)
 

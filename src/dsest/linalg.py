@@ -33,13 +33,10 @@ class Tolerance:
 
     rank_rtol: relative SVD threshold; a singular value counts towards the
         rank when it exceeds ``max(m, n) * sigma_max * rank_rtol``.
-    eig_stability_margin: half-plane boundary for "unstable" classification,
-        i.e. an eigenvalue is treated as non-decaying when Re >= -margin.
     synthesis_margin: required decay rate of placed estimator poles.
     """
 
     rank_rtol: float = 1e-10
-    eig_stability_margin: float = 0.0
     synthesis_margin: float = 0.5
 
     def __post_init__(self):
@@ -48,15 +45,12 @@ class Tolerance:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.rank_rtol <= 0:
             raise ValueError("rank_rtol must be positive")
-        if self.eig_stability_margin < 0:
-            raise ValueError("eig_stability_margin must be >= 0")
         if self.synthesis_margin <= 0:
             raise ValueError("synthesis_margin must be positive")
 
     def relaxed(self) -> "Tolerance":
         """rank_rtol 10x looser: the one retry after a failed certification."""
-        return Tolerance(self.rank_rtol * 10.0, self.eig_stability_margin,
-                         self.synthesis_margin)
+        return Tolerance(self.rank_rtol * 10.0, self.synthesis_margin)
 
 
 DEFAULT_TOL = Tolerance()
@@ -299,22 +293,21 @@ def pencil_finite_eigenvalues(E, A, tol: Tolerance = DEFAULT_TOL) -> list[comple
     return [complex(v) for v in np.linalg.eigvals(qkf(E, A, tol).J_f)]
 
 
-def _non_decaying(re, tol: Tolerance, radius: float):
-    """Re lambda >= -eig_stability_margin - 512 eps max(1, radius): real parts
-    ``re`` from a spectrum of spectral radius ``radius`` that lie within
-    roundoff of the boundary count as non-decaying (spectral_split's rule).
+def _non_decaying(re, radius: float):
+    """Re lambda >= -512 eps max(1, radius): real parts ``re`` from a
+    spectrum of spectral radius ``radius`` that lie within roundoff of the
+    imaginary axis count as non-decaying (spectral_split's rule).
     """
-    return re >= -tol.eig_stability_margin - 512 * np.finfo(float).eps * max(1.0, radius)
+    return re >= -512 * np.finfo(float).eps * max(1.0, radius)
 
 
-def spectral_split(M, tol: Tolerance = DEFAULT_TOL):
+def spectral_split(M):
     """Similarity T with T^{-1} M T = blkdiag(M_plus, M_minus).
 
     M_plus collects the non-decaying eigenvalues (_non_decaying with the
-    spectral radius of M: Re >= -eig_stability_margin, or within roundoff of
-    it), M_minus the strictly decaying rest.  Raises IllConditionedSplitError
-    when the ordered Schur form selects a different cluster than that
-    classification.
+    spectral radius of M: Re >= 0, or within roundoff of it), M_minus the
+    strictly decaying rest.  Raises IllConditionedSplitError when the
+    ordered Schur form selects a different cluster than that classification.
     """
     # Imported here, not at module load, where it is most of the time of
     # `import dsest`: every analysis splits a spectrum, simulation never does.
@@ -328,14 +321,14 @@ def spectral_split(M, tol: Tolerance = DEFAULT_TOL):
 
     eigs = np.linalg.eigvals(M)
     radius = float(np.max(np.abs(eigs)))
-    n_plus = int(np.count_nonzero(_non_decaying(eigs.real, tol, radius)))
+    n_plus = int(np.count_nonzero(_non_decaying(eigs.real, radius)))
     if n_plus == 0:
         return np.eye(n), np.zeros((0, 0)), M.copy()
     if n_plus == n:
         return np.eye(n), M.copy(), np.zeros((0, 0))
 
     T_schur, Z, sdim = scipy.linalg.schur(
-        M, output="real", sort=lambda x, y=None: _non_decaying(np.real(x), tol, radius))
+        M, output="real", sort=lambda x, y=None: _non_decaying(np.real(x), radius))
     if sdim != n_plus:
         raise IllConditionedSplitError(
             "ordered Schur selected a different cluster size than the "

@@ -22,8 +22,9 @@ block, nor input derivatives, nor a non-decaying undetected mode), are the
 paper's existence criterion in dimension n, so synthesis refuses on the
 first that fails.
 
-A full intermediate trace is returned for audit and for mapping plant states
-into estimator coordinates.
+A ``SynthesisTrace`` is returned with the estimator: the decompositions it
+came from, the overdetermined block and its gain, and the map of plant
+states into estimator coordinates.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimatorRealization:
-    """w' = N w + H (u; y), zhat = R w + M (u; y)."""
+    """w' = N w + H (u; y), zhat = R w + M (u; y); equality is identity."""
 
     N: np.ndarray
     H: np.ndarray
@@ -71,31 +72,14 @@ class EstimatorRealization:
 
 @dataclass(frozen=True)
 class SynthesisTrace:
-    """Every intermediate artifact of the synthesis pipeline."""
+    """What a synthesis was built from, and how plant states map into it."""
 
     staircase: StaircaseDecomposition
     stacked_qkf: PencilQKF
-    U1: np.ndarray                  # finite-block similarity
-    J_f1: np.ndarray                # non-decaying finite part (must be unobserved by K)
-    J_f2: np.ndarray                # decaying finite part
-    B_f1: np.ndarray
-    B_f2: np.ndarray
-    K_f1: np.ndarray
-    K_f2: np.ndarray
-    U2: np.ndarray                  # overdetermined-block row normalization
-    A_eta1: np.ndarray
+    A_eta1: np.ndarray              # normalized overdetermined block ([I; 0], [A1; A2])
     A_eta2: np.ndarray
-    B_eta1: np.ndarray
-    B_eta2: np.ndarray
-    K_eps: np.ndarray
-    K_f: np.ndarray
-    K_sigma: np.ndarray
-    K_eta: np.ndarray
-    B_eps: np.ndarray
-    B_sigma: np.ndarray
     L: np.ndarray                   # stabilizing gain (step 5); 0 when folded
     eta_folded: bool                # overdetermined state resolved algebraically
-    eta_fold: np.ndarray            # x_eta = eta_fold @ (u; y) when folded
     state_map: np.ndarray = field(repr=False)  # rows mapping full x -> (x_f2; x_eta)
 
     def tracked_state(self, x0) -> np.ndarray:
@@ -124,18 +108,15 @@ def synthesize_estimator(sys: DescriptorSystem,
             raise SynthesisError(f"no functional ODE estimator exists: {condition} "
                                  f"(residual {residual:.2e})")
     st, form = structure.staircase, structure.form
-    U1, J_f1, J_f2 = structure.U1, structure.J_f1, structure.J_f2
-    K_eps, K_f, K_sigma, K_eta = (structure.K_eps, structure.K_f,
-                                  structure.K_sigma, structure.K_eta)
-    K_f1, K_f2 = structure.K_f1, structure.K_f2
+    U1, J_f2 = structure.U1, structure.J_f2
+    K_sigma, K_eta, K_f2 = structure.K_sigma, structure.K_eta, structure.K_f2
     n_O = st.col_partition[0]
 
     B_bar = np.block([[st.B_O, np.zeros((st.E_O.shape[0], p))],
                       [sys.D, -np.eye(p)]])
-    B_eps, B_f, B_sigma, B_eta = form.split_left(B_bar)
-    n_f1 = J_f1.shape[0]
-    B_f_split = np.linalg.inv(U1) @ B_f
-    B_f1, B_f2 = B_f_split[:n_f1, :], B_f_split[n_f1:, :]
+    _, B_f, B_sigma, B_eta = form.split_left(B_bar)
+    n_f1 = structure.J_f1.shape[0]
+    B_f2 = (np.linalg.inv(U1) @ B_f)[n_f1:, :]
 
     # Step 4: normalize the overdetermined block to ([I; 0], [A1; A2]).
     n_eta, m_eta = form.n_eta, form.m_eta
@@ -161,12 +142,10 @@ def synthesize_estimator(sys: DescriptorSystem,
     fold = (n_eta > 0 and numeric_rank(A_eta2, tol) == n_eta)
     if fold:
         L = np.zeros((n_eta, m_eta - n_eta))
-        eta_fold = -pseudo_inverse(A_eta2, tol) @ B_eta2
-        M = M + K_eta @ eta_fold
+        M = M + K_eta @ (-pseudo_inverse(A_eta2, tol) @ B_eta2)
         N, H, R = J_f2, B_f2, K_f2
     else:
         L = place_poles(A_eta1, A_eta2, tol.synthesis_margin, tol)
-        eta_fold = np.zeros((n_eta, l + p))
         N = np.block([
             [J_f2, np.zeros((J_f2.shape[0], n_eta))],
             [np.zeros((n_eta, J_f2.shape[0])), A_eta1 - L @ A_eta2]])
@@ -200,11 +179,6 @@ def synthesize_estimator(sys: DescriptorSystem,
     state_map = sel @ st.V_O.T[:n_O, :]
 
     trace = SynthesisTrace(
-        staircase=st, stacked_qkf=form,
-        U1=U1, J_f1=J_f1, J_f2=J_f2, B_f1=B_f1, B_f2=B_f2,
-        K_f1=K_f1, K_f2=K_f2,
-        U2=U2, A_eta1=A_eta1, A_eta2=A_eta2, B_eta1=B_eta1, B_eta2=B_eta2,
-        K_eps=K_eps, K_f=K_f, K_sigma=K_sigma, K_eta=K_eta,
-        B_eps=B_eps, B_sigma=B_sigma,
-        L=L, eta_folded=fold, eta_fold=eta_fold, state_map=state_map)
+        staircase=st, stacked_qkf=form, A_eta1=A_eta1, A_eta2=A_eta2,
+        L=L, eta_folded=fold, state_map=state_map)
     return est, trace

@@ -284,8 +284,7 @@ class TestDecidedInDimensionN:
     def test_diagnostics_keys(self, ex_system):
         # Pinned: every key costs work on every analysis.
         report = is_partially_causal_detectable(ex_system)
-        assert sorted(report.diagnostics) == [
-            "eig_stability_margin", "non_decaying_modes", "rank_rtol"]
+        assert sorted(report.diagnostics) == ["non_decaying_modes", "rank_rtol"]
 
     def test_one_staircase_and_one_qkf_per_analysis(self, monkeypatch, ex_system):
         calls = count_calls(monkeypatch, ("observability_staircase", "qkf"))

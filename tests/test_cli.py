@@ -199,17 +199,29 @@ class TestInvalidTolerance:
 
     def test_nan_in_system_file(self, runner, tmp_path):
         # x' = x, z = x with no output: an unstable mode read by the
-        # functional.  json reads the NaN, which used to turn the verdict
-        # affirmative (Re >= -NaN is never true).
+        # functional.  json reads the NaN; the file must not get past it.
         path = tmp_path / "sys.json"
         path.write_text('{"E": [[1]], "A": [[1]], "B": [[]], "C": [], "D": [],'
-                        ' "K": [[1]], "tolerance": {"eig_stability_margin": NaN}}')
+                        ' "K": [[1]], "tolerance": {"synthesis_margin": NaN}}')
         res = runner.invoke(main, ["analyze", str(path)],
                             env={"DSEST_RANK_RTOL": None, "DSEST_MARGIN": None})
         assert res.exit_code == 1
-        assert "error: invalid tolerance: eig_stability_margin must be finite" \
+        assert "error: invalid tolerance: synthesis_margin must be finite" \
             in res.output
         assert "Traceback" not in res.output
+
+    def test_stability_margin_is_not_a_setting(self, runner, tmp_path):
+        # Non-decaying means Re >= 0 in any time unit; no file may move it.
+        with open(SYSTEM_JSON) as fh:
+            doc = json.load(fh)
+        doc["tolerance"] = {"eig_stability_margin": 0.1}
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["analyze", str(path)],
+                            env={"DSEST_RANK_RTOL": None, "DSEST_MARGIN": None})
+        assert isinstance(res.exception, SystemExit)
+        assert res.exit_code == 1
+        assert "error: unknown tolerance keys: ['eig_stability_margin']" in res.output
 
     @staticmethod
     def with_file_rank_rtol(tmp_path, value) -> str:
@@ -258,8 +270,7 @@ class TestInvalidTolerance:
         assert "error: " in res.output and "Exceeds the limit" in res.output
         assert "Traceback" not in res.output
 
-    @pytest.mark.parametrize("field", ["rank_rtol", "eig_stability_margin",
-                                       "synthesis_margin"])
+    @pytest.mark.parametrize("field", ["rank_rtol", "synthesis_margin"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_library_refuses_non_finite(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -308,6 +319,31 @@ class TestMatrixEntries:
         assert np.array_equal(system.E, reference.E)
 
 
+class TestFileNames:
+    """A "name" in a system or estimator file must be a JSON string."""
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("value, shown", [
+        (None, "null"), (7, "7"), (["a"], '["a"]')], ids=["null", "number", "list"])
+    def test_name_must_be_a_string(self, runner, tmp_path, command, value, shown):
+        # analyze reads the system file's name, simulate the estimator file's.
+        source = SYSTEM_JSON if command == "analyze" else ESTIMATOR_JSON
+        with open(source) as fh:
+            doc = json.load(fh)
+        doc["name"] = value
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        args = (["analyze", str(path)] if command == "analyze" else
+                ["simulate", SYSTEM_JSON, str(path), "--x0", "1,2,3,0", "--w0", "4,5",
+                 "--tf", "1", "--dt", "0.1", "--out", str(tmp_path / "t.csv")])
+        res = runner.invoke(main, args)
+        assert isinstance(res.exception, SystemExit)
+        assert res.exit_code == 1
+        assert f"error: {path}: 'name' must be a string, got {shown}" in res.output
+        assert "Analysis report" not in res.output
+        assert not (tmp_path / "t.csv").exists()
+
+
 class TestAnalyzeCommand:
     def test_affirmative_exit_zero(self, runner, tmp_path):
         out = tmp_path / "report.json"
@@ -328,6 +364,22 @@ class TestAnalyzeCommand:
         path.write_text("{\"name\": \"x\"}")
         res = runner.invoke(main, ["analyze", str(path)])
         assert res.exit_code == 1
+
+    def test_json_out_bytes(self, runner, tmp_path):
+        out = tmp_path / "report.json"
+        res = runner.invoke(main, ["analyze", SYSTEM_JSON, "--json-out", str(out)],
+                            env={"DSEST_RANK_RTOL": None, "DSEST_MARGIN": None})
+        assert res.exit_code == 0
+        expected = {
+            "partially_impulse_observable": True, "partially_detectable": True,
+            "block_checks": [
+                {"condition": f"the functional depends on {what}",
+                 "residual": 0.0, "threshold": 2e-08}
+                for what in ("the free block", "input derivatives",
+                             "a non-decaying undetected mode")],
+            "partially_causal": True, "partially_causal_detectable": True,
+            "diagnostics": {"rank_rtol": 1e-10, "non_decaying_modes": []}}
+        assert out.read_bytes() == (json.dumps(expected, indent=2) + "\n").encode()
 
 
 class TestSynthCommand:

@@ -24,6 +24,13 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
+    read = identifiers(tree)
+    return [f"{name} (line {line})" for name, line in sorted(imported.items())
+            if name not in read]
+
+
+def identifiers(tree: ast.AST) -> set[str]:
+    """Every identifier read in ``tree``, including inside quoted annotations."""
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -34,8 +41,31 @@ def unused_imports(source: str) -> list[str]:
             except SyntaxError:
                 continue
             read.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
-    return [f"{name} (line {line})" for name, line in sorted(imported.items())
-            if name not in read]
+    return read
+
+
+def private_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of every module-level private function or class."""
+    return [f"{module}.{node.name}" for module, source in sorted(sources.items())
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
+    """Private definitions whose name no module reads, imports or reads as
+    an attribute (``module._helper``); names are matched across modules."""
+    referenced = set()
+    for source in sources.values():
+        tree = ast.parse(source)
+        referenced |= identifiers(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return [d for d in private_definitions(sources)
+            if d.split(".", 1)[1] not in referenced]
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
@@ -52,3 +82,22 @@ def test_guard_sees_unused_and_used_names():
               "from .linalg import kernel, image, Tolerance\n"
               "def f(x) -> 'Tolerance':\n    return np.zeros(1), kernel(x)\n")
     assert unused_imports(source) == ["image (line 4)", "os (line 3)"]
+
+
+def test_no_unreferenced_private_helper():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert private_definitions(sources)
+    assert unreferenced_helpers(sources) == []
+
+
+def test_helper_guard_sees_dead_and_referenced_definitions():
+    sources = {
+        "a": ("def _called():\n    pass\ndef _dead():\n    pass\n"
+              "class _Imported:\n    pass\ndef _read_as_attribute():\n    pass\n"
+              "def __getattr__(name):\n    pass\ndef public():\n    return _called()\n"),
+        "b": ("from . import a\nfrom .a import _Imported\n"
+              "f = a._read_as_attribute\n"),
+    }
+    assert private_definitions(sources) == [
+        "a._called", "a._dead", "a._Imported", "a._read_as_attribute"]
+    assert unreferenced_helpers(sources) == ["a._dead"]

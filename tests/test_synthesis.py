@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -8,6 +10,7 @@ from dsest import (
     EstimatorRealization,
     InputSignal,
     SynthesisError,
+    SynthesisTrace,
     is_partially_causal_detectable,
     simulate,
     synthesize_estimator,
@@ -42,6 +45,19 @@ class TestEstimatorShapeContract:
         assert EstimatorRealization(N=[[-1]], H=[[1]], R=[[1]], M=[[0]]).N.dtype == float
         with pytest.raises(ValueError, match="finite"):
             EstimatorRealization(**{**self.GOOD, "R": np.array([[1.0, np.nan]])})
+
+    def test_equality_is_identity(self):
+        # Array fields make field-wise == ambiguous; an estimator is itself.
+        a, b = (EstimatorRealization(**{k: v.copy() for k, v in self.GOOD.items()})
+                for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+
+def test_trace_keeps_what_callers_read():
+    assert [f.name for f in dataclasses.fields(SynthesisTrace)] == [
+        "staircase", "stacked_qkf", "A_eta1", "A_eta2", "L", "eta_folded",
+        "state_map"]
 
 
 class TestWorkedExample:
