@@ -27,22 +27,35 @@ EXIT_INPUT = 1
 
 
 def _effective_tolerance(file_tol: dict | None, rank_rtol: float | None,
-                         margin: float | None) -> Tolerance:
-    # System file, then DSEST_* environment, then flags: a later layer wins.
-    layers = (("rank_rtol", os.environ.get("DSEST_RANK_RTOL")),
-              ("synthesis_margin", os.environ.get("DSEST_MARGIN")),
-              ("rank_rtol", rank_rtol), ("synthesis_margin", margin))
-    return replace(dsio.tolerance_from_dict(file_tol),
-                   **{k: float(v) for k, v in layers if v is not None})
+                         margin: float | None,
+                         path: str = "system file") -> Tolerance:
+    """The system file's tolerances, then the DSEST_* environment, then the
+    flags: a later layer wins.  A value that is not a number or out of range
+    raises InputFormatError naming its layer: ``path``, the variable or the
+    flag."""
+    layers = (("DSEST_RANK_RTOL", "rank_rtol", os.environ.get("DSEST_RANK_RTOL")),
+              ("DSEST_MARGIN", "synthesis_margin", os.environ.get("DSEST_MARGIN")),
+              ("--rank-rtol", "rank_rtol", rank_rtol),
+              ("--margin", "synthesis_margin", margin))
+    source = path
+    try:
+        tol = dsio.tolerance_from_dict(file_tol)
+        chosen = {}
+        for source, key, value in layers:
+            if value is not None:
+                chosen[key] = source, float(value)
+        for key, (source, value) in chosen.items():
+            tol = replace(tol, **{key: value})
+    except dsio.InputFormatError as exc:
+        raise dsio.InputFormatError(f"{source}: {exc}") from None
+    except ValueError as exc:
+        raise dsio.InputFormatError(f"{source}: invalid tolerance: {exc}") from None
+    return tol
 
 
 def _load_system(path: str, rank_rtol, margin):
     sys_, name, file_tol = dsio.load_system(path)
-    try:
-        return sys_, name, _effective_tolerance(file_tol, rank_rtol, margin)
-    except ValueError as exc:   # a tolerance that is not a number or out of range
-        click.echo(f"error: invalid tolerance: {exc}", err=True)
-        _sys.exit(EXIT_INPUT)
+    return sys_, name, _effective_tolerance(file_tol, rank_rtol, margin, path)
 
 
 def _parse_vector(text: str, what: str) -> np.ndarray:

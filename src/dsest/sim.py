@@ -16,7 +16,10 @@ Dynamic parts are integrated with fixed-step classical RK4; algebraic parts
 are evaluated exactly from analytic input derivatives.  The input and each
 derivative order the nilpotent block reads are sampled once, vectorised, on
 all RK4 stage times before stepping (``_rk4_inputs``).  ``solve_plant`` and
-``simulate`` share ``_run``: a plant RK4 pass, then an estimator pass.
+``simulate`` share ``_run``: a plant RK4 pass, then an estimator pass.  Both
+passes and ``run_estimator`` step through one kernel, ``_rk4``, which
+allocates no array per step: slopes and stage arguments live in preallocated
+rows, with the bits of the textbook step.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -81,6 +85,19 @@ def _time_grid(T: float, dt: float) -> np.ndarray:
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
         n_steps = max(1, math.ceil(T / dt - 1e-12))
     return np.arange(n_steps + 1) * dt
+
+
+def _initial_state(v, name: str, size: int, what: str) -> np.ndarray:
+    """``v`` as a float vector of ``size`` finite entries; ``what`` names
+    the dimension it must match."""
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if v.shape != (size,):
+        raise SimulationError(f"{name} has length {v.size}, {what} is {size}")
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise SimulationError(f"{name} entries must be finite, entry {bad[0]} "
+                              f"is {v[bad[0]]}")
+    return v
 
 
 def _as_signal(u, dim: int) -> InputSignal:
@@ -181,10 +198,7 @@ class _PlantSolver:
                               eps_signal):
         """Split a full x(0) into dynamic state + free signal, checking the
         algebraic constraints.  Returns (v0, free_signal_callable)."""
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        if x0.shape != (self.sys.n,):
-            raise SimulationError(
-                f"x0 has length {x0.size}, plant state dimension is {self.sys.n}")
+        x0 = _initial_state(x0, "x0", self.sys.n, "plant state dimension")
         xi0 = np.linalg.solve(self.dec.Q, x0)
         xi_eps, xi_f, xi_sig, xi_eta = _split(xi0, self.dec.col_sizes, 0)
 
@@ -248,13 +262,6 @@ def _stacked(M: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (M @ np.ascontiguousarray(rows)[:, :, None])[:, :, 0]
 
 
-def _slope(M: np.ndarray, v: np.ndarray, forcing: list, j: int) -> np.ndarray:
-    d = M @ v
-    for g in forcing:
-        d += g[j]
-    return d
-
-
 def _rk4(M: np.ndarray, forcing: list, v0: np.ndarray, t: np.ndarray,
          per_stage: bool = False,
          stages: Optional[np.ndarray] = None) -> np.ndarray:
@@ -263,24 +270,50 @@ def _rk4(M: np.ndarray, forcing: list, v0: np.ndarray, t: np.ndarray,
     at a time, in order.  Stages 1-4 of step k read rows 2k, 2k+1, 2k+1,
     2k+2 (the times of ``_rk4_inputs``), or 4k to 4k+3 with ``per_stage``.
     ``stages[k]``, when given, receives the arguments of stages 2-4 of step
-    k; stage 1's is v at t_k."""
-    (o1, o2, o3, o4), stride = ((0, 1, 2, 3), 4) if per_stage else ((0, 1, 1, 2), 2)
-    out = np.empty((v0.size, len(t)))
-    out[:, 0] = v = v0.astype(float)
-    for k in range(len(t) - 1):
-        h, j = t.item(k + 1) - t.item(k), stride * k
-        k1 = _slope(M, v, forcing, j + o1)
-        v2 = v + h / 2 * k1
-        k2 = _slope(M, v2, forcing, j + o2)
-        v3 = v + h / 2 * k2
-        k3 = _slope(M, v3, forcing, j + o3)
-        v4 = v + h * k3
-        k4 = _slope(M, v4, forcing, j + o4)
-        if stages is not None:
-            stages[k] = v2, v3, v4
-        v = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[:, k + 1] = v
-    return out
+    k; stage 1's is v at t_k.
+
+    The loop allocates no array: the slopes, stage arguments and new states
+    are written into preallocated rows, and every row is a view drawn lazily
+    from ``zip``.  Each operation is the one of the textbook step, so the
+    bits are those of ``v + h/6 * (((k1 + 2 k2) + 2 k3) + k4)``."""
+    offsets, stride = ((0, 1, 2, 3), 4) if per_stage else ((0, 1, 1, 2), 2)
+    out = np.empty((len(t), v0.size))
+    out[0] = v0
+    K = np.empty((4, v0.size))
+    k1, k2, k3, k4 = K
+    mid = K[1:3]
+    args = zip(*stages.transpose(1, 0, 2)) if stages is not None \
+        else repeat(tuple(np.empty((3, v0.size))))
+    rows = [zip(*(g[o::stride] for g in forcing)) for o in offsets]
+    h = t[1:] - t[:-1]
+    dot, mul, add_rows = M.dot, np.multiply, np.add.reduce
+    for v, v_next, (a2, a3, a4), g1, g2, g3, g4, hk, h2, h6 in zip(
+            out, out[1:], args, *rows, h, h / 2, h / 6):
+        dot(v, out=k1)
+        for g in g1:
+            k1 += g
+        mul(k1, h2, a2)
+        a2 += v
+        dot(a2, out=k2)
+        for g in g2:
+            k2 += g
+        mul(k2, h2, a3)
+        a3 += v
+        dot(a3, out=k3)
+        for g in g3:
+            k3 += g
+        mul(k3, hk, a4)
+        a4 += v
+        dot(a4, out=k4)
+        for g in g4:
+            k4 += g
+        mid *= 2
+        add_rows(K, axis=0, out=v_next)
+        v_next *= h6
+        v_next += v
+    # Callers read C-ordered (dim, len(t)) arrays; a matrix product's last
+    # bits can follow the layout of its operand.
+    return np.ascontiguousarray(out.T)
 
 
 def _stage_forcing(sys: DescriptorSystem, est: EstimatorRealization,
@@ -395,10 +428,7 @@ def run_estimator(est: EstimatorRealization, t: np.ndarray,
         raise SimulationError(
             f"estimator expects {est.H.shape[1]} input+output channels, "
             f"got {v.shape[0]}")
-    w0 = np.asarray(w0, dtype=float).reshape(-1)
-    if w0.shape != (est.s,):
-        raise SimulationError(f"w0 has length {w0.size}, estimator order is {est.s}")
-
+    w0 = _initial_state(w0, "w0", est.s, "estimator order")
     stages = np.empty((2 * len(t) - 1, v.shape[0]))
     stages[0::2] = v.T
     stages[1::2] = ((v[:, :-1] + v[:, 1:]) / 2).T
@@ -416,9 +446,7 @@ def simulate(sys: DescriptorSystem, est: EstimatorRealization, x0, w0,
     combined scheme keeps full fourth-order accuracy.
     """
     u = _as_signal(u, sys.l)
-    w0 = np.asarray(w0, dtype=float).reshape(-1)
-    if w0.shape != (est.s,):
-        raise SimulationError(f"w0 has length {w0.size}, estimator order is {est.s}")
+    w0 = _initial_state(w0, "w0", est.s, "estimator order")
     if est.H.shape[1] != sys.l + sys.p or est.R.shape[0] != sys.r:
         raise SimulationError(
             f"estimator H is {est.H.shape[0]}x{est.H.shape[1]} and R is "

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -169,23 +170,48 @@ class TestToleranceLayers:
 
 
 class TestInvalidTolerance:
-    @pytest.mark.parametrize("args, env", [
-        (["--rank-rtol", "-1"], {}),
-        (["--margin", "0"], {}),
-        ([], {"DSEST_MARGIN": "abc"}),
-        ([], {"DSEST_RANK_RTOL": "abc"}),
-        ([], {"DSEST_MARGIN": "nan"}),
-        ([], {"DSEST_RANK_RTOL": "inf"}),
-        (["--rank-rtol", "nan"], {}),
+    @pytest.mark.parametrize("args, env, source", [
+        (["--rank-rtol", "-1"], {}, "--rank-rtol"),
+        (["--margin", "0"], {}, "--margin"),
+        ([], {"DSEST_MARGIN": "abc"}, "DSEST_MARGIN"),
+        ([], {"DSEST_RANK_RTOL": "abc"}, "DSEST_RANK_RTOL"),
+        ([], {"DSEST_MARGIN": "nan"}, "DSEST_MARGIN"),
+        ([], {"DSEST_RANK_RTOL": "inf"}, "DSEST_RANK_RTOL"),
+        (["--rank-rtol", "nan"], {}, "--rank-rtol"),
     ], ids=["rank-rtol-negative", "margin-zero", "env-margin-text",
             "env-rank-rtol-text", "env-margin-nan", "env-rank-rtol-inf",
             "rank-rtol-nan"])
-    def test_is_input_error(self, runner, args, env):
+    def test_is_input_error(self, runner, args, env, source):
         env = {"DSEST_RANK_RTOL": None, "DSEST_MARGIN": None, **env}
         res = runner.invoke(main, ["analyze", SYSTEM_JSON, *args], env=env)
         assert isinstance(res.exception, SystemExit)
         assert res.exit_code == 1
-        assert "error: invalid tolerance" in res.output
+        assert f"error: {source}: invalid tolerance" in res.output
+
+    @pytest.mark.parametrize("source, args, env, message", [
+        ("file", [], {}, "invalid tolerance: rank_rtol must be positive"),
+        ("DSEST_RANK_RTOL", [], {"DSEST_RANK_RTOL": "abc"},
+         "invalid tolerance: could not convert string to float: 'abc'"),
+        ("DSEST_MARGIN", [], {"DSEST_MARGIN": "-1"},
+         "invalid tolerance: synthesis_margin must be positive"),
+        ("--rank-rtol", ["--rank-rtol", "nan"], {},
+         "invalid tolerance: rank_rtol must be finite, got nan"),
+        ("--margin", ["--margin", "inf"], {},
+         "invalid tolerance: synthesis_margin must be finite, got inf"),
+    ])
+    def test_message_names_its_source(self, runner, tmp_path, source, args, env,
+                                      message):
+        path = self.with_file_rank_rtol(tmp_path, 0 if source == "file" else 1e-10)
+        env = {"DSEST_RANK_RTOL": None, "DSEST_MARGIN": None, **env}
+        res = runner.invoke(main, ["analyze", path, *args], env=env)
+        assert res.exit_code == 1
+        shown = path if source == "file" else source
+        assert res.output.strip() == f"error: {shown}: {message}"
+
+    def test_later_layer_overrides_an_out_of_range_value(self, runner):
+        res = runner.invoke(main, ["analyze", SYSTEM_JSON, "--margin", "0.5"],
+                            env={"DSEST_RANK_RTOL": None, "DSEST_MARGIN": "nan"})
+        assert res.exit_code == 0
         assert "Traceback" not in res.output
 
     def test_env_nan_margin_stops_synth(self, runner, tmp_path):
@@ -206,8 +232,8 @@ class TestInvalidTolerance:
         res = runner.invoke(main, ["analyze", str(path)],
                             env={"DSEST_RANK_RTOL": None, "DSEST_MARGIN": None})
         assert res.exit_code == 1
-        assert "error: invalid tolerance: synthesis_margin must be finite" \
-            in res.output
+        assert (f"error: {path}: invalid tolerance: synthesis_margin must be "
+                "finite") in res.output
         assert "Traceback" not in res.output
 
     def test_stability_margin_is_not_a_setting(self, runner, tmp_path):
@@ -221,7 +247,8 @@ class TestInvalidTolerance:
                             env={"DSEST_RANK_RTOL": None, "DSEST_MARGIN": None})
         assert isinstance(res.exception, SystemExit)
         assert res.exit_code == 1
-        assert "error: unknown tolerance keys: ['eig_stability_margin']" in res.output
+        assert (f"error: {path}: unknown tolerance keys: ['eig_stability_margin']"
+                in res.output)
 
     @staticmethod
     def with_file_rank_rtol(tmp_path, value) -> str:
@@ -240,13 +267,13 @@ class TestInvalidTolerance:
     def test_file_value_not_a_number(self, runner, tmp_path, command, value, shown):
         out = tmp_path / "out.json"
         args = ["--json-out", str(out)] if command == "analyze" else ["-o", str(out)]
-        res = runner.invoke(
-            main, [command, self.with_file_rank_rtol(tmp_path, value), *args],
-            env={"DSEST_RANK_RTOL": None, "DSEST_MARGIN": None})
+        path = self.with_file_rank_rtol(tmp_path, value)
+        res = runner.invoke(main, [command, path, *args],
+                            env={"DSEST_RANK_RTOL": None, "DSEST_MARGIN": None})
         assert isinstance(res.exception, SystemExit)
         assert res.exit_code == 1
-        assert (f"error: invalid tolerance: rank_rtol must be a number, got {shown}"
-                in res.output)
+        assert (f"error: {path}: invalid tolerance: rank_rtol must be a number, "
+                f"got {shown}") in res.output
         assert "Traceback" not in res.output
         assert not out.exists()
 
@@ -255,8 +282,8 @@ class TestInvalidTolerance:
         res = runner.invoke(main, ["analyze", path],
                             env={"DSEST_RANK_RTOL": None, "DSEST_MARGIN": None})
         assert res.exit_code == 1
-        assert ("error: invalid tolerance: rank_rtol must be finite, got an "
-                "integer beyond the float range") in res.output
+        assert (f"error: {path}: invalid tolerance: rank_rtol must be finite, "
+                "got an integer beyond the float range") in res.output
         assert "Traceback" not in res.output
 
     def test_file_integer_beyond_parser_limit(self, runner, tmp_path):
@@ -450,6 +477,22 @@ class TestSimulateCommand:
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert res.exit_code == 1
         assert "error: T and dt must be finite and positive" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("x0, w0, message", [
+        ("nan,2,3,0", "4,5", "x0 entries must be finite, entry 0 is nan"),
+        ("1,2,3,0", "inf,5", "w0 entries must be finite, entry 0 is inf"),
+    ], ids=["x0-nan", "w0-inf"])
+    def test_non_finite_initial_state_exit_one(self, runner, tmp_path, x0, w0,
+                                               message):
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no numpy warning on the way
+            res = runner.invoke(main, [
+                "simulate", SYSTEM_JSON, ESTIMATOR_JSON, "--x0", x0, "--w0", w0,
+                "--tf", "1", "--dt", "0.1", "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.output.strip() == f"error: {message}"
         assert not out.exists()
 
     def test_step_count_that_does_not_fit_exit_one(self, runner, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from dsest import (
     solve_plant,
 )
 from dsest import wong_limits
+from dsest import sim
 from dsest.sim import SimulationTrace, _PlantSolver, _time_grid
 
 from conftest import lifted_system
@@ -152,6 +155,46 @@ class TestAlgebraicBlocks:
     def test_x0_length_checked(self, ex_system):
         with pytest.raises(SimulationError, match="x0"):
             solve_plant(ex_system, [1.0, 2.0], T=1.0)
+
+
+class TestNonFiniteInitialState:
+    """A NaN or infinite entry of x0 or w0 is refused before any step."""
+
+    BAD = [float("nan"), float("inf"), -float("inf")]
+
+    @pytest.fixture
+    def no_integration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrated a non-finite initial state")
+        monkeypatch.setattr(sim, "_rk4", refuse)
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_x0(self, no_integration, ex_system, ex_reference_estimator, value):
+        x0 = [1.0, value, 3.0, 0.0]
+        match = f"x0 entries must be finite, entry 1 is {value}"
+        with pytest.raises(SimulationError, match=match):
+            _PlantSolver(ex_system).initial_dynamic_state(x0, ramp(), None)
+        with pytest.raises(SimulationError, match=match):
+            solve_plant(ex_system, x0)
+        with pytest.raises(SimulationError, match=match):
+            simulate(ex_system, ex_reference_estimator, x0, [4.0, 5.0])
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_w0(self, no_integration, ex_system, ex_reference_estimator, value):
+        w0 = [4.0, value]
+        match = f"w0 entries must be finite, entry 1 is {value}"
+        with pytest.raises(SimulationError, match=match):
+            simulate(ex_system, ex_reference_estimator, [1.0, 2.0, 3.0, 0.0], w0)
+        t = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(SimulationError, match=match):
+            run_estimator(ex_reference_estimator, t, np.zeros((1, 11)),
+                          np.zeros((1, 11)), w0)
+
+    def test_finite_w0_that_overflows(self, ex_system, ex_reference_estimator):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationError, match="non-finite samples in w"):
+                simulate(ex_system, ex_reference_estimator, [1.0, 2.0, 3.0, 0.0],
+                         [1e308, 5.0], u=ramp(), T=1.0)
 
 
 class TestTimeGrid:
@@ -361,6 +404,88 @@ def _per_step_estimator_run(est, t, v, w0):
         k4 = est.N @ (wk + h * k3) + est.H @ vb
         w.append(wk + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
     return np.array(w).T
+
+
+def _reference_rk4(M, forcing, v0, t, per_stage=False, stages=None):
+    """The textbook RK4 step of ``sim._rk4``, one slope at a time with a new
+    array for every intermediate; returns (dim, len(t))."""
+    def slope(v, j):
+        d = M @ v
+        for g in forcing:
+            d += g[j]
+        return d
+
+    (o1, o2, o3, o4), stride = ((0, 1, 2, 3), 4) if per_stage else ((0, 1, 1, 2), 2)
+    out = np.empty((v0.size, len(t)))
+    out[:, 0] = v = v0.astype(float)
+    for k in range(len(t) - 1):
+        h, j = t.item(k + 1) - t.item(k), stride * k
+        k1 = slope(v, j + o1)
+        v2 = v + h / 2 * k1
+        k2 = slope(v2, j + o2)
+        v3 = v + h / 2 * k2
+        k3 = slope(v3, j + o3)
+        v4 = v + h * k3
+        k4 = slope(v4, j + o4)
+        if stages is not None:
+            stages[k] = v2, v3, v4
+        v = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[:, k + 1] = v
+    return out
+
+
+class TestKernel:
+    """``sim._rk4`` works in preallocated rows; its bits are the textbook
+    step's, and its memory is a few times its output."""
+
+    @staticmethod
+    def case(dim, n_forcing, per_stage, t, seed=0):
+        # Entries over six decades, so that a change of association shows.
+        rng = np.random.default_rng([dim, n_forcing, per_stage, seed])
+        def scale(*shape):
+            return 10.0 ** rng.integers(-3, 4, shape)
+
+        M = rng.standard_normal((dim, dim)) * scale(dim, dim) / 1e3 - np.eye(dim)
+        rows = (4 * (len(t) - 1)) if per_stage else (2 * len(t) - 1)
+        forcing = [rng.standard_normal((rows, dim)) * scale(rows, dim)
+                   for _ in range(n_forcing)]
+        return M, forcing, rng.standard_normal(dim) * scale(dim)
+
+    @pytest.mark.parametrize("grid", [(0.3, 0.1), (2.0, 0.01)],
+                             ids=["0.3-by-0.1", "2-by-0.01"])
+    @pytest.mark.parametrize("per_stage", [False, True], ids=["shared", "per-stage"])
+    @pytest.mark.parametrize("n_forcing", [1, 2])
+    @pytest.mark.parametrize("dim", range(6))
+    def test_same_bits_as_textbook_step(self, dim, n_forcing, per_stage, grid):
+        t = _time_grid(*grid)
+        M, forcing, v0 = self.case(dim, n_forcing, per_stage, t)
+        stages, ref_stages = (np.full((len(t) - 1, 3, dim), np.nan) for _ in range(2))
+        out = sim._rk4(M, forcing, v0, t, per_stage, stages)
+        ref = _reference_rk4(M, forcing, v0, t, per_stage, ref_stages)
+        assert out.shape == ref.shape and out.flags.c_contiguous
+        assert np.array_equal(out, ref)
+        assert np.array_equal(stages, ref_stages)
+        assert np.array_equal(sim._rk4(M, forcing, v0, t, per_stage), ref)
+
+    def test_grid_steps_differ_in_last_bits(self):
+        h = np.diff(_time_grid(0.3, 0.1))
+        assert h[0] == h[1] != h[2]
+
+    def test_peak_memory_of_a_long_run(self):
+        # The loop holds one row of each array at a time; row views built
+        # for all steps at once would cost several times the output.
+        steps, dim = 20_000, 4
+        t = _time_grid(steps * 1e-3, 1e-3)
+        M, forcing, v0 = self.case(dim, 1, False, t)
+        stages = np.empty((steps, 3, dim))
+        tracemalloc.start()
+        try:
+            out = sim._rk4(M, forcing, v0, t, stages=stages)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (dim, steps + 1)
+        assert peak < 4 * out.nbytes
 
 
 class TestInputSampling:
