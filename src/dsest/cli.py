@@ -27,8 +27,7 @@ EXIT_INPUT = 1
 
 
 def _effective_tolerance(file_tol: dict | None, rank_rtol: float | None,
-                         margin: float | None,
-                         path: str = "system file") -> Tolerance:
+                         margin: float | None, path: str) -> Tolerance:
     """The system file's tolerances, then the DSEST_* environment, then the
     flags: a later layer wins.  A value that is not a number or out of range
     raises InputFormatError naming its layer: ``path``, the variable or the

@@ -277,6 +277,11 @@ def _rk4(M: np.ndarray, forcing: list, v0: np.ndarray, t: np.ndarray,
     from ``zip``.  Each operation is the one of the textbook step, so the
     bits are those of ``v + h/6 * (((k1 + 2 k2) + 2 k3) + k4)``."""
     offsets, stride = ((0, 1, 2, 3), 4) if per_stage else ((0, 1, 1, 2), 2)
+    steps = len(t) - 1
+    # zip stops at its shortest input, so a short one would end the run early.
+    if any(len(g) <= stride * (steps - 1) + offsets[-1] for g in forcing) \
+            or stages is not None and len(stages) < steps:
+        raise ValueError(f"forcing or stages too short for {steps} steps")
     out = np.empty((len(t), v0.size))
     out[0] = v0
     K = np.empty((4, v0.size))
@@ -284,7 +289,8 @@ def _rk4(M: np.ndarray, forcing: list, v0: np.ndarray, t: np.ndarray,
     mid = K[1:3]
     args = zip(*stages.transpose(1, 0, 2)) if stages is not None \
         else repeat(tuple(np.empty((3, v0.size))))
-    rows = [zip(*(g[o::stride] for g in forcing)) for o in offsets]
+    rows = [zip(*(g[o::stride] for g in forcing)) if forcing else repeat(())
+            for o in offsets]
     h = t[1:] - t[:-1]
     dot, mul, add_rows = M.dot, np.multiply, np.add.reduce
     for v, v_next, (a2, a3, a4), g1, g2, g3, g4, hk, h2, h6 in zip(

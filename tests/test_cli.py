@@ -150,23 +150,24 @@ class TestToleranceLayers:
     def test_flags_beat_env_beat_file(self, monkeypatch):
         monkeypatch.setenv("DSEST_RANK_RTOL", "1e-7")
         monkeypatch.setenv("DSEST_MARGIN", "0.25")
-        tol = _effective_tolerance({"rank_rtol": 1e-5}, None, None)
+        tol = _effective_tolerance({"rank_rtol": 1e-5}, None, None, "sys.json")
         assert tol.rank_rtol == 1e-7
         assert tol.synthesis_margin == 0.25
-        tol = _effective_tolerance({"rank_rtol": 1e-5}, 1e-9, 0.75)
+        tol = _effective_tolerance({"rank_rtol": 1e-5}, 1e-9, 0.75, "sys.json")
         assert tol.rank_rtol == 1e-9
         assert tol.synthesis_margin == 0.75
 
     def test_file_tolerances_apply_without_env(self, monkeypatch):
         monkeypatch.delenv("DSEST_RANK_RTOL", raising=False)
         monkeypatch.delenv("DSEST_MARGIN", raising=False)
-        tol = _effective_tolerance({"rank_rtol": 1e-5}, None, None)
+        tol = _effective_tolerance({"rank_rtol": 1e-5}, None, None, "sys.json")
         assert tol.rank_rtol == 1e-5
 
     def test_file_numeric_string_is_a_number(self, monkeypatch):
         monkeypatch.delenv("DSEST_RANK_RTOL", raising=False)
         monkeypatch.delenv("DSEST_MARGIN", raising=False)
-        assert _effective_tolerance({"rank_rtol": "1e-5"}, None, None).rank_rtol == 1e-5
+        tol = _effective_tolerance({"rank_rtol": "1e-5"}, None, None, "sys.json")
+        assert tol.rank_rtol == 1e-5
 
 
 class TestInvalidTolerance:
@@ -187,6 +188,7 @@ class TestInvalidTolerance:
         assert isinstance(res.exception, SystemExit)
         assert res.exit_code == 1
         assert f"error: {source}: invalid tolerance" in res.output
+        assert "Traceback" not in res.output
 
     @pytest.mark.parametrize("source, args, env, message", [
         ("file", [], {}, "invalid tolerance: rank_rtol must be positive"),

@@ -454,7 +454,7 @@ class TestKernel:
     @pytest.mark.parametrize("grid", [(0.3, 0.1), (2.0, 0.01)],
                              ids=["0.3-by-0.1", "2-by-0.01"])
     @pytest.mark.parametrize("per_stage", [False, True], ids=["shared", "per-stage"])
-    @pytest.mark.parametrize("n_forcing", [1, 2])
+    @pytest.mark.parametrize("n_forcing", [0, 1, 2])
     @pytest.mark.parametrize("dim", range(6))
     def test_same_bits_as_textbook_step(self, dim, n_forcing, per_stage, grid):
         t = _time_grid(*grid)
@@ -466,6 +466,15 @@ class TestKernel:
         assert np.array_equal(out, ref)
         assert np.array_equal(stages, ref_stages)
         assert np.array_equal(sim._rk4(M, forcing, v0, t, per_stage), ref)
+
+    @pytest.mark.parametrize("per_stage", [False, True], ids=["shared", "per-stage"])
+    def test_short_forcing_or_stages_is_refused(self, per_stage):
+        t = _time_grid(0.3, 0.1)
+        M, (g,), v0 = self.case(2, 1, per_stage, t)
+        with pytest.raises(ValueError, match="too short for 3 steps"):
+            sim._rk4(M, [g, g[:-1]], v0, t, per_stage)
+        with pytest.raises(ValueError, match="too short for 3 steps"):
+            sim._rk4(M, [g], v0, t, per_stage, np.empty((2, 3, 2)))
 
     def test_grid_steps_differ_in_last_bits(self):
         h = np.diff(_time_grid(0.3, 0.1))
