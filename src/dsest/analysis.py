@@ -4,18 +4,22 @@ Decides, for a system E x' = A x + B u, y = C x + D u, z = K x:
 
 * partial causal detectability, the existence criterion for an ODE
   functional estimator, and partial detectability, both in the state
-  dimension n from one structure (``_structure``): the observability
+  dimension n from one structure (``_Structure``): the observability
   staircase of (E, A, B), the quasi-Kronecker form of the
   measurement-stacked pencil ([E_O; 0], [A_O; C_O]) and the spectral split
   of its finite block J_f.  The criterion is K_eps = 0 (the functional
   reads no free-block variable), K_sigma J_sigma = 0 (no input derivative)
   and K_f1 = 0 (no non-decaying mode that the measurement misses);
-  detectability alone drops the middle condition.  The structure is built
-  once per system and tolerance, and synthesis continues from the one the
-  verdict was read from, so the two cannot disagree;
+  detectability alone drops the middle condition.  None of these
+  decompositions reads K: they are built once per plant (E, A, B, C, D) and
+  tolerance, kept in a memo that every live system with equal plant data
+  shares (``_plant``), and each system adds only K's blocks and the three
+  residual rows.  Synthesis continues from the structure the verdict was
+  read from, so the two cannot disagree;
 * partial causality (z expressible without input derivatives), the first
   two of those conditions, read from the same structure;
-* partial impulse observability of z with respect to the measurement.
+* partial impulse observability of z with respect to the measurement,
+  whose subspace W* intersect A^{-1}(im E) is kept in the same memo.
 
 The five-way cross-check of the causal part is one function,
 ``characterization_suite``: rank and subspace-inclusion computations on
@@ -26,6 +30,7 @@ and no verdict or report runs it.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +59,8 @@ from .wong import _W_star, wong_limits
 class DescriptorSystem:
     """System data E x' = A x + B u, y = C x + D u, z = K x, as read-only copies.
 
-    Equality is identity, as for the structures kept on each system.
+    Equality is identity.  Systems with equal plant data share one ``_Plant``
+    memo while one of them lives.
     """
 
     E: np.ndarray
@@ -63,8 +69,8 @@ class DescriptorSystem:
     C: np.ndarray
     D: np.ndarray
     K: np.ndarray
-    _structures: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
+    _plant: _Plant | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         E = as_matrix(self.E, name="E")
@@ -146,7 +152,7 @@ class AnalysisReport:
 
     ``partially_causal_detectable`` (all three rows), ``partially_causal``
     (rows 1 and 2) and ``partially_detectable`` (rows 1 and 3) are read from
-    the block checks of ``_structure``; ``partially_impulse_observable`` is
+    the block checks of ``_functional``; ``partially_impulse_observable`` is
     ``is_partially_impulse_observable``.
     """
 
@@ -158,52 +164,112 @@ class AnalysisReport:
     diagnostics: dict
 
 
+class _Plant:
+    """The plant (E, A, B, C, D) of every live system whose plant matrices
+    have these bytes, shapes, dtypes and memory layouts, and what was built
+    from it without reading K.
+
+    ``built(build, tol)`` runs ``build(plant, tol)`` once per build and
+    tolerance.  Each build is a deterministic function of the plant and the
+    tolerance, so every system reads the bits it would have built alone.
+    Arrays that reach a caller are read-only.  A ``_Plant`` refers to no
+    system, so ``_PLANTS`` drops it once the last system using it is gone.
+    """
+
+    __slots__ = ("E", "A", "B", "C", "D", "_built", "__weakref__")
+
+    def __init__(self, E, A, B, C, D):
+        self.E, self.A, self.B, self.C, self.D = E, A, B, C, D
+        self._built = {}
+
+    def built(self, build, tol: Tolerance):
+        key = (build, tol)
+        if key not in self._built:
+            self._built[key] = build(self, tol)
+        return self._built[key]
+
+
+_PLANTS = weakref.WeakValueDictionary()
+
+
+def _plant(sys: DescriptorSystem) -> _Plant:
+    """The plant memo ``sys`` shares, looked up on first use.  The key holds
+    each matrix's memory layout with its bytes: a product's last bits can
+    follow the layout of its operands."""
+    if sys._plant is None:
+        mats = (sys.E, sys.A, sys.B, sys.C, sys.D)
+        key = tuple((X.shape, X.dtype.str, X.strides, X.tobytes()) for X in mats)
+        plant = _PLANTS.get(key)
+        if plant is None:
+            plant = _PLANTS[key] = _Plant(*mats)
+        object.__setattr__(sys, "_plant", plant)
+    return sys._plant
+
+
+def _read_only(obj):
+    """``obj`` with its array fields made read-only, as every system of a
+    plant receives it."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return obj
+
+
 @dataclass(frozen=True)
 class _Structure:
-    """The n-dimensional data that decides the existence criterion.
+    """The n-dimensional data that decides the existence criterion, built
+    from the plant alone.
 
     Synthesis steps 1-3: the staircase of (E, A, B), the QKF of the stacked
     pencil ([E_O; 0], [A_O; C_O]), and the similarity U1 splitting J_f into
-    its non-decaying part J_f1 and its decaying part J_f2, with the blocks
-    of K_O that synthesis reads.  ``checks`` holds the three block
-    conditions as (condition, residual, threshold) rows; a row holds when
-    its residual is within its threshold.
+    its non-decaying part J_f1, with eigenvalues ``modes``, and its decaying
+    part J_f2.
     """
 
     staircase: StaircaseDecomposition
     form: PencilQKF
-    K_sigma: np.ndarray
-    K_eta: np.ndarray
     U1: np.ndarray
     J_f1: np.ndarray
     J_f2: np.ndarray
+    modes: np.ndarray
+
+
+def _build_structure(plant: _Plant, tol: Tolerance) -> _Structure:
+    # Step 1: staircase; only the leading block carries nonzero trajectories.
+    st = _read_only(observability_staircase(plant.E, plant.A, plant.B, tol))
+    C_O = st.split_columns(plant.C)[0]
+    n_O = st.col_partition[0]
+
+    # Step 2: stack the measurement into the pencil and bring it to QKF.
+    form = _read_only(qkf(np.vstack([st.E_O, np.zeros((plant.C.shape[0], n_O))]),
+                          np.vstack([st.A_O, C_O]), tol))
+
+    # Step 3: split the finite block into non-decaying / decaying parts.
+    U1, J_f1, J_f2 = spectral_split(form.J_f)
+    return _Structure(staircase=st, form=form, U1=U1, J_f1=J_f1, J_f2=J_f2,
+                      modes=np.linalg.eigvals(J_f1))
+
+
+@dataclass(frozen=True)
+class _Functional:
+    """K in the coordinates of its plant's ``_Structure``: the blocks
+    synthesis reads, and the three block conditions as (condition, residual,
+    threshold) rows; a row holds when its residual is within its threshold.
+    """
+
+    structure: _Structure
+    K_sigma: np.ndarray
+    K_eta: np.ndarray
     K_f2: np.ndarray
     checks: tuple
 
 
-def _structure(sys: DescriptorSystem, tol: Tolerance) -> _Structure:
-    """The structure at ``tol``, built once and kept on the read-only ``sys``."""
-    if tol not in sys._structures:
-        sys._structures[tol] = _build_structure(sys, tol)
-    return sys._structures[tol]
-
-
-def _build_structure(sys: DescriptorSystem, tol: Tolerance) -> _Structure:
-    # Step 1: staircase; only the leading block carries nonzero trajectories.
-    st = observability_staircase(sys.E, sys.A, sys.B, tol)
-    C_O = st.split_columns(sys.C)[0]
-    K_O = st.split_columns(sys.K)[0]
-    n_O = st.col_partition[0]
-
-    # Step 2: stack the measurement into the pencil and bring it to QKF.
-    form = qkf(np.vstack([st.E_O, np.zeros((sys.p, n_O))]),
-               np.vstack([st.A_O, C_O]), tol)
-    K_eps, K_f, K_sigma, K_eta = form.split_right(K_O)
-
-    # Step 3: split the finite block into non-decaying / decaying parts.
-    U1, J_f1, J_f2 = spectral_split(form.J_f)
-    K_f_split = K_f @ U1
-    n_f1 = J_f1.shape[0]
+def _functional(sys: DescriptorSystem, tol: Tolerance) -> _Functional:
+    structure = _plant(sys).built(_build_structure, tol)
+    K_O = structure.staircase.split_columns(sys.K)[0]
+    K_eps, K_f, K_sigma, K_eta = structure.form.split_right(K_O)
+    K_f_split = K_f @ structure.U1
+    n_f1 = structure.J_f1.shape[0]
     K_f1, K_f2 = K_f_split[:, :n_f1], K_f_split[:, n_f1:]
 
     threshold = CONSISTENCY_ATOL * max(1.0, float(np.linalg.norm(sys.K)))
@@ -211,10 +277,11 @@ def _build_structure(sys: DescriptorSystem, tol: Tolerance) -> _Structure:
         (condition, float(np.linalg.norm(block)), threshold)
         for condition, block in (
             ("the functional depends on the free block", K_eps),
-            ("the functional depends on input derivatives", K_sigma @ form.J_sigma),
+            ("the functional depends on input derivatives",
+             K_sigma @ structure.form.J_sigma),
             ("the functional depends on a non-decaying undetected mode", K_f1)))
-    return _Structure(staircase=st, form=form, K_sigma=K_sigma, K_eta=K_eta,
-                      U1=U1, J_f1=J_f1, J_f2=J_f2, K_f2=K_f2, checks=checks)
+    return _Functional(structure=structure, K_sigma=K_sigma, K_eta=K_eta,
+                       K_f2=K_f2, checks=checks)
 
 
 def _holds(row) -> bool:
@@ -234,19 +301,21 @@ def _inclusion_in_kernel(space: Subspace, K: np.ndarray) -> bool:
     return bool(resid <= SUBSPACE_ATOL * max(1.0, np.linalg.norm(K, 2)))
 
 
-def _impulse_observable_triple(E, A, C, K, tol: Tolerance) -> bool:
-    """W intersect A^{-1}(im E) subseteq ker K, where W = W*_{E,A,0,C}; the
-    matrices are a system's, or blocks of its Kalman decomposition."""
-    if E.shape[1] == 0:
-        return True
+def _impulse_space(E, A, C, tol: Tolerance) -> Subspace:
+    """W intersect A^{-1}(im E), where W = W*_{E,A,0,C}: z = K x is impulse
+    observable when this lies in ker K.  The matrices are a plant's, or
+    blocks of its Kalman decomposition."""
     W = _W_star(E, A, C, tol)
-    pre = preimage(A, image(E, tol), tol)
-    return _inclusion_in_kernel(intersect(W, pre, tol), K)
+    return intersect(W, preimage(A, image(E, tol), tol), tol)
+
+
+def _plant_impulse_space(plant: _Plant, tol: Tolerance) -> Subspace:
+    return _impulse_space(plant.E, plant.A, plant.C, tol)
 
 
 def is_partially_impulse_observable(sys: DescriptorSystem,
                                     tol: Tolerance = DEFAULT_TOL) -> bool:
-    return _impulse_observable_triple(sys.E, sys.A, sys.C, sys.K, tol)
+    return _inclusion_in_kernel(_plant(sys).built(_plant_impulse_space, tol), sys.K)
 
 
 def is_partially_detectable(sys: DescriptorSystem,
@@ -254,10 +323,10 @@ def is_partially_detectable(sys: DescriptorSystem,
     """Partial detectability; returns (verdict, rows).
 
     The rows are the free-block and non-decaying-mode checks of
-    ``_structure``; detectability holds when both residuals are within
+    ``_functional``; detectability holds when both residuals are within
     their thresholds.
     """
-    free, _, mode = _structure(sys, tol).checks
+    free, _, mode = _functional(sys, tol).checks
     return _holds(free) and _holds(mode), (free, mode)
 
 
@@ -266,12 +335,12 @@ def is_partially_causal(E, A, B, K, tol: Tolerance = DEFAULT_TOL):
     measurement; returns (verdict, rows).
 
     The rows are the free-block and input-derivative checks of
-    ``_structure``; z = K x contains no input derivatives when both
+    ``_functional``; z = K x contains no input derivatives when both
     residuals are within their thresholds.
     """
     plant = DescriptorSystem.from_matrices(
         E, A, B, np.zeros((0, as_matrix(E).shape[1])), K)
-    free, derivative, _ = _structure(plant, tol).checks
+    free, derivative, _ = _functional(plant, tol).checks
     return _holds(free) and _holds(derivative), (free, derivative)
 
 
@@ -328,8 +397,8 @@ def characterization_suite(sys: DescriptorSystem,
 
     kd = kalman_controllability(sys.E, sys.A, sys.B, sys.C, tol)
     E11, A11, _, C11 = kd.controllable_part
-    K11 = kd.functional_part(sys.K)
-    vote5 = _impulse_observable_triple(E11, A11, C11, K11, tol)
+    vote5 = _inclusion_in_kernel(_impulse_space(E11, A11, C11, tol),
+                                 kd.functional_part(sys.K))
 
     return (bool(vote1), vote2, vote3, vote4, vote5)
 
@@ -337,20 +406,20 @@ def characterization_suite(sys: DescriptorSystem,
 def is_partially_causal_detectable(sys: DescriptorSystem,
                                    tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
     """Full property analysis.  The headline verdict, the three block checks
-    of ``_structure``, holds exactly when a functional ODE estimator exists.
+    of ``_functional``, holds exactly when a functional ODE estimator exists.
     """
-    structure = _structure(sys, tol)
-    free, derivative, mode = structure.checks
-    modes = np.linalg.eigvals(structure.J_f1)
+    functional = _functional(sys, tol)
+    free, derivative, mode = functional.checks
 
     return AnalysisReport(
         partially_impulse_observable=is_partially_impulse_observable(sys, tol),
         partially_causal=_holds(free) and _holds(derivative),
         partially_detectable=_holds(free) and _holds(mode),
-        block_checks=structure.checks,
-        partially_causal_detectable=all(map(_holds, structure.checks)),
+        block_checks=functional.checks,
+        partially_causal_detectable=all(map(_holds, functional.checks)),
         diagnostics={
             "rank_rtol": tol.rank_rtol,
-            "non_decaying_modes": [[float(v.real), float(v.imag)] for v in modes],
+            "non_decaying_modes": [[float(v.real), float(v.imag)]
+                                   for v in functional.structure.modes],
         },
     )

@@ -19,7 +19,9 @@ all RK4 stage times before stepping (``_rk4_inputs``).  ``solve_plant`` and
 ``simulate`` share ``_run``: a plant RK4 pass, then an estimator pass.  Both
 passes and ``run_estimator`` step through one kernel, ``_rk4``, which
 allocates no array per step: slopes and stage arguments live in preallocated
-rows, with the bits of the textbook step.
+rows, with the bits of the textbook step.  A pass that overflows is refused
+at that step.  The plant's block machinery (``_PlantSolver``) is built once
+per plant and tolerance, in the memo that analysis and synthesis share.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import DescriptorSystem
+from .analysis import DescriptorSystem, _plant
 from .decomp import _blkdiag, _split, qkf
 from .exceptions import SimulationError
 from .linalg import (CONSISTENCY_ATOL, DEFAULT_TOL, Tolerance, _snap_roundoff,
@@ -120,12 +122,14 @@ class _PlantSolver:
     decoupled slow states through basis roundoff.
     """
 
-    def __init__(self, sys: DescriptorSystem, tol: Tolerance = DEFAULT_TOL):
-        self.sys = sys
-        self.dec = dec = qkf(sys.E, sys.A, tol)
-        B_eps, B_f, B_sigma, B_eta = dec.split_left(sys.B)
+    def __init__(self, plant, tol: Tolerance = DEFAULT_TOL):
+        # ``plant`` is a system or its plant memo; only E, A and B are read,
+        # and none is kept, so the memo refers to no system.
+        self.n = plant.E.shape[1]
+        self.dec = dec = qkf(plant.E, plant.A, tol)
+        B_eps, B_f, B_sigma, B_eta = dec.split_left(plant.B)
         self.scale = max(1.0, max((np.abs(M).max() if M.size else 0.0)
-                                  for M in (sys.E, sys.A, sys.B)))
+                                  for M in (plant.E, plant.A, plant.B)))
 
         # Underdetermined block: column operation Z so that E_eps @ Z = [I 0];
         # the trailing columns of Z span the free directions.
@@ -184,7 +188,7 @@ class _PlantSolver:
         """Algebraic + free contribution to x at time(s) t, from the input
         samples ``u_jet`` of ``input_jet`` at the same time(s)."""
         t_arr = np.asarray(t, dtype=float)
-        out = np.zeros((self.sys.n,) + t_arr.shape)
+        out = np.zeros((self.n,) + t_arr.shape)
         for smap, ui in zip(self.sigma_maps, u_jet):
             if smap.size:
                 out += smap @ ui
@@ -198,7 +202,7 @@ class _PlantSolver:
                               eps_signal):
         """Split a full x(0) into dynamic state + free signal, checking the
         algebraic constraints.  Returns (v0, free_signal_callable)."""
-        x0 = _initial_state(x0, "x0", self.sys.n, "plant state dimension")
+        x0 = _initial_state(x0, "x0", self.n, "plant state dimension")
         xi0 = np.linalg.solve(self.dec.Q, x0)
         xi_eps, xi_f, xi_sig, xi_eta = _split(xi0, self.dec.col_sizes, 0)
 
@@ -263,8 +267,8 @@ def _stacked(M: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _rk4(M: np.ndarray, forcing: list, v0: np.ndarray, t: np.ndarray,
-         per_stage: bool = False,
-         stages: Optional[np.ndarray] = None) -> np.ndarray:
+         per_stage: bool = False, stages: Optional[np.ndarray] = None,
+         name: str = "v") -> np.ndarray:
     """Classical fixed-step RK4 of v' = M v + sum_i g_i on a uniform grid;
     returns (dim, len(t)).  The rows of each forcing g_i are added to M v one
     at a time, in order.  Stages 1-4 of step k read rows 2k, 2k+1, 2k+1,
@@ -275,7 +279,10 @@ def _rk4(M: np.ndarray, forcing: list, v0: np.ndarray, t: np.ndarray,
     The loop allocates no array: the slopes, stage arguments and new states
     are written into preallocated rows, and every row is a view drawn lazily
     from ``zip``.  Each operation is the one of the textbook step, so the
-    bits are those of ``v + h/6 * (((k1 + 2 k2) + 2 k3) + k4)``."""
+    bits are those of ``v + h/6 * (((k1 + 2 k2) + 2 k3) + k4)``.
+
+    An overflow or invalid operation raises ``SimulationError`` at the step
+    where it happens, naming the state (``name``) and the step's time."""
     offsets, stride = ((0, 1, 2, 3), 4) if per_stage else ((0, 1, 1, 2), 2)
     steps = len(t) - 1
     # zip stops at its shortest input, so a short one would end the run early.
@@ -293,30 +300,35 @@ def _rk4(M: np.ndarray, forcing: list, v0: np.ndarray, t: np.ndarray,
             for o in offsets]
     h = t[1:] - t[:-1]
     dot, mul, add_rows = M.dot, np.multiply, np.add.reduce
-    for v, v_next, (a2, a3, a4), g1, g2, g3, g4, hk, h2, h6 in zip(
-            out, out[1:], args, *rows, h, h / 2, h / 6):
-        dot(v, out=k1)
-        for g in g1:
-            k1 += g
-        mul(k1, h2, a2)
-        a2 += v
-        dot(a2, out=k2)
-        for g in g2:
-            k2 += g
-        mul(k2, h2, a3)
-        a3 += v
-        dot(a3, out=k3)
-        for g in g3:
-            k3 += g
-        mul(k3, hk, a4)
-        a4 += v
-        dot(a4, out=k4)
-        for g in g4:
-            k4 += g
-        mid *= 2
-        add_rows(K, axis=0, out=v_next)
-        v_next *= h6
-        v_next += v
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for v, v_next, (a2, a3, a4), g1, g2, g3, g4, tk, hk, h2, h6 in zip(
+                    out, out[1:], args, *rows, t, h, h / 2, h / 6):
+                dot(v, out=k1)
+                for g in g1:
+                    k1 += g
+                mul(k1, h2, a2)
+                a2 += v
+                dot(a2, out=k2)
+                for g in g2:
+                    k2 += g
+                mul(k2, h2, a3)
+                a3 += v
+                dot(a3, out=k3)
+                for g in g3:
+                    k3 += g
+                mul(k3, hk, a4)
+                a4 += v
+                dot(a4, out=k4)
+                for g in g4:
+                    k4 += g
+                mid *= 2
+                add_rows(K, axis=0, out=v_next)
+                v_next *= h6
+                v_next += v
+    except FloatingPointError:
+        raise SimulationError(
+            f"{name} overflows in the RK4 step from t = {tk:.6g}") from None
     # Callers read C-ordered (dim, len(t)) arrays; a matrix product's last
     # bits can follow the layout of its operand.
     return np.ascontiguousarray(out.T)
@@ -353,7 +365,7 @@ def _run(sys: DescriptorSystem, x0, u: InputSignal, T: float, dt: float,
     The plant does not read w and RK4 acts elementwise, so the two passes
     repeat one RK4 run of the joint system operation for operation."""
     t = _time_grid(T, dt)
-    solver = _PlantSolver(sys, tol)
+    solver = _plant(sys).built(_PlantSolver, tol)
     X0, free = solver.initial_dynamic_state(x0, u, eps_signal)
     times, rows, u_jet = _rk4_inputs(solver, u, t)
     free_rows = np.asarray(free(times), dtype=float).T if solver.n_free else None
@@ -365,12 +377,12 @@ def _run(sys: DescriptorSystem, x0, u: InputSignal, T: float, dt: float,
     if solver.n_free:
         forcing.append(_stacked(solver.Gfree, free_rows))
     stages = None if est is None else np.empty((len(t) - 1, 3, sys.n))
-    X = _rk4(solver.F, forcing, X0, t, stages=stages)
+    X = _rk4(solver.F, forcing, X0, t, stages=stages, name="x")
     del times, forcing                  # freed before the stage forcing is formed
     if est is not None:
         g = _stage_forcing(sys, est, solver, X, stages, rows, free_rows)
         del stages
-        w = _rk4(est.N, [g], w0, t, per_stage=True)
+        w = _rk4(est.N, [g], w0, t, per_stage=True, name="w")
     x = X + solver.algebraic_x(u_jet, free, t)
     u_samples = u_jet[0]
     y = sys.C @ x + sys.D @ u_samples
@@ -438,7 +450,7 @@ def run_estimator(est: EstimatorRealization, t: np.ndarray,
     stages = np.empty((2 * len(t) - 1, v.shape[0]))
     stages[0::2] = v.T
     stages[1::2] = ((v[:, :-1] + v[:, 1:]) / 2).T
-    w = _rk4(est.N, [_stacked(est.H, stages)], w0, t)
+    w = _rk4(est.N, [_stacked(est.H, stages)], w0, t, name="w")
     return w, est.R @ w + est.M @ v
 
 

@@ -15,12 +15,14 @@ satisfies zhat(t) - z(t) -> 0 along every plant trajectory.  The pipeline:
 6. assembly, with the overdetermined state folded into the feedthrough M
    whenever the algebraic rows determine it uniquely from (u; y).
 
-Steps 1-3 are ``analysis._structure``, built once per system and tolerance
-and read by the analysis verdict too.  Its block conditions, K_eps = 0,
+Steps 1-3 are ``analysis._Structure``, read by the analysis verdict too.
+Its block conditions on K (``analysis._functional``), K_eps = 0,
 K_sigma J_sigma = 0 and K_f1 = 0 (the functional reads neither the free
 block, nor input derivatives, nor a non-decaying undetected mode), are the
 paper's existence criterion in dimension n, so synthesis refuses on the
-first that fails.
+first that fails.  Only R and M read K: the structure and the rest of steps
+4-6 (``_PlantEstimator``) are built once per plant and tolerance, in the
+memo every system with that plant shares (``analysis._plant``).
 
 A ``SynthesisTrace`` is returned with the estimator: the decompositions it
 came from, the overdetermined block and its gain, and the map of plant
@@ -34,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import SynthesisError
-from .analysis import DescriptorSystem, _holds, _structure
+from .analysis import (DescriptorSystem, _build_structure, _functional, _holds,
+                       _plant, _read_only)
 from .decomp import PencilQKF, StaircaseDecomposition, _blkdiag, _split
 from .linalg import (
     DEFAULT_TOL,
@@ -72,7 +75,10 @@ class EstimatorRealization:
 
 @dataclass(frozen=True)
 class SynthesisTrace:
-    """What a synthesis was built from, and how plant states map into it."""
+    """What a synthesis was built from, and how plant states map into it.
+
+    Every system with the same plant shares one trace; its arrays are
+    read-only."""
 
     staircase: StaircaseDecomposition
     stacked_qkf: PencilQKF
@@ -91,29 +97,28 @@ class SynthesisTrace:
         return self.state_map @ x0
 
 
-def synthesize_estimator(sys: DescriptorSystem,
-                         tol: Tolerance = DEFAULT_TOL):
-    """Construct a functional estimator; refuse when none can exist.
+@dataclass(frozen=True)
+class _PlantEstimator:
+    """Steps 4-6 as far as they do not read K: the estimator's N and H, the
+    plant factors of its feedthrough M (``G_eta`` resolves a folded x_eta
+    from (u; y), else None), and the trace."""
 
-    Continues from the ``_structure`` an analysis at ``tol`` read its verdict
-    from.  Returns (EstimatorRealization, SynthesisTrace).
-    """
-    n, p, l, r = sys.n, sys.p, sys.l, sys.r
+    B_sigma: np.ndarray
+    G_eta: np.ndarray | None
+    N: np.ndarray
+    H: np.ndarray
+    trace: SynthesisTrace
 
-    # Steps 1-3 are the structure; check the existence criterion.
-    structure = _structure(sys, tol)
-    for row in structure.checks:
-        if not _holds(row):
-            condition, residual, _ = row
-            raise SynthesisError(f"no functional ODE estimator exists: {condition} "
-                                 f"(residual {residual:.2e})")
+
+def _build_plant_estimator(plant, tol: Tolerance) -> _PlantEstimator:
+    structure = plant.built(_build_structure, tol)
     st, form = structure.staircase, structure.form
     U1, J_f2 = structure.U1, structure.J_f2
-    K_sigma, K_eta, K_f2 = structure.K_sigma, structure.K_eta, structure.K_f2
+    n, p = plant.E.shape[1], plant.C.shape[0]
     n_O = st.col_partition[0]
 
     B_bar = np.block([[st.B_O, np.zeros((st.E_O.shape[0], p))],
-                      [sys.D, -np.eye(p)]])
+                      [plant.D, -np.eye(p)]])
     _, B_f, B_sigma, B_eta = form.split_left(B_bar)
     n_f1 = structure.J_f1.shape[0]
     B_f2 = (np.linalg.inv(U1) @ B_f)[n_f1:, :]
@@ -138,33 +143,31 @@ def synthesize_estimator(sys: DescriptorSystem,
     # determine x_eta uniquely from (u; y), resolve it into the feedthrough
     # instead of carrying a dynamic state; only a dynamic x_eta needs the
     # stabilizing gain L.
-    M = -K_sigma @ B_sigma if form.n_sigma else np.zeros((r, l + p))
     fold = (n_eta > 0 and numeric_rank(A_eta2, tol) == n_eta)
     if fold:
         L = np.zeros((n_eta, m_eta - n_eta))
-        M = M + K_eta @ (-pseudo_inverse(A_eta2, tol) @ B_eta2)
-        N, H, R = J_f2, B_f2, K_f2
+        G_eta = -pseudo_inverse(A_eta2, tol) @ B_eta2
+        N, H = J_f2, B_f2
     else:
         L = place_poles(A_eta1, A_eta2, tol.synthesis_margin, tol)
+        G_eta = None
         N = np.block([
             [J_f2, np.zeros((J_f2.shape[0], n_eta))],
             [np.zeros((n_eta, J_f2.shape[0])), A_eta1 - L @ A_eta2]])
         H = np.vstack([B_f2, B_eta1 - L @ B_eta2])
-        R = np.hstack([K_f2, K_eta])
 
     # The realization matrices are products of decomposition bases with
     # their (pseudo)inverses, so entries that vanish in exact arithmetic
     # come out at roundoff level.  Restore those exact zeros: a ~1e-16
     # residual coupling from a large measured output into w would otherwise
     # ruin long-horizon accuracy of the estimate.
-    N, H, R, M = (_snap_roundoff(X) for X in (N, H, R, M))
-    est = EstimatorRealization(N=N, H=H, R=R, M=M)
-    if est.s:
-        worst = float(np.max(np.real(np.linalg.eigvals(est.N))))
+    N, H = _snap_roundoff(N), _snap_roundoff(H)
+    if N.shape[0]:
+        worst = float(np.max(np.real(np.linalg.eigvals(N))))
         if worst >= 0:
             raise SynthesisError(
                 f"assembled estimator is not strictly stable (max Re = {worst:.3e})")
-    if est.s > n:
+    if N.shape[0] > n:
         raise SynthesisError("estimator order exceeds the plant order")
 
     # Rows mapping a full plant state x to the tracked coordinates
@@ -178,7 +181,36 @@ def synthesize_estimator(sys: DescriptorSystem,
     sel = f2_rows if fold else np.vstack([f2_rows, eta_rows])
     state_map = sel @ st.V_O.T[:n_O, :]
 
-    trace = SynthesisTrace(
+    trace = _read_only(SynthesisTrace(
         staircase=st, stacked_qkf=form, A_eta1=A_eta1, A_eta2=A_eta2,
-        L=L, eta_folded=fold, state_map=state_map)
-    return est, trace
+        L=L, eta_folded=fold, state_map=state_map))
+    return _PlantEstimator(B_sigma=B_sigma, G_eta=G_eta, N=N, H=H, trace=trace)
+
+
+def synthesize_estimator(sys: DescriptorSystem,
+                         tol: Tolerance = DEFAULT_TOL):
+    """Construct a functional estimator; refuse when none can exist.
+
+    Continues from the structure an analysis at ``tol`` read its verdict
+    from.  Returns (EstimatorRealization, SynthesisTrace).
+    """
+    functional = _functional(sys, tol)
+    for row in functional.checks:
+        if not _holds(row):
+            condition, residual, _ = row
+            raise SynthesisError(f"no functional ODE estimator exists: {condition} "
+                                 f"(residual {residual:.2e})")
+    part = _plant(sys).built(_build_plant_estimator, tol)
+
+    # Only the output map R and the feedthrough M read K.
+    K_sigma, K_eta, K_f2 = functional.K_sigma, functional.K_eta, functional.K_f2
+    M = -K_sigma @ part.B_sigma if part.B_sigma.shape[0] \
+        else np.zeros((sys.r, sys.l + sys.p))
+    if part.trace.eta_folded:
+        M = M + K_eta @ part.G_eta
+        R = K_f2
+    else:
+        R = np.hstack([K_f2, K_eta])
+    est = EstimatorRealization(N=part.N.copy(), H=part.H.copy(),
+                               R=_snap_roundoff(R), M=_snap_roundoff(M))
+    return est, part.trace

@@ -1,10 +1,21 @@
 """Shared fixtures: canonical example systems and random-system generators."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from dsest import DescriptorSystem, EstimatorRealization
 from dsest.linalg import pencil_finite_eigenvalues
+
+
+@pytest.fixture
+def fresh_plants():
+    """Frees the systems earlier tests left in reference cycles, so that the
+    systems of this test share no plant memo with them and build their own
+    decompositions.  A CliRunner result or an exception's traceback keeps
+    the frames that hold a system alive until the cycle collector runs."""
+    gc.collect()
 
 
 @pytest.fixture

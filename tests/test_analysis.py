@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import json
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +24,9 @@ from dsest import (
     synthesize_estimator,
 )
 
+from dsest.analysis import _PLANTS, _plant
+from dsest.exceptions import DsestError
+from dsest.io import report_to_dict
 from conftest import (detect_candidate_lambdas, detectability_matrices,
                       lifted_system, random_pencil, random_system, stiff_system)
 
@@ -297,8 +303,11 @@ LIFTED = ("characterization_suite", "_toeplitz_F")
 
 def count_calls(monkeypatch, names) -> list:
     """Record the name of every call of the given ``dsest.analysis``
-    functions, which still run."""
+    functions, which still run.  Systems that earlier tests left in
+    reference cycles are freed first, so that no plant memo of theirs is
+    shared (see the ``fresh_plants`` fixture)."""
     import dsest.analysis as analysis
+    gc.collect()
     calls = []
     for name in names:
         def counted(*args, _f=getattr(analysis, name), _name=name, **kwargs):
@@ -309,7 +318,8 @@ def count_calls(monkeypatch, names) -> list:
 
 
 def copy_of(sys: DescriptorSystem) -> DescriptorSystem:
-    """The same system as a new object, with nothing built yet."""
+    """The same system as a new object; it shares the plant memo of ``sys``
+    while both are alive."""
     return DescriptorSystem.from_matrices(sys.E, sys.A, sys.B, sys.C, sys.K, D=sys.D)
 
 
@@ -437,3 +447,117 @@ class TestStructureMemo:
         assert not is_partially_causal_detectable(copy_of(sys)).partially_causal_detectable
         edited = DescriptorSystem.from_matrices(**mats)
         assert is_partially_causal_detectable(edited).partially_causal_detectable
+
+
+def _draw(seed: int, index: int) -> DescriptorSystem:
+    rng = np.random.default_rng(seed)
+    return [random_system(rng) for _ in range(index + 1)][index]
+
+
+class TestSharedPlant:
+    """Systems with equal plant data (E, A, B, C, D) share one memo of what
+    does not read K; no result may show it."""
+
+    # Plants with coordinates that a functional may read (verdict Y) and one
+    # it may not (N): draws of random_system, then a lifted system whose
+    # states 0 and 1 hold an unobserved non-decaying mode.
+    PLANTS = {"rng7-224": ((7, 224), [2], 0), "rng7-256": ((7, 256), [3], 0),
+              "rng11-122": ((11, 122), [0, 1], 2), "rng11-188": ((11, 188), [0], 1),
+              "lifted-5-3": (None, [2, 3, 4], 0)}
+
+    @classmethod
+    def functionals(cls, name: str):
+        """The plant, then K (a Gaussian mix of the Y coordinates), 1e-4 K,
+        K reading one Y coordinate and K reading the N coordinate."""
+        draw, ys, j_n = cls.PLANTS[name]
+        plant = _draw(*draw) if draw else lifted_system(5, 3, unobserved=True)
+        rows = np.eye(plant.n)
+        K = np.random.default_rng(len(ys)).standard_normal((2, len(ys))) @ rows[ys]
+        return plant, [K, 1e-4 * K, rows[ys[:1]], rows[[j_n]]]
+
+    @staticmethod
+    def outcome(sys) -> tuple:
+        """The report JSON, then (N, H, R, M, state_map, L) as bytes or the
+        refusal text."""
+        report = json.dumps(report_to_dict(is_partially_causal_detectable(sys)))
+        try:
+            est, trace = synthesize_estimator(sys)
+        except DsestError as exc:
+            return report, str(exc)
+        return report, [(X.shape, X.tobytes()) for X in (
+            est.N, est.H, est.R, est.M, trace.state_map, trace.L)]
+
+    @pytest.mark.parametrize("name", sorted(PLANTS))
+    def test_same_bits_as_a_system_alone(self, monkeypatch, name):
+        plant, Ks = self.functionals(name)
+        systems = lambda: (DescriptorSystem.from_matrices(
+            plant.E, plant.A, plant.B, plant.C, K, D=plant.D) for K in Ks)
+        alone = []
+        for sys in systems():
+            memo = weakref.ref(_plant(sys))
+            alone.append(self.outcome(sys))
+            del sys
+            assert memo() is None       # no equal-plant system was alive
+        verdicts = [json.loads(report)["partially_causal_detectable"]
+                    for report, _ in alone]
+        assert verdicts == [True, True, True, False]
+
+        calls = count_calls(monkeypatch, ("observability_staircase", "qkf"))
+        for order in (1, -1):
+            together = list(systems())[::order]
+            assert len({id(_plant(sys)) for sys in together}) == 1
+            assert [self.outcome(sys) for sys in together] == alone[::order]
+            del together
+        assert sorted(calls) == ["observability_staircase", "observability_staircase",
+                                 "qkf", "qkf"]
+
+    def test_only_equal_plant_data_share(self):
+        plant, (K, *_) = self.functionals("rng7-224")
+        mats = dict(E=plant.E, A=plant.A, B=plant.B, C=plant.C, D=plant.D, K=K)
+        C_order = DescriptorSystem.from_matrices(**mats)
+        same = DescriptorSystem.from_matrices(**mats)
+        F_order = DescriptorSystem.from_matrices(
+            **dict(mats, A=np.asfortranarray(plant.A)))
+        other_D = DescriptorSystem.from_matrices(**dict(mats, D=plant.D + 1.0))
+        assert np.array_equal(F_order.A, C_order.A) and F_order.A.flags.f_contiguous
+        assert _plant(same) is _plant(C_order)
+        assert _plant(F_order) is not _plant(C_order)
+        assert _plant(other_D) is not _plant(C_order)
+        H, other_H = (synthesize_estimator(sys)[0].H for sys in (C_order, other_D))
+        assert not np.array_equal(H, other_H)
+
+    def test_entry_dropped_with_the_last_system(self):
+        from dsest import simulate
+        plant, (K, K_small, *_) = self.functionals("lifted-5-3")
+        a, b = (DescriptorSystem.from_matrices(plant.E, plant.A, plant.B, plant.C,
+                                               k, D=plant.D) for k in (K, K_small))
+        for sys in (a, b):     # every stage of the memo is built
+            is_partially_causal_detectable(sys)
+            est, trace = synthesize_estimator(sys)
+            simulate(sys, est, np.zeros(sys.n), np.zeros(est.s), T=0.1, dt=0.01)
+        del sys
+        memo = weakref.ref(_plant(a))
+        assert _plant(b) is memo() and memo() in _PLANTS.values()
+        del a
+        assert memo() is not None
+        del b
+        assert memo() is None
+
+    def test_callers_cannot_change_each_others_results(self):
+        plant, (K, _, one, _) = self.functionals("lifted-5-3")
+        a, b = (DescriptorSystem.from_matrices(plant.E, plant.A, plant.B, plant.C,
+                                               k, D=plant.D) for k in (K, one))
+        est_a, trace_a = synthesize_estimator(a)
+        est_b, trace_b = synthesize_estimator(b)
+        before = [X.copy() for X in (est_b.N, est_b.H)]
+        arrays = [value for part in (trace_a, trace_a.staircase, trace_a.stacked_qkf)
+                  for value in vars(part).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 17
+        for X in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                X[...] = 1.0
+        for X in (est_a.N, est_a.H, est_a.R, est_a.M):
+            X[...] = 1.0
+        assert all(np.array_equal(X, Y) for X, Y in zip((est_b.N, est_b.H), before))
+        est_again, _ = synthesize_estimator(a)
+        assert np.array_equal(est_again.N, before[0])

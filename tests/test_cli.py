@@ -497,6 +497,23 @@ class TestSimulateCommand:
         assert res.output.strip() == f"error: {message}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("x0, w0, message", [
+        ("1e308,2,3,0", "4,5", "x overflows in the RK4 step from t = 0"),
+        ("1,2,3,0", "1e308,5", "w overflows in the RK4 step from t = 0"),
+    ], ids=["x0", "w0"])
+    def test_overflowing_run_exit_one(self, tmp_path, x0, w0, message):
+        # In a process of its own, so that stderr shows any numpy warning.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dsest.__file__)))
+        out = tmp_path / "t.csv"
+        res = subprocess.run(
+            [sys.executable, "-m", "dsest.cli", "simulate", SYSTEM_JSON,
+             ESTIMATOR_JSON, "--x0", x0, "--w0", w0, "--tf", "1", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120)
+        assert res.returncode == 1
+        assert (res.stdout, res.stderr) == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_step_count_that_does_not_fit_exit_one(self, runner, tmp_path):
         out = tmp_path / "t.csv"
         res = runner.invoke(main, [
@@ -592,7 +609,7 @@ class TestReportCommand:
         assert res.exit_code == 0
         assert "order" in res.output
 
-    def test_structure_built_once(self, runner, monkeypatch):
+    def test_structure_built_once(self, runner, monkeypatch, fresh_plants):
         # The analysis hands its stacked structure on to synthesis.
         import dsest.analysis as analysis
         calls = []
@@ -622,7 +639,7 @@ class TestToolkitErrors:
 
     @pytest.mark.parametrize("command", ["analyze", "report"])
     def test_decomposition_error_is_reported_not_raised(self, runner, monkeypatch,
-                                                        command):
+                                                        command, fresh_plants):
         def fail(*args, **kwargs):
             raise DecompositionError("QKF failed")
         monkeypatch.setattr("dsest.analysis.qkf", fail)

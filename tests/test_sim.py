@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -192,9 +193,33 @@ class TestNonFiniteInitialState:
 
     def test_finite_w0_that_overflows(self, ex_system, ex_reference_estimator):
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SimulationError, match="non-finite samples in w"):
+            with pytest.raises(SimulationError,
+                               match="w overflows in the RK4 step from t = 0$"):
                 simulate(ex_system, ex_reference_estimator, [1.0, 2.0, 3.0, 0.0],
                          [1e308, 5.0], u=ramp(), T=1.0)
+
+
+    def test_finite_x0_that_overflows_never_starts_the_estimator(
+            self, monkeypatch, ex_system, ex_reference_estimator):
+        def refuse(*args, **kwargs):
+            raise AssertionError("started the estimator pass")
+        monkeypatch.setattr(sim, "_stage_forcing", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no numpy warning on the way
+            with pytest.raises(SimulationError,
+                               match="^x overflows in the RK4 step from t = 0$"):
+                simulate(ex_system, ex_reference_estimator, [1e308, 2.0, 3.0, 0.0],
+                         [4.0, 5.0], u=ramp(), T=1.0)
+
+    def test_overflow_names_the_step(self, ex_system):
+        # x1' = x1 from 1e300: the four slopes of a step sum to about 6 x1,
+        # which passes the largest double, 1.8e308, once x1 reaches 3e307,
+        # at t = ln(3e7) = 17.2.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError,
+                               match=r"^x overflows in the RK4 step from t = 17\.215$"):
+                solve_plant(ex_system, [1e300, 2.0, 3.0, 0.0], T=30.0)
 
 
 class TestTimeGrid:
@@ -432,6 +457,26 @@ def _reference_rk4(M, forcing, v0, t, per_stage=False, stages=None):
         v = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         out[:, k + 1] = v
     return out
+
+
+class TestSharedPlantSolver:
+    def test_one_qkf_per_plant(self, monkeypatch, fresh_plants, ex_system,
+                               ex_reference_estimator):
+        # Two runs on one system and one on a system with an equal plant and
+        # another K: one decomposition of (E, A).
+        calls = []
+        def counted(*args, _qkf=sim.qkf, **kwargs):
+            calls.append(args)
+            return _qkf(*args, **kwargs)
+        monkeypatch.setattr(sim, "qkf", counted)
+        twin = DescriptorSystem.from_matrices(ex_system.E, ex_system.A, ex_system.B,
+                                              ex_system.C, 2.0 * ex_system.K,
+                                              D=ex_system.D)
+        first, again, other = (
+            simulate(sys, ex_reference_estimator, [1.0, 2.0, 3.0, 0.0], [4.0, 5.0],
+                     u=ramp(), T=0.5) for sys in (ex_system, ex_system, twin))
+        assert len(calls) == 1
+        assert np.array_equal(first.e, again.e) and np.array_equal(first.x, other.x)
 
 
 class TestKernel:
