@@ -57,7 +57,7 @@ from .wong import _W_star, wong_limits
 
 @dataclass(frozen=True, eq=False)
 class DescriptorSystem:
-    """System data E x' = A x + B u, y = C x + D u, z = K x, as read-only copies.
+    """System data E x' = A x + B u, y = C x + D u, z = K x: read-only C-order copies.
 
     Equality is identity.  Systems with equal plant data share one ``_Plant``
     memo while one of them lives.
@@ -84,7 +84,7 @@ class DescriptorSystem:
             raise DimensionMismatchError(
                 f"functional dimension r={K.shape[0]} exceeds state dimension n={n}")
         for name, value in zip("EABCDK", (E, A, B, C, D, K)):
-            value = np.array(value, order="K")  # a copy in the input's layout
+            value = np.array(value, order="C")
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -166,8 +166,8 @@ class AnalysisReport:
 
 class _Plant:
     """The plant (E, A, B, C, D) of every live system whose plant matrices
-    have these bytes, shapes, dtypes and memory layouts, and what was built
-    from it without reading K.
+    have these bytes, shapes and dtypes, and what was built from it without
+    reading K.
 
     ``built(build, tol)`` runs ``build(plant, tol)`` once per build and
     tolerance.  Each build is a deterministic function of the plant and the
@@ -193,12 +193,10 @@ _PLANTS = weakref.WeakValueDictionary()
 
 
 def _plant(sys: DescriptorSystem) -> _Plant:
-    """The plant memo ``sys`` shares, looked up on first use.  The key holds
-    each matrix's memory layout with its bytes: a product's last bits can
-    follow the layout of its operands."""
+    """The plant memo ``sys`` shares, looked up on first use."""
     if sys._plant is None:
         mats = (sys.E, sys.A, sys.B, sys.C, sys.D)
-        key = tuple((X.shape, X.dtype.str, X.strides, X.tobytes()) for X in mats)
+        key = tuple((X.shape, X.dtype.str, X.tobytes()) for X in mats)
         plant = _PLANTS.get(key)
         if plant is None:
             plant = _PLANTS[key] = _Plant(*mats)

@@ -2,14 +2,15 @@
 
 Exit codes: 0 = success / affirmative verdict, 2 = negative verdict,
 1 = usage or input error, or a toolkit error such as a decomposition that
-could not be certified (printed as "error: ...", never as a traceback).
+could not be certified.  An input error is an ``InputFormatError`` raised
+where the value is read; ``_Main`` prints every toolkit error, and an
+output file that cannot be written, once: "error: ...", never a traceback.
 """
 
 from __future__ import annotations
 
 import os
 import sys as _sys
-from dataclasses import replace
 
 import click
 import numpy as np
@@ -28,28 +29,14 @@ EXIT_INPUT = 1
 
 def _effective_tolerance(file_tol: dict | None, rank_rtol: float | None,
                          margin: float | None, path: str) -> Tolerance:
-    """The system file's tolerances, then the DSEST_* environment, then the
-    flags: a later layer wins.  A value that is not a number or out of range
-    raises InputFormatError naming its layer: ``path``, the variable or the
-    flag."""
-    layers = (("DSEST_RANK_RTOL", "rank_rtol", os.environ.get("DSEST_RANK_RTOL")),
-              ("DSEST_MARGIN", "synthesis_margin", os.environ.get("DSEST_MARGIN")),
-              ("--rank-rtol", "rank_rtol", rank_rtol),
-              ("--margin", "synthesis_margin", margin))
-    source = path
-    try:
-        tol = dsio.tolerance_from_dict(file_tol)
-        chosen = {}
-        for source, key, value in layers:
-            if value is not None:
-                chosen[key] = source, float(value)
-        for key, (source, value) in chosen.items():
-            tol = replace(tol, **{key: value})
-    except dsio.InputFormatError as exc:
-        raise dsio.InputFormatError(f"{source}: {exc}") from None
-    except ValueError as exc:
-        raise dsio.InputFormatError(f"{source}: invalid tolerance: {exc}") from None
-    return tol
+    """The tolerance layers in order, the system file at ``path`` first, as
+    ``dsio.resolve_tolerance`` reads them: a later layer wins."""
+    settings = (("DSEST_RANK_RTOL", "rank_rtol", os.environ.get("DSEST_RANK_RTOL")),
+                ("DSEST_MARGIN", "synthesis_margin", os.environ.get("DSEST_MARGIN")),
+                ("--rank-rtol", "rank_rtol", rank_rtol),
+                ("--margin", "synthesis_margin", margin))
+    return dsio.resolve_tolerance([(path, file_tol or {})] + [
+        (source, {key: value}) for source, key, value in settings if value is not None])
 
 
 def _load_system(path: str, rank_rtol, margin):
@@ -58,11 +45,11 @@ def _load_system(path: str, rank_rtol, margin):
 
 
 def _parse_vector(text: str, what: str) -> np.ndarray:
+    """Comma-separated numbers with no empty field; blank text is the empty vector."""
     try:
-        return np.array([float(v) for v in text.split(",") if v.strip() != ""])
+        return np.array([float(v) for v in text.split(",")] if text.strip() else [])
     except ValueError:
-        click.echo(f"error: could not parse {what}: {text!r}", err=True)
-        _sys.exit(EXIT_INPUT)
+        raise dsio.InputFormatError(f"could not parse {what}: {text!r}") from None
 
 
 def parse_input_spec(spec: str, dim: int) -> InputSignal:
@@ -73,44 +60,50 @@ def parse_input_spec(spec: str, dim: int) -> InputSignal:
       poly:c0,c1,...        -- polynomial with ascending coefficients
       sin:amp,freq[,phase]  -- sinusoid
       probe:s[,shift]       -- decaying chirp sin((t+shift)^2)/(t+shift)^s
-    A single 'zero' covers all channels.
+    A single 'zero' covers all channels; any other spec has one per input.
     """
     spec = spec.strip()
-    if spec == "zero" or dim == 0:
+    if spec == "zero":
         return InputSignal.zero(dim)
     chunks = [c.strip() for c in spec.split(";")]
     if len(chunks) != dim:
-        raise ValueError(
+        raise dsio.InputFormatError(
             f"input spec has {len(chunks)} channel(s), the plant has {dim}")
     signals = []
     for chunk in chunks:
         kind, _, args = chunk.partition(":")
-        vals = [float(v) for v in args.split(",")] if args else []
+        try:
+            vals = [float(v) for v in args.split(",")] if args else []
+        except ValueError as exc:
+            raise dsio.InputFormatError(f"{chunk!r}: {exc}") from None
         if kind == "zero":
+            if args:
+                raise dsio.InputFormatError(f"zero takes no arguments: {chunk!r}")
             signals.append(InputSignal.zero(1))
         elif kind == "poly":
             signals.append(InputSignal.polynomial([vals or [0.0]]))
         elif kind == "sin":
             if len(vals) not in (2, 3):
-                raise ValueError(f"sin needs amp,freq[,phase]: {chunk!r}")
+                raise dsio.InputFormatError(f"sin needs amp,freq[,phase]: {chunk!r}")
             signals.append(InputSignal.sinusoid([vals[0]], vals[1],
                                                 vals[2] if len(vals) == 3 else 0.0))
         elif kind == "probe":
             if len(vals) not in (1, 2):
-                raise ValueError(f"probe needs s[,shift]: {chunk!r}")
+                raise dsio.InputFormatError(f"probe needs s[,shift]: {chunk!r}")
             shift = vals[1] if len(vals) == 2 else 1.0
             try:
                 signals.append(InputSignal.probe(vals[0], 1, shift=shift))
             except ValueError as exc:
-                raise ValueError(f"{chunk!r}: {exc}") from None
+                raise dsio.InputFormatError(f"{chunk!r}: {exc}") from None
         else:
-            raise ValueError(f"unknown input kind {kind!r}")
+            raise dsio.InputFormatError(f"unknown input kind {kind!r}")
     return InputSignal.stack(signals)
 
 
 class _Main(click.Group):
-    """Every DsestError ends a command with "error: ..." and exit code 1; a
-    usage error keeps click's message and exits 1 too, not click's 2."""
+    """Every DsestError or OSError (an output file that cannot be written)
+    ends a command with "error: ..." and exit code 1; a usage error keeps
+    click's message and exits 1 too, not click's 2."""
 
     def parse_args(self, ctx, args):
         try:
@@ -125,7 +118,7 @@ class _Main(click.Group):
         except click.UsageError as exc:
             exc.exit_code = EXIT_INPUT
             raise
-        except DsestError as exc:
+        except (DsestError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             _sys.exit(EXIT_INPUT)
 
@@ -215,11 +208,7 @@ def simulate_cmd(system, estimator, x0, w0, input_spec, tf, dt, out, svg,
     est, _ = dsio.load_estimator(estimator)
     x0v = _parse_vector(x0, "--x0")
     w0v = _parse_vector(w0, "--w0")
-    try:
-        u = parse_input_spec(input_spec, sys_.l)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        _sys.exit(EXIT_INPUT)
+    u = parse_input_spec(input_spec, sys_.l)
     trace = simulate(sys_, est, x0v, w0v, u, T=tf, dt=dt, tol=tol)
     dsio.write_trace_csv(out, trace)
     if svg:

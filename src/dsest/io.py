@@ -1,5 +1,6 @@
 """File formats: JSON system/estimator files, JSON/Markdown reports,
-CSV traces, and a dependency-free SVG line plot."""
+CSV traces, a dependency-free SVG line plot, and ``resolve_tolerance``, the
+one reader of tolerance settings from a file, the environment or the flags."""
 
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ from .sim import SimulationTrace
 from .synthesis import EstimatorRealization
 
 
-class InputFormatError(DsestError):
-    """Malformed or inconsistent input file."""
+class InputFormatError(DsestError, ValueError):
+    """Malformed or inconsistent input: a file, a variable or an option."""
 
 
 _MATRIX_KEYS = ("E", "A", "B", "C", "D", "K")
@@ -84,24 +85,35 @@ def write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def tolerance_from_dict(doc: Optional[dict],
-                        base: Tolerance = DEFAULT_TOL) -> Tolerance:
-    if not doc:
-        return base
-    allowed = {"rank_rtol", "synthesis_margin"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise InputFormatError(f"unknown tolerance keys: {sorted(unknown)}")
-    values = {}
-    for k, v in doc.items():
-        if v is None or isinstance(v, (bool, list, dict)):
-            raise ValueError(f"{k} must be a number, got {json.dumps(v)}")
+def resolve_tolerance(layers) -> Tolerance:
+    """The tolerance that ``(source, {key: value})`` layers set, earliest
+    first.  Each layer may set only ``rank_rtol`` and ``synthesis_margin``,
+    each to a number; the last layer that sets a key wins, and only the
+    winners are range-checked.  Each refusal names its layer's source."""
+    def refused(source, why):
+        return InputFormatError(f"{source}: invalid tolerance: {why}")
+    chosen = {}
+    for source, values in layers:
+        unknown = set(values) - {"rank_rtol", "synthesis_margin"}
+        if unknown:
+            raise InputFormatError(f"{source}: unknown tolerance keys: {sorted(unknown)}")
+        for key, value in values.items():
+            if value is None or isinstance(value, (bool, list, dict)):
+                raise refused(source, f"{key} must be a number, got {json.dumps(value)}")
+            try:
+                chosen[key] = source, float(value)  # a numeric string is its number
+            except OverflowError:
+                raise refused(source, f"{key} must be finite, got an integer beyond "
+                                      "the float range") from None
+            except ValueError as exc:
+                raise refused(source, exc) from None
+    tol = DEFAULT_TOL
+    for key, (source, value) in chosen.items():
         try:
-            values[k] = float(v)
-        except OverflowError:
-            raise ValueError(f"{k} must be finite, got an integer beyond "
-                             "the float range") from None
-    return replace(base, **values)
+            tol = replace(tol, **{key: value})
+        except ValueError as exc:
+            raise refused(source, exc) from None
+    return tol
 
 
 def load_system(path: str) -> tuple[DescriptorSystem, str, Optional[dict]]:

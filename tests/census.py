@@ -20,19 +20,37 @@ The digests cover:
 * estimators: (N, H, R, M) and the trace's ``state_map`` and L;
 * traces: t, x, y, z, w, zhat, e and meta of each simulation (or its error).
 
+With ``--cli`` it prints a census of the ``dsest`` command instead:
+
+    PYTHONPATH=src python tests/census.py --cli
+
+It runs a fixed list of invocations in process, through click's
+``CliRunner`` with ``DSEST_*`` unset, each in a fresh directory that holds
+the worked example as ``system.json`` and ``estimator.json`` and any file
+the case adds, so every path in a message is relative.  The list holds the
+README's four commands on the worked example (``simulate`` with ``--tf
+0.05``) and every malformed-input case of ``tests/test_cli.py``.  Each line
+is the SHA-256 of one invocation's exit code, output (stdout and stderr)
+and the bytes of every file it wrote, by relative path; the last line is
+one hash over all of them.
+
 This is a script, not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
+from click.testing import CliRunner
 
 import dsest
 from conftest import lifted_system, random_system
+from dsest.cli import main as dsest_main
 from dsest.io import report_to_dict
 
 RANDOM_DRAWS = 600
@@ -89,7 +107,7 @@ def _simulate(digest, key: str, sys, est, trace) -> None:
     digest.update(json.dumps(run.meta, sort_keys=True, default=str).encode())
 
 
-def main() -> None:
+def results_census() -> None:
     digests = {name: hashlib.sha256()
                for name in ("reports", "refusals", "estimators", "traces")}
     counts = {"systems": 0, "built": 0, "refused": 0, "analysis raised": 0}
@@ -122,5 +140,183 @@ def main() -> None:
         print(f"{name:<10} {digest.hexdigest()}")
 
 
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+with open(os.path.join(DATA, "example_system.json")) as _fh:
+    SYSTEM = json.load(_fh)
+with open(os.path.join(DATA, "reference_estimator.json")) as _fh:
+    ESTIMATOR = json.load(_fh)
+# x' = -x, z = x: a plant without inputs or outputs, and its estimator.
+NO_INPUT = {"l0.json": json.dumps({"E": [[1]], "A": [[-1]], "B": [[]], "C": [],
+                                   "D": [], "K": [[1]]}),
+            "l0est.json": json.dumps({"N": [[-1]], "H": [[]], "R": [[1]], "M": [[]]})}
+
+
+def _with(base: dict, **fields) -> str:
+    return json.dumps({**base, **fields})
+
+
+def _with_entry(base: dict, key: str, literal: str) -> str:
+    """``base`` with entry (0, 0) of matrix ``key`` written as ``literal``."""
+    doc = json.loads(json.dumps(base))
+    doc[key][0][0] = "@entry@"
+    return json.dumps(doc).replace('"@entry@"', literal)
+
+
+def _tolerance(value) -> dict:
+    return {"system.json": _with(SYSTEM, tolerance={"rank_rtol": value})}
+
+
+def _sim_args(*extra, x0="1,2,3,0", w0="4,5", grid=("--tf", "1", "--dt", "0.1"),
+              files=("system.json", "estimator.json")) -> list:
+    """argv of a ``dsest simulate`` that writes t.csv."""
+    return ["simulate", *files, "--x0", x0, "--w0", w0, *grid, "--out", "t.csv",
+            *extra]
+
+
+def cli_cases() -> list:
+    """(name, argv, environment, {relative path: text}) of every invocation."""
+    nan_file = ('{"E": [[1]], "A": [[1]], "B": [[]], "C": [], "D": [], "K": [[1]], '
+                '"tolerance": {"synthesis_margin": NaN}}')
+    huge = json.dumps(SYSTEM)[:-1] + ', "tolerance": {"rank_rtol": 1' + "0" * 5000 + "}}"
+    shape = {"E": [[1.0, 0.0]], "A": [[1.0, 0.0]], "B": [[1.0]], "C": [], "D": [],
+             "K": [[1.0, 0.0, 0.0]]}
+    cases = [
+        ("readme-analyze", ["analyze", "system.json", "--json-out", "report.json",
+                            "--md-out", "report.md"], {}, {}),
+        ("readme-synth", ["synth", "system.json", "-o", "est.json"], {}, {}),
+        ("readme-simulate", _sim_args("--input", "poly:0,1", "--svg", "trace.svg",
+                                      grid=("--tf", "0.05", "--dt", "0.001")), {}, {}),
+        ("readme-report", ["report", "system.json"], {}, {}),
+        ("usage-no-arguments", [], {}, {}),
+        ("usage-main-option", ["--nope"], {}, {}),
+        ("usage-command", ["bogus"], {}, {}),
+        ("usage-argument", ["analyze"], {}, {}),
+        ("usage-option", ["analyze", "--nope", "system.json"], {}, {}),
+        ("usage-value", ["simulate", "system.json", "estimator.json", "--tf", "abc"],
+         {}, {}),
+        ("flag-rank-rtol-negative", ["analyze", "system.json", "--rank-rtol", "-1"],
+         {}, {}),
+        ("flag-margin-zero", ["analyze", "system.json", "--margin", "0"], {}, {}),
+        ("flag-rank-rtol-nan", ["analyze", "system.json", "--rank-rtol", "nan"], {}, {}),
+        ("flag-margin-inf", ["analyze", "system.json", "--margin", "inf"], {}, {}),
+        ("env-margin-text", ["analyze", "system.json"], {"DSEST_MARGIN": "abc"}, {}),
+        ("env-rank-rtol-text", ["analyze", "system.json"], {"DSEST_RANK_RTOL": "abc"},
+         {}),
+        ("env-margin-nan", ["analyze", "system.json"], {"DSEST_MARGIN": "nan"}, {}),
+        ("env-margin-negative", ["analyze", "system.json"], {"DSEST_MARGIN": "-1"}, {}),
+        ("env-rank-rtol-inf", ["analyze", "system.json"], {"DSEST_RANK_RTOL": "inf"},
+         {}),
+        ("flag-over-env-nan-margin", ["analyze", "system.json", "--margin", "0.5"],
+         {"DSEST_MARGIN": "nan"}, {}),
+        ("synth-env-nan-margin", ["synth", "system.json", "-o", "est.json"],
+         {"DSEST_MARGIN": "nan"}, {}),
+        ("file-nan-margin", ["analyze", "system.json"], {}, {"system.json": nan_file}),
+        ("file-unknown-key", ["analyze", "system.json"], {},
+         {"system.json": _with(SYSTEM, tolerance={"eig_stability_margin": 0.1})}),
+        ("file-rank-rtol-zero", ["analyze", "system.json"], {}, _tolerance(0)),
+        ("file-zero-under-flag", ["analyze", "system.json", "--rank-rtol", "1e-10"],
+         {}, _tolerance(0)),
+        ("file-zero-under-env", ["analyze", "system.json"],
+         {"DSEST_RANK_RTOL": "1e-10"}, _tolerance(0)),
+        ("file-beyond-float-range", ["analyze", "system.json"], {},
+         _tolerance(10 ** 400)),
+        ("file-beyond-parser-limit", ["analyze", "system.json"], {},
+         {"system.json": huge}),
+        ("missing-matrices", ["analyze", "system.json"], {},
+         {"system.json": '{"name": "x"}'}),
+        ("shape-mismatch", ["analyze", "system.json"], {},
+         {"system.json": json.dumps(shape)}),
+    ]
+    for command, out in (("analyze", "--json-out"), ("synth", "-o")):
+        for shown, value in (("null", None), ("list", [1e-10]),
+                             ("object", {"value": 1e-10}), ("true", True)):
+            cases.append((f"file-{shown}-{command}", [command, "system.json", out,
+                                                      "out.json"], {}, _tolerance(value)))
+    for key, literal in (("D", "true"), ("K", '"1"'), ("A", "1e400"), ("A", "NaN"),
+                         ("E", "1" + "0" * 400)):
+        cases.append((f"entry-{key}-{literal[:8]}", ["analyze", "system.json"], {},
+                      {"system.json": _with_entry(SYSTEM, key, literal)}))
+    cases.append(("entry-estimator-N", _sim_args(), {},
+                  {"estimator.json": _with_entry(ESTIMATOR, "N", "true")}))
+    for shown, value in (("null", None), ("number", 7), ("list", ["a"])):
+        cases.append((f"name-{shown}-analyze", ["analyze", "system.json"], {},
+                      {"system.json": _with(SYSTEM, name=value)}))
+        cases.append((f"name-{shown}-simulate", _sim_args(), {},
+                      {"estimator.json": _with(ESTIMATOR, name=value)}))
+    for flag, value in (("--dt", "0"), ("--dt", "nan"), ("--tf", "inf"), ("--tf", "0"),
+                        ("--tf", "-1")):
+        grid = {"--tf": "1", "--dt": "0.1", flag: value}
+        cases.append((f"grid{flag}={value}",
+                      _sim_args(grid=[a for kv in grid.items() for a in kv]), {}, {}))
+    cases += [
+        ("grid-too-many-steps", _sim_args(grid=("--tf", "1e300")), {}, {}),
+        ("x0-nan", _sim_args(x0="nan,2,3,0"), {}, {}),
+        ("w0-inf", _sim_args(w0="inf,5"), {}, {}),
+        ("x0-overflow", _sim_args(x0="1e308,2,3,0", grid=("--tf", "1")), {}, {}),
+        ("w0-overflow", _sim_args(w0="1e308,5", grid=("--tf", "1")), {}, {}),
+        ("x0-inconsistent", _sim_args("--input", "poly:0,1", x0="1,2,3,9"), {}, {}),
+        ("x0-empty-field", _sim_args(x0="1,2,,3,0"), {}, {}),
+        ("x0-trailing-comma", _sim_args(x0="1,2,3,0,"), {}, {}),
+        ("w0-empty-field", _sim_args(w0=",4,5"), {}, {}),
+        ("estimator-H", _sim_args(), {}, {"estimator.json": _with(
+            ESTIMATOR, H=[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], M=[[-1.0, 1.0, 0.0]])}),
+        ("estimator-M", _sim_args(), {},
+         {"estimator.json": _with(ESTIMATOR, M=[[-1.0, 1.0], [0.0, 0.0]])}),
+    ]
+    for name, args in (("json-out", ["analyze", "system.json", "--json-out"]),
+                       ("md-out", ["analyze", "system.json", "--md-out"]),
+                       ("synth", ["synth", "system.json", "-o"]),
+                       ("report", ["report", "system.json", "--out"]),
+                       ("simulate", _sim_args("--out"))):
+        cases.append((f"unwritable-{name}", [*args, "missing/out"], {}, {}))
+    for shown, order in (("string", "x"), ("null", None), ("list", [1]),
+                         ("fraction", 1.5), ("boolean", True)):
+        cases.append((f"order-{shown}", _sim_args(), {},
+                      {"estimator.json": _with(ESTIMATOR, s=order)}))
+    for spec in ("probe:1.5", "probe:-1", "probe:1,0", "probe:2,-0.5", "zero;zero",
+                 "ramp:1", "zero:5", "poly:1,", "sin:x,2"):
+        cases.append((f"input-{spec}", _sim_args("--input", spec), {}, {}))
+    for spec in ("zero", "sin:1,2"):
+        cases.append((f"no-input-plant-{spec}", _sim_args(
+            "--input", spec, x0="1", w0="0", files=tuple(NO_INPUT)), {}, NO_INPUT))
+    return cases
+
+
+def _run(runner: CliRunner, argv: list, env: dict, files: dict) -> bytes:
+    """Exit code, output and written files of one invocation, as bytes."""
+    inputs = {"system.json": json.dumps(SYSTEM), "estimator.json": json.dumps(ESTIMATOR),
+              **files}
+    with runner.isolated_filesystem():
+        for path, text in inputs.items():
+            with open(path, "w") as fh:
+                fh.write(text)
+        res = runner.invoke(dsest_main, argv, env={"DSEST_RANK_RTOL": None,
+                                                   "DSEST_MARGIN": None, **env})
+        crashed = ("" if res.exception is None or isinstance(res.exception, SystemExit)
+                   else type(res.exception).__name__)
+        record = [repr((res.exit_code, crashed, res.output)).encode()]
+        for path in sorted(os.listdir(".")):
+            with open(path, "rb") as fh:
+                data = fh.read()
+            if path not in inputs or data != inputs[path].encode():
+                record += [path.encode(), data]
+    return b"\0".join(record)
+
+
+def cli_census() -> None:
+    runner, overall = CliRunner(), hashlib.sha256()
+    for name, argv, env, files in cli_cases():
+        digest = hashlib.sha256(_run(runner, argv, env, files)).hexdigest()
+        overall.update(digest.encode())
+        print(f"{digest}  {name}")
+    print(f"{overall.hexdigest()}  all")
+
+
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--cli", action="store_true",
+                        help="census of the dsest command instead of the results")
+    if parser.parse_args().cli:
+        cli_census()
+    else:
+        results_census()

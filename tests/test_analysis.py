@@ -414,13 +414,14 @@ class TestStructureMemo:
         synthesize_estimator(ex_system, Tolerance(rank_rtol=1e-9))
         assert len(calls) == 2
 
-    def test_matrices_are_read_only_copies_in_the_input_layout(self):
+    def test_matrices_are_read_only_c_ordered_copies(self):
         E = np.asfortranarray(np.diag([1.0, 1.0, 0.0]))
         sys = DescriptorSystem.from_matrices(E, -np.eye(3), np.ones((3, 1)),
                                              np.ones((1, 3)), np.eye(1, 3))
         assert sys.E.flags.writeable is False
         assert all(not getattr(sys, name).flags.writeable for name in "EABCDK")
-        assert sys.E.flags.f_contiguous and sys.A.flags.c_contiguous
+        assert all(getattr(sys, name).flags.c_contiguous for name in "EABCDK")
+        assert not sys.E.flags.f_contiguous
         assert not np.shares_memory(sys.E, E)
         with pytest.raises(ValueError):
             sys.E[0, 0] = 2.0
@@ -519,9 +520,12 @@ class TestSharedPlant:
         F_order = DescriptorSystem.from_matrices(
             **dict(mats, A=np.asfortranarray(plant.A)))
         other_D = DescriptorSystem.from_matrices(**dict(mats, D=plant.D + 1.0))
-        assert np.array_equal(F_order.A, C_order.A) and F_order.A.flags.f_contiguous
+        # A system keeps C-ordered copies, so the layout of the caller's
+        # arrays can change neither the memo nor a bit of any result.
+        assert np.array_equal(F_order.A, C_order.A) and F_order.A.flags.c_contiguous
         assert _plant(same) is _plant(C_order)
-        assert _plant(F_order) is not _plant(C_order)
+        assert _plant(F_order) is _plant(C_order)
+        assert self.outcome(F_order) == self.outcome(C_order)
         assert _plant(other_D) is not _plant(C_order)
         H, other_H = (synthesize_estimator(sys)[0].H for sys in (C_order, other_D))
         assert not np.array_equal(H, other_H)

@@ -306,6 +306,73 @@ class TestInvalidTolerance:
             Tolerance(**{field: value})
 
 
+class TestToleranceRule:
+    """One rule for the file, DSEST_* and flag layers, in that order: every
+    layer is checked for unknown keys and non-numbers, the last layer that
+    sets a key wins, and only the winner is range-checked."""
+
+    ENV = {"rank_rtol": "DSEST_RANK_RTOL", "synthesis_margin": "DSEST_MARGIN"}
+    FLAG = {"rank_rtol": "--rank-rtol", "synthesis_margin": "--margin"}
+
+    def analyze(self, runner, tmp_path, layers):
+        """``dsest analyze`` on the worked example with ``(layer, key, value)``
+        settings; returns the system file's path and the result."""
+        with open(SYSTEM_JSON) as fh:
+            doc = json.load(fh)
+        doc["tolerance"] = {}
+        args, env = [], {"DSEST_RANK_RTOL": None, "DSEST_MARGIN": None}
+        for layer, key, value in layers:
+            if layer == "file":
+                doc["tolerance"][key] = value
+            elif layer == "env":
+                env[self.ENV[key]] = value
+            else:
+                args += [self.FLAG[key], value]
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(doc))
+        return str(path), runner.invoke(main, ["analyze", str(path), *args], env=env)
+
+    @pytest.mark.parametrize("key, bad, good", [
+        ("rank_rtol", 0, "1e-10"), ("synthesis_margin", -1, "0.5")])
+    @pytest.mark.parametrize("earlier, later", [
+        ("file", "env"), ("file", "flag"), ("env", "flag")])
+    def test_later_layer_overrides_an_out_of_range_value(
+            self, runner, tmp_path, earlier, later, key, bad, good):
+        bad = bad if earlier == "file" else str(bad)
+        _, res = self.analyze(runner, tmp_path, [(earlier, key, bad), (later, key, good)])
+        assert res.exit_code == 0, res.output
+
+    def test_out_of_range_winner_is_named(self, runner, tmp_path):
+        _, res = self.analyze(runner, tmp_path, [
+            ("file", "rank_rtol", 0), ("env", "rank_rtol", "-1")])
+        assert res.exit_code == 1
+        assert res.output == ("error: DSEST_RANK_RTOL: invalid tolerance: "
+                              "rank_rtol must be positive\n")
+
+    @pytest.mark.parametrize("layer, value, why", [
+        ("file", None, "rank_rtol must be a number, got null"),
+        ("file", True, "rank_rtol must be a number, got true"),
+        ("file", "abc", "could not convert string to float: 'abc'"),
+        ("env", "null", "could not convert string to float: 'null'"),
+        ("env", "true", "could not convert string to float: 'true'"),
+        ("env", "abc", "could not convert string to float: 'abc'"),
+    ])
+    def test_non_number_refused_under_a_later_value(self, runner, tmp_path,
+                                                    layer, value, why):
+        path, res = self.analyze(runner, tmp_path, [
+            (layer, "rank_rtol", value), ("flag", "rank_rtol", "1e-10")])
+        assert res.exit_code == 1
+        source = path if layer == "file" else "DSEST_RANK_RTOL"
+        assert res.output == f"error: {source}: invalid tolerance: {why}\n"
+
+    def test_unknown_file_key_refused_under_both_flags(self, runner, tmp_path):
+        path, res = self.analyze(runner, tmp_path, [
+            ("file", "rank_tol", 1e-10), ("flag", "rank_rtol", "1e-10"),
+            ("flag", "synthesis_margin", "0.5")])
+        assert res.exit_code == 1
+        assert res.output == f"error: {path}: unknown tolerance keys: ['rank_tol']\n"
+
+
 class TestMatrixEntries:
     """A matrix entry must be a finite JSON number within the float range."""
 
@@ -601,6 +668,73 @@ class TestSimulateCommand:
             "--w0", "0,0", "--input", "poly:0,1", "--tf", "1", "--dt", "0.1",
             "--out", str(tmp_path / "t.csv")])
         assert res.exit_code == 0, res.output
+
+
+class TestCommandLineVectorsAndInputs:
+    """--x0, --w0 and --input are refused rather than read in part."""
+
+    # x' = -x, z = x: a plant without inputs or outputs, and its estimator.
+    NO_INPUT_SYSTEM = {"E": [[1]], "A": [[-1]], "B": [[]], "C": [], "D": [], "K": [[1]]}
+    NO_INPUT_ESTIMATOR = {"N": [[-1]], "H": [[]], "R": [[1]], "M": [[]]}
+
+    def simulate(self, runner, tmp_path, x0="1,2,3,0", w0="4,5", spec="poly:0,1",
+                 files=(SYSTEM_JSON, ESTIMATOR_JSON)):
+        out = tmp_path / "t.csv"
+        res = runner.invoke(main, [
+            "simulate", *files, "--x0", x0, "--w0", w0, "--input", spec,
+            "--tf", "1", "--dt", "0.1", "--out", str(out)])
+        return res, out.exists()
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--x0", "1,2,,3,0"), ("--x0", "1,2,3,0,"), ("--w0", ",4,5")])
+    def test_empty_field_refused(self, runner, tmp_path, flag, text):
+        vectors = {"--x0": "1,2,3,0", "--w0": "4,5", flag: text}
+        res, wrote = self.simulate(runner, tmp_path, vectors["--x0"], vectors["--w0"])
+        assert res.exit_code == 1
+        assert res.output == f"error: could not parse {flag}: {text!r}\n"
+        assert not wrote
+
+    @pytest.mark.parametrize("spec, message", [
+        ("zero:5", "zero takes no arguments: 'zero:5'"),
+        ("poly:1,", "'poly:1,': could not convert string to float: ''"),
+        ("sin:x,2", "'sin:x,2': could not convert string to float: 'x'"),
+        ("ramp:1", "unknown input kind 'ramp'"),
+        ("zero;zero", "input spec has 2 channel(s), the plant has 1"),
+    ])
+    def test_malformed_input_refused(self, runner, tmp_path, spec, message):
+        res, wrote = self.simulate(runner, tmp_path, spec=spec)
+        assert res.exit_code == 1
+        assert res.output == f"error: {message}\n"
+        assert not wrote
+
+    @pytest.mark.parametrize("spec, code", [("zero", 2), ("sin:1,2", 1)])
+    def test_plant_without_inputs_takes_only_zero(self, runner, tmp_path, spec, code):
+        files = (tmp_path / "sys.json", tmp_path / "est.json")
+        for path, doc in zip(files, (self.NO_INPUT_SYSTEM, self.NO_INPUT_ESTIMATOR)):
+            path.write_text(json.dumps(doc))
+        res, wrote = self.simulate(runner, tmp_path, "1", "0", spec,
+                                   tuple(map(str, files)))
+        assert res.exit_code == code, res.output
+        if code == 1:
+            assert res.output == "error: input spec has 1 channel(s), the plant has 0\n"
+        assert wrote is (code == 2)
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("args", [
+        ["analyze", SYSTEM_JSON, "--json-out"],
+        ["analyze", SYSTEM_JSON, "--md-out"],
+        ["synth", SYSTEM_JSON, "-o"],
+        ["report", SYSTEM_JSON, "--out"],
+        ["simulate", SYSTEM_JSON, ESTIMATOR_JSON, "--x0", "1,2,3,0", "--w0", "4,5",
+         "--tf", "1", "--dt", "0.1", "--out"],
+    ], ids=["json-out", "md-out", "synth", "report", "simulate"])
+    def test_is_an_error_line_not_a_traceback(self, runner, tmp_path, args):
+        path = tmp_path / "missing" / "out"
+        res = runner.invoke(main, [*args, str(path)])
+        assert isinstance(res.exception, SystemExit)
+        assert res.exit_code == 1
+        assert res.output == f"error: [Errno 2] No such file or directory: '{path}'\n"
 
 
 class TestReportCommand:
