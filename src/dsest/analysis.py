@@ -19,7 +19,8 @@ Decides, for a system E x' = A x + B u, y = C x + D u, z = K x:
 * partial causality (z expressible without input derivatives), the first
   two of those conditions, read from the same structure;
 * partial impulse observability of z with respect to the measurement,
-  whose subspace W* intersect A^{-1}(im E) is kept in the same memo.
+  whose subspace W* intersect A^{-1}(im E) is kept in the same memo.  The
+  verdict does not read it: a report computes it when it is first read.
 
 The five-way cross-check of the causal part is one function,
 ``characterization_suite``: rank and subspace-inclusion computations on
@@ -31,7 +32,9 @@ and no verdict or report runs it.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -152,16 +155,25 @@ class AnalysisReport:
 
     ``partially_causal_detectable`` (all three rows), ``partially_causal``
     (rows 1 and 2) and ``partially_detectable`` (rows 1 and 3) are read from
-    the block checks of ``_functional``; ``partially_impulse_observable`` is
-    ``is_partially_impulse_observable``.
+    the block checks of ``_functional``.  ``partially_impulse_observable``
+    is ``is_partially_impulse_observable``, computed when first read (the
+    verdict does not read it), so an error in it surfaces at that read; the
+    report keeps the plant memo and K for it, not the system.
     """
 
-    partially_impulse_observable: bool
     partially_causal: bool
     partially_detectable: bool
     block_checks: tuple             # (condition, residual, threshold) rows
     partially_causal_detectable: bool
     diagnostics: dict
+    impulse_observable: InitVar[Callable[[], bool]]
+
+    def __post_init__(self, impulse_observable):
+        object.__setattr__(self, "_impulse", impulse_observable)
+
+    @cached_property
+    def partially_impulse_observable(self) -> bool:
+        return self._impulse()
 
 
 class _Plant:
@@ -311,9 +323,13 @@ def _plant_impulse_space(plant: _Plant, tol: Tolerance) -> Subspace:
     return _impulse_space(plant.E, plant.A, plant.C, tol)
 
 
+def _impulse_observable(plant: _Plant, K: np.ndarray, tol: Tolerance) -> bool:
+    return _inclusion_in_kernel(plant.built(_plant_impulse_space, tol), K)
+
+
 def is_partially_impulse_observable(sys: DescriptorSystem,
                                     tol: Tolerance = DEFAULT_TOL) -> bool:
-    return _inclusion_in_kernel(_plant(sys).built(_plant_impulse_space, tol), sys.K)
+    return _impulse_observable(_plant(sys), sys.K, tol)
 
 
 def is_partially_detectable(sys: DescriptorSystem,
@@ -410,7 +426,6 @@ def is_partially_causal_detectable(sys: DescriptorSystem,
     free, derivative, mode = functional.checks
 
     return AnalysisReport(
-        partially_impulse_observable=is_partially_impulse_observable(sys, tol),
         partially_causal=_holds(free) and _holds(derivative),
         partially_detectable=_holds(free) and _holds(mode),
         block_checks=functional.checks,
@@ -420,4 +435,5 @@ def is_partially_causal_detectable(sys: DescriptorSystem,
             "non_decaying_modes": [[float(v.real), float(v.imag)]
                                    for v in functional.structure.modes],
         },
+        impulse_observable=partial(_impulse_observable, _plant(sys), sys.K, tol),
     )

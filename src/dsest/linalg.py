@@ -146,15 +146,29 @@ class Subspace:
             ambient_dim = basis.shape[0]
         if basis.shape[0] != ambient_dim:
             raise DimensionMismatchError("basis rows do not match ambient_dim")
+        self._set(basis, ambient_dim)
+
+    def _set(self, basis: np.ndarray, ambient_dim: int) -> None:
+        """Store ``basis`` after the orthonormality test, which a NaN or Inf
+        entry also fails."""
         d = basis.shape[1]
         if d:   # dev = |B^H B - I|; max(dev) <= atol spares the exact test
-            dev = basis.conj().T @ basis
-            dev.flat[::d + 1] -= 1.0
+            dev = (basis.conj().T if basis.dtype.kind == "c" else basis.T) @ basis
+            dev.ravel()[::d + 1] -= 1.0
             dev = np.abs(dev)
             if not (dev.max() <= 1e-10 or (dev <= 1e-10 + 1e-5 * np.eye(d)).all()):
                 raise ValueError("basis columns must be orthonormal")
         object.__setattr__(self, "ambient_dim", int(ambient_dim))
         object.__setattr__(self, "basis", basis)
+
+    @classmethod
+    def _from_factor(cls, basis: np.ndarray, ambient_dim: int) -> "Subspace":
+        """A subspace whose basis is columns of an SVD factor (or ``zeros`` /
+        ``eye``): an inexact 2-D array with ``ambient_dim`` rows, which
+        ``__init__`` would only re-check."""
+        space = cls.__new__(cls)
+        space._set(basis, ambient_dim)
+        return space
 
     def __setattr__(self, *args):
         raise AttributeError("Subspace is immutable")
@@ -165,11 +179,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(np.zeros((ambient_dim, 0)), ambient_dim)
+        return cls._from_factor(np.zeros((ambient_dim, 0)), ambient_dim)
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(np.eye(ambient_dim), ambient_dim)
+        return cls._from_factor(np.eye(ambient_dim), ambient_dim)
 
     @classmethod
     def from_span(cls, cols, ambient_dim: int | None = None,
@@ -181,18 +195,20 @@ class Subspace:
         cols = as_matrix(cols)
         if ambient_dim is None:
             ambient_dim = cols.shape[0]
+        if cols.shape[0] != ambient_dim:
+            raise DimensionMismatchError("basis rows do not match ambient_dim")
         if cols.shape[1] == 0 or cols.shape[0] == 0:
-            return cls(np.zeros((ambient_dim, 0)), ambient_dim)
+            return cls.zero(ambient_dim)
         u, s, _ = np.linalg.svd(cols, full_matrices=False)
         r = int(np.count_nonzero(s > _svd_threshold(s, cols.shape, tol, scale)))
-        return cls(u[:, :r], ambient_dim)
+        return cls._from_factor(u[:, :r], ambient_dim)
 
     def complement(self) -> "Subspace":
         """Orthogonal complement in the ambient space."""
         if self.dim == 0:
             return Subspace.full(self.ambient_dim)
         u, _, _ = np.linalg.svd(self.basis, full_matrices=True)
-        return Subspace(u[:, self.dim:], self.ambient_dim)
+        return Subspace._from_factor(u[:, self.dim:], self.ambient_dim)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -209,7 +225,7 @@ def kernel(M, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> Subspace:
         return Subspace.full(n) if n else Subspace.zero(0)
     _, s, vh = np.linalg.svd(M, full_matrices=True)
     r = int(np.count_nonzero(s > _svd_threshold(s, M.shape, tol, scale)))
-    return Subspace(vh[r:, :].conj().T, n)
+    return Subspace._from_factor(vh[r:, :].conj().T, n)
 
 
 def image(M, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -244,13 +260,25 @@ def preimage(M, s: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     M = as_matrix(M)
     if M.shape[0] != s.ambient_dim:
         raise DimensionMismatchError("preimage: S must live in the row space of M")
+    return _preimage(M, s, tol, _scale(M))
+
+
+def _scale(M: np.ndarray) -> float:
+    """max |M_ij|, 0 for an empty M: the kernel threshold floor of
+    ``_preimage`` and ``_apply_map``."""
+    return float(np.abs(M).max(initial=0.0))
+
+
+def _preimage(M: np.ndarray, s: Subspace, tol: Tolerance, scale: float) -> Subspace:
+    """``preimage`` of a validated M whose rows match S, with scale
+    ``_scale(M)``."""
     if s.dim == s.ambient_dim:
         return Subspace.full(M.shape[1])
     Z = s.complement().basis.conj().T
     # Z is orthonormal, so the natural magnitude of Z @ M is that of M; a
     # purely relative kernel threshold would count roundoff rows (which occur
     # when im M is nearly contained in S) as nonzero.
-    return kernel(Z @ M, tol, scale=float(np.abs(M).max(initial=0.0)))
+    return kernel(Z @ M, tol, scale=scale)
 
 
 def contains(s_big: Subspace, s_small: Subspace, atol: float = SUBSPACE_ATOL) -> bool:
@@ -265,20 +293,21 @@ def contains(s_big: Subspace, s_small: Subspace, atol: float = SUBSPACE_ATOL) ->
     return bool(np.linalg.norm(resid, axis=0).max() <= atol)
 
 
-def subspaces_equal(s1: Subspace, s2: Subspace, atol: float = SUBSPACE_ATOL) -> bool:
-    return contains(s1, s2, atol) and contains(s2, s1, atol)
-
-
 def apply_map(M, s: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     """Image M(S) of a subspace under a linear map."""
     M = as_matrix(M)
     if M.shape[1] != s.ambient_dim:
         raise DimensionMismatchError("apply_map: dimension mismatch")
+    return _apply_map(M, s, tol, _scale(M))
+
+
+def _apply_map(M: np.ndarray, s: Subspace, tol: Tolerance, scale: float) -> Subspace:
+    """``apply_map`` of a validated M whose columns match S, with scale
+    ``_scale(M)``."""
     # The basis is orthonormal, so columns of M @ basis smaller than roundoff
     # relative to |M| are images of (near-)kernel directions and must not
     # count as extra dimensions.
-    return Subspace.from_span(M @ s.basis, M.shape[0], tol,
-                              scale=float(np.abs(M).max(initial=0.0)))
+    return Subspace.from_span(M @ s.basis, M.shape[0], tol, scale=scale)
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,14 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
-    apply_map,
+    _apply_map,
+    _preimage,
+    _scale,
     as_matrix,
     contains,
     image,
     intersect,
     kernel,
-    preimage,
     subspace_sum,
 )
 
@@ -61,12 +62,18 @@ def _tuple(E, A, B, C, tol: Tolerance):
 
 def _chain(pre, fwd, start: Subspace, im_B: Subspace, ker_C: Subspace,
            tol: Tolerance) -> list[Subspace]:
-    """S^0 = start, S^{i+1} = pre^{-1}(fwd S^i + im B) ∩ ker C, until stable."""
+    """S^0 = start, S^{i+1} = pre^{-1}(fwd S^i + im B) ∩ ker C, until stable.
+
+    pre and fwd are the validated (E, A) of ``_tuple``, so their scales are
+    taken once per chain.
+    """
+    pre_scale, fwd_scale = _scale(pre), _scale(fwd)
     chain = [start]
     for _ in range(pre.shape[1] + 1):
         prev = chain[-1]
         nxt = intersect(
-            preimage(pre, subspace_sum(apply_map(fwd, prev, tol), im_B, tol), tol),
+            _preimage(pre, subspace_sum(_apply_map(fwd, prev, tol, fwd_scale),
+                                        im_B, tol), tol, pre_scale),
             ker_C, tol)
         chain.append(nxt)
         if _stabilized(prev, nxt):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+from dataclasses import replace
 import json
 import weakref
 
@@ -25,6 +26,7 @@ from dsest import (
 )
 
 from dsest.analysis import _PLANTS, _plant
+from dsest.linalg import Subspace
 from dsest.exceptions import DsestError
 from dsest.io import report_to_dict
 from conftest import (detect_candidate_lambdas, detectability_matrices,
@@ -345,6 +347,69 @@ class TestLiftedOnFirstRead:
             assert [getattr(report, name) for name in fields] == eager
             assert report_to_dict(report)["partially_causal"] is verdict
             render_report_markdown("system", report)
+
+
+class TestImpulseObservabilityOnFirstRead:
+    """The verdict does not read partial impulse observability; a report
+    computes it when it is first read, from its plant memo and K."""
+
+    def test_verdict_path_runs_no_W_chain(self, monkeypatch, fresh_plants,
+                                          ex_system, sigma_violating_system):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the verdict path ran the W chain")
+        monkeypatch.setattr("dsest.analysis._W_star", refuse)
+        for sys, verdict in ((ex_system, True), (sigma_violating_system, False)):
+            report = is_partially_causal_detectable(sys)
+            assert report.partially_causal_detectable is verdict
+            assert report.partially_causal is verdict
+            with pytest.raises(AssertionError, match="W chain"):
+                report.partially_impulse_observable
+
+    def test_equals_the_function_in_three_forms(self):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            sys = random_system(rng)
+            forms = [sys, replace(sys, E=sys.E * 1e3), replace(sys, K=sys.K * 1e-4)]
+            reports = [is_partially_causal_detectable(form) for form in forms]
+            assert [report.partially_impulse_observable for report in reports] \
+                == [is_partially_impulse_observable(form) for form in forms]
+
+    def test_read_after_the_system_is_collected(self, ex_system):
+        def impulsive():
+            return DescriptorSystem.from_matrices(
+                np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), np.zeros((2, 0)),
+                np.zeros((0, 2)), np.array([[1.0, 0.0]]))
+
+        for build, observable in ((lambda: copy_of(ex_system), True),
+                                  (impulsive, False)):
+            sys = build()
+            report = is_partially_causal_detectable(sys)
+            collected = weakref.ref(sys)
+            del sys
+            gc.collect()
+            assert collected() is None
+            assert report.partially_impulse_observable is observable
+
+    def test_second_read_computes_nothing(self, monkeypatch, ex_system):
+        report = is_partially_causal_detectable(ex_system)
+        calls = count_calls(monkeypatch, ("_inclusion_in_kernel",))
+        assert report.partially_impulse_observable
+        assert report.partially_impulse_observable
+        assert calls == ["_inclusion_in_kernel"]
+
+    def test_no_subspace_is_built_through_the_public_constructor(
+            self, monkeypatch, fresh_plants, ex_system):
+        built = []
+        for name in ("__init__", "_set"):
+            def counted(*args, _f=getattr(Subspace, name), _name=name, **kwargs):
+                built.append(_name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(Subspace, name, counted)
+        report = is_partially_causal_detectable(ex_system)
+        assert report.partially_causal_detectable
+        assert report.partially_impulse_observable
+        assert "_set" in built
+        assert "__init__" not in built
 
 
 class TestCausalityInDimensionN:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dsest import qkf
+from dsest import DimensionMismatchError, qkf
 from dsest.linalg import (
     DEFAULT_TOL,
     Subspace,
@@ -19,12 +19,15 @@ from dsest.linalg import (
     pseudo_inverse,
     spectral_split,
     subspace_sum,
-    subspaces_equal,
 )
 
 from conftest import detectability_pencils, lifted_system, random_pencil
 
 RNG = np.random.default_rng(20260826)
+
+
+def subspaces_equal(s1: Subspace, s2: Subspace) -> bool:
+    return contains(s1, s2) and contains(s2, s1)
 
 
 class TestNumericRank:
@@ -159,6 +162,39 @@ class TestValidation:
         C = np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2.0)
         assert Subspace(C).dim == 2
         assert Subspace(C).basis.dtype == np.complex128
+
+
+    @pytest.mark.parametrize("cols", [np.zeros((3, 0)), np.ones((3, 1))])
+    def test_rows_must_match_ambient_dim(self, cols):
+        with pytest.raises(DimensionMismatchError, match="ambient_dim"):
+            Subspace.from_span(cols, 5)
+        with pytest.raises(DimensionMismatchError, match="ambient_dim"):
+            Subspace(cols, 5)
+
+
+class TestFactorConstructor:
+    """``Subspace._from_factor``, which builds the subspaces of ``from_span``,
+    ``kernel``, ``complement``, ``zero`` and ``full`` without ``as_matrix``,
+    still runs the orthonormality test."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0])
+    def test_refuses_non_finite_or_non_orthonormal_basis(self, bad):
+        B = np.eye(3)[:, :2].copy()
+        B[2, 0] = bad
+        with pytest.raises(ValueError, match="orthonormal"), \
+                np.errstate(invalid="ignore"):     # Inf * 0 in B^T B
+            Subspace._from_factor(B, 3)
+
+    def test_span_and_kernel_keep_float32_and_complex(self):
+        H = np.array([[1, 1], [1, -1], [1, 1], [1, -1]], dtype=np.float32)
+        assert Subspace.from_span(H).basis.dtype == np.float32
+        assert kernel(np.diag(np.array([2, 0, 3], dtype=np.float32))).basis.dtype \
+            == np.float32
+        C = np.array([[1.0, 1j], [1j, -1.0]])
+        assert Subspace.from_span(C).basis.dtype == np.complex128
+        assert kernel(C).basis.dtype == np.complex128
+        assert kernel(np.array([[1, 0, 0]], dtype=np.complex64)).basis.dtype \
+            == np.complex64
 
 
 class TestPencilEigenvalues:
