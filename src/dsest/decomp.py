@@ -118,6 +118,19 @@ class PencilQKF:
         """Column blocks of M @ Q in (eps, f, sigma, eta) order."""
         return _split(as_matrix(M, cols=self.Q.shape[0]) @ self.Q, self.col_sizes, 1)
 
+    def eta_normalization(self) -> np.ndarray:
+        """Row operation U with U @ E_eta = [I; 0], from one SVD of E_eta:
+        its leading rows are E_eta's pseudo-inverse, its trailing rows an
+        orthonormal basis of the left null space, which expose the
+        overdetermined block's algebraic equations."""
+        n = self.n_eta
+        U = np.eye(self.m_eta)
+        if n:
+            u, s, vt = np.linalg.svd(self.E_eta, full_matrices=True)
+            U[:n] = (vt.T / s) @ u[:, :n].T
+            U[n:] = u[:, n:].T
+        return U
+
     def blocks_E(self) -> np.ndarray:
         return _blkdiag(self.E_eps, np.eye(self.n_f), self.J_sigma, self.E_eta)
 

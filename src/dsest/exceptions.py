@@ -14,7 +14,8 @@ class DecompositionError(DsestError):
 
 
 class IllConditionedSplitError(DecompositionError):
-    """The ordered Schur form does not separate the non-decaying eigenvalues."""
+    """The ordered Schur form's non-decaying block and the eigenvalue
+    classification differ in size."""
 
 
 class SynthesisError(DsestError):

@@ -331,12 +331,15 @@ def _non_decaying(re, radius: float):
 
 
 def spectral_split(M):
-    """Similarity T with T^{-1} M T = blkdiag(M_plus, M_minus).
+    """Ordered real Schur split Z^T M Z = [[M11, *], [0, M22]], Z orthogonal.
 
-    M_plus collects the non-decaying eigenvalues (_non_decaying with the
-    spectral radius of M: Re >= 0, or within roundoff of it), M_minus the
-    strictly decaying rest.  Raises IllConditionedSplitError when the
-    ordered Schur form selects a different cluster than that classification.
+    M11 collects the non-decaying eigenvalues (_non_decaying with the
+    spectral radius of M: Re >= 0, or within roundoff of it), M22 the
+    strictly decaying rest.  With k the order of M11, Z[:, :k] spans the
+    non-decaying invariant subspace of M, and the trailing coordinates
+    Z[:, k:]^T x of x' = M x evolve on their own under M22.  Returns
+    (Z, M11, M22).  Raises IllConditionedSplitError when the ordered Schur
+    form's leading block and that classification differ in size.
     """
     # Imported here, not at module load, where it is most of the time of
     # `import dsest`: every analysis splits a spectrum, simulation never does.
@@ -356,20 +359,13 @@ def spectral_split(M):
     if n_plus == n:
         return np.eye(n), M.copy(), np.zeros((0, 0))
 
-    T_schur, Z, sdim = scipy.linalg.schur(
+    T, Z, sdim = scipy.linalg.schur(
         M, output="real", sort=lambda x, y=None: _non_decaying(np.real(x), radius))
     if sdim != n_plus:
         raise IllConditionedSplitError(
-            "ordered Schur selected a different cluster size than the "
-            "eigenvalue classification; split is ill-conditioned")
-    M11 = T_schur[:sdim, :sdim]
-    M12 = T_schur[:sdim, sdim:]
-    M22 = T_schur[sdim:, sdim:]
-    # Sylvester block-diagonalization: M11 X - X M22 = -M12.
-    X = scipy.linalg.solve_sylvester(M11, -M22, -M12)
-    S = np.eye(n)
-    S[:sdim, sdim:] = X
-    return Z @ S, M11, M22
+            f"ordered Schur form's non-decaying block has size {sdim}; the "
+            f"eigenvalue classification counts {n_plus} non-decaying eigenvalues")
+    return Z, T[:sdim, :sdim], T[sdim:, sdim:]
 
 
 def place_poles(A1, A2, target_margin: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -145,10 +145,7 @@ class _PlantSolver:
         # Overdetermined block: row operation U so that U @ E_eta = [I; 0];
         # the trailing rows of U expose the algebraic consistency equations.
         neta = dec.n_eta
-        left_null = kernel(dec.E_eta.conj().T, tol, scale=self.scale).basis
-        U = np.vstack([pseudo_inverse(dec.E_eta), left_null.conj().T])
-        if U.shape != (dec.m_eta, dec.m_eta):
-            raise SimulationError("overdetermined block normalization failed")
+        U = dec.eta_normalization()
         A_eta_dyn, self.A_eta_alg = np.split(U @ dec.A_eta, [neta])
         B_eta_dyn, self.B_eta_alg = np.split(U @ B_eta, [neta])
 

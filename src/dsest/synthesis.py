@@ -38,7 +38,7 @@ import numpy as np
 from .exceptions import SynthesisError
 from .analysis import (DescriptorSystem, _build_structure, _functional, _holds,
                        _plant, _read_only)
-from .decomp import PencilQKF, StaircaseDecomposition, _blkdiag, _split
+from .decomp import PencilQKF, StaircaseDecomposition, _split
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -113,27 +113,20 @@ class _PlantEstimator:
 def _build_plant_estimator(plant, tol: Tolerance) -> _PlantEstimator:
     structure = plant.built(_build_structure, tol)
     st, form = structure.staircase, structure.form
-    U1, J_f2 = structure.U1, structure.J_f2
+    J_f2 = structure.J_f2
     n, p = plant.E.shape[1], plant.C.shape[0]
     n_O = st.col_partition[0]
 
     B_bar = np.block([[st.B_O, np.zeros((st.E_O.shape[0], p))],
                       [plant.D, -np.eye(p)]])
     _, B_f, B_sigma, B_eta = form.split_left(B_bar)
-    n_f1 = structure.J_f1.shape[0]
-    B_f2 = (np.linalg.inv(U1) @ B_f)[n_f1:, :]
+    # The decaying Schur coordinates U_f2^T x_f evolve on their own under J_f2.
+    U_f2 = structure.U1[:, structure.J_f1.shape[0]:]
+    B_f2 = U_f2.T @ B_f
 
     # Step 4: normalize the overdetermined block to ([I; 0], [A1; A2]).
     n_eta, m_eta = form.n_eta, form.m_eta
-    if n_eta:
-        u_svd, s_svd, vt_svd = np.linalg.svd(form.E_eta, full_matrices=True)
-        if s_svd[n_eta - 1] <= 0:
-            raise SynthesisError("overdetermined block lost column rank")
-        U2 = np.zeros((m_eta, m_eta))
-        U2[:n_eta, :] = (vt_svd.T / s_svd) @ u_svd[:, :n_eta].T
-        U2[n_eta:, :] = u_svd[:, n_eta:].T
-    else:
-        U2 = np.eye(m_eta)
+    U2 = form.eta_normalization()
     A_eta_n = U2 @ form.A_eta
     B_eta_n = U2 @ B_eta
     A_eta1, A_eta2 = A_eta_n[:n_eta, :], A_eta_n[n_eta:, :]
@@ -171,13 +164,10 @@ def _build_plant_estimator(plant, tol: Tolerance) -> _PlantEstimator:
         raise SynthesisError("estimator order exceeds the plant order")
 
     # Rows mapping a full plant state x to the tracked coordinates
-    # (x_f2; x_eta): undo the staircase, the QKF column transform, and the
-    # finite-block similarity.
-    Q_tilde = form.Q @ _blkdiag(np.eye(form.n_eps), U1,
-                                np.eye(form.n_sigma), np.eye(n_eta))
-    _, _, f2_rows, _, eta_rows = _split(
-        np.linalg.inv(Q_tilde),
-        (form.n_eps, n_f1, J_f2.shape[0], form.n_sigma, n_eta), 0)
+    # (x_f2; x_eta): undo the staircase and the QKF column transform, then
+    # take the decaying Schur coordinates of x_f.
+    _, f_rows, _, eta_rows = _split(np.linalg.inv(form.Q), form.col_sizes, 0)
+    f2_rows = U_f2.T @ f_rows
     sel = f2_rows if fold else np.vstack([f2_rows, eta_rows])
     state_map = sel @ st.V_O.T[:n_O, :]
 

@@ -18,7 +18,10 @@ The digests cover:
 * reports: the verdict and the ``report_to_dict`` JSON (or the error text);
 * refusals: the text of every error synthesis raises;
 * estimators: (N, H, R, M) and the trace's ``state_map`` and L;
-* traces: t, x, y, z, w, zhat, e and meta of each simulation (or its error).
+* traces: t, x, y, z, w, zhat, e and meta of each simulation (or its error);
+* split: (N, H, R, M) and ``state_map`` of the estimators of the plants whose
+  finite block has non-decaying and decaying modes (``conftest.SPLIT_PLANTS``,
+  K a mix of the functionals an estimator exists for).
 
 With ``--cli`` it prints a census of the ``dsest`` command instead:
 
@@ -49,7 +52,7 @@ import numpy as np
 from click.testing import CliRunner
 
 import dsest
-from conftest import lifted_system, random_system
+from conftest import SPLIT_PLANTS, lifted_system, random_system, split_system
 from dsest.cli import main as dsest_main
 from dsest.io import report_to_dict
 
@@ -135,6 +138,11 @@ def results_census() -> None:
             _arrays(digests["estimators"], est.N, est.H, est.R, est.M,
                     trace.state_map, trace.L)
             _simulate(digests["traces"], key, sys, est, trace)
+    digests["split"] = hashlib.sha256()
+    for name in SPLIT_PLANTS:
+        est, trace = dsest.synthesize_estimator(split_system(name))
+        digests["split"].update(name.encode())
+        _arrays(digests["split"], est.N, est.H, est.R, est.M, trace.state_map)
     print(", ".join(f"{k} {v}" for k, v in counts.items()))
     for name, digest in digests.items():
         print(f"{name:<10} {digest.hexdigest()}")

@@ -5,7 +5,7 @@ import gc
 import numpy as np
 import pytest
 
-from dsest import DescriptorSystem, EstimatorRealization
+from dsest import DescriptorSystem, EstimatorRealization, is_partially_causal_detectable
 from dsest.linalg import pencil_finite_eigenvalues
 
 
@@ -111,6 +111,12 @@ def random_system(rng: np.random.Generator, max_dim: int = 5,
         mat(m, n), mat(m, n), mat(m, l), mat(p, n), mat(r, n), D=mat(p, l))
 
 
+def random_draw(seed: int, index: int) -> DescriptorSystem:
+    """Draw ``index`` (counted from 0) of random_system(default_rng(seed))."""
+    rng = np.random.default_rng(seed)
+    return [random_system(rng) for _ in range(index + 1)][index]
+
+
 def random_pencil(rng: np.random.Generator, max_dim: int = 4,
                   entry_range: int = 3):
     m = int(rng.integers(1, max_dim + 1))
@@ -136,6 +142,32 @@ def lifted_system(n: int, seed: int, unobserved: bool = False) -> DescriptorSyst
         A[2:, :2] = 0.0
         C[:, :2] = 0.0
     return DescriptorSystem.from_matrices(E, A, B, C, K)
+
+
+# Plants whose stacked finite block J_f has both non-decaying and decaying
+# modes, so that synthesis reads both halves of its Schur basis, by name:
+# draws of random_system, then lifted systems with their unobserved block.
+SPLIT_PLANTS = {
+    **{f"rng{seed}-{index}": (random_draw, (seed, index))
+       for seed, index in ((7, 224), (11, 526), (11, 542), (13, 442))},
+    **{f"lifted-{n}-{seed}": (lifted_system, (n, seed, True))
+       for n, seed in ((4, 3), (4, 6), (5, 3), (5, 6), (6, 3), (6, 6), (8, 3),
+                       (12, 3), (12, 5), (12, 9), (16, 6))},
+}
+
+
+def split_system(name: str) -> DescriptorSystem:
+    """The plant ``name`` of SPLIT_PLANTS with K a Gaussian mix of the unit
+    functionals whose verdict is Y."""
+    build, args = SPLIT_PLANTS[name]
+    plant = build(*args)
+    with_K = lambda K: DescriptorSystem.from_matrices(
+        plant.E, plant.A, plant.B, plant.C, K, D=plant.D)
+    rows = np.eye(plant.n)
+    ys = [j for j in range(plant.n) if is_partially_causal_detectable(
+        with_K(rows[[j]])).partially_causal_detectable]
+    return with_K(np.random.default_rng(len(ys)).standard_normal((2, len(ys)))
+                  @ rows[ys])
 
 
 # -- the lifted half-plane rank test, an independent oracle for the

@@ -30,7 +30,8 @@ from dsest.linalg import Subspace
 from dsest.exceptions import DsestError
 from dsest.io import report_to_dict
 from conftest import (detect_candidate_lambdas, detectability_matrices,
-                      lifted_system, random_pencil, random_system, stiff_system)
+                      lifted_system, random_draw, random_pencil, random_system,
+                      stiff_system)
 
 
 class TestShapeContract:
@@ -444,19 +445,14 @@ class TestCausalityInDimensionN:
         (11, 514),      # 50 == 50
     )
 
-    @staticmethod
-    def draw(seed: int, index: int) -> DescriptorSystem:
-        rng = np.random.default_rng(seed)
-        return [random_system(rng) for _ in range(index + 1)][index]
-
     @pytest.mark.parametrize("seed, index", REPORT_DRAWS)
     def test_report_on_random_draws(self, seed, index):
-        report = is_partially_causal_detectable(self.draw(seed, index))
+        report = is_partially_causal_detectable(random_draw(seed, index))
         assert report.partially_causal is True
 
     @pytest.mark.parametrize("seed, index", PLANT_DRAWS)
     def test_plant_on_random_draws(self, seed, index):
-        sys = self.draw(seed, index)
+        sys = random_draw(seed, index)
         assert is_partially_causal(sys.E, sys.A, sys.B, sys.K)[0] is True
 
 
@@ -515,11 +511,6 @@ class TestStructureMemo:
         assert is_partially_causal_detectable(edited).partially_causal_detectable
 
 
-def _draw(seed: int, index: int) -> DescriptorSystem:
-    rng = np.random.default_rng(seed)
-    return [random_system(rng) for _ in range(index + 1)][index]
-
-
 class TestSharedPlant:
     """Systems with equal plant data (E, A, B, C, D) share one memo of what
     does not read K; no result may show it."""
@@ -536,7 +527,7 @@ class TestSharedPlant:
         """The plant, then K (a Gaussian mix of the Y coordinates), 1e-4 K,
         K reading one Y coordinate and K reading the N coordinate."""
         draw, ys, j_n = cls.PLANTS[name]
-        plant = _draw(*draw) if draw else lifted_system(5, 3, unobserved=True)
+        plant = random_draw(*draw) if draw else lifted_system(5, 3, unobserved=True)
         rows = np.eye(plant.n)
         K = np.random.default_rng(len(ys)).standard_normal((2, len(ys))) @ rows[ys]
         return plant, [K, 1e-4 * K, rows[ys[:1]], rows[[j_n]]]

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from dsest import DimensionMismatchError, qkf
+from dsest import DimensionMismatchError, IllConditionedSplitError, qkf
 from dsest.linalg import (
     DEFAULT_TOL,
     Subspace,
@@ -253,17 +255,44 @@ class TestPencilSpectrumMatchesQKF:
 
 class TestSpectralSplit:
     def test_split_and_reconstruct(self):
-        M = np.array([[2.0, 1.0, 0.0],
-                      [0.0, -1.0, 0.5],
-                      [0.0, 0.0, -3.0]])
-        T, M_plus, M_minus = spectral_split(M)
-        assert M_plus.shape == (1, 1) and M_minus.shape == (2, 2)
-        assert np.real(np.linalg.eigvals(M_plus)).min() > 0
-        assert np.real(np.linalg.eigvals(M_minus)).max() < 0
-        rebuilt = T @ np.block([
-            [M_plus, np.zeros((1, 2))],
-            [np.zeros((2, 1)), M_minus]]) @ np.linalg.inv(T)
-        assert np.abs(rebuilt - M).max() < 1e-9
+        # Z is orthogonal and Z^T M Z the ordered Schur form: M11 (non-decaying)
+        # leads, M22 (decaying) trails, nothing below them; the leading
+        # columns of Z span M's non-decaying invariant subspace.
+        P = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))[0]
+        upper = np.array([[2.0, 1.0, 0.0],
+                          [0.0, -1.0, 0.5],
+                          [0.0, 0.0, -3.0]])
+        rotated = P @ np.array([[0.5, 3.0, 1.0, -2.0],
+                                [-3.0, 0.5, 0.0, 1.0],
+                                [0.0, 0.0, -1.0, 4.0],
+                                [0.0, 0.0, 0.0, -2.0]]) @ P.T
+        for M, n_plus in ((upper, 1), (rotated, 2)):
+            n = M.shape[0]
+            Z, M11, M22 = spectral_split(M)
+            assert M11.shape == (n_plus, n_plus) and M22.shape == (n - n_plus,) * 2
+            assert np.real(np.linalg.eigvals(M11)).min() > 0
+            assert np.real(np.linalg.eigvals(M22)).max() < 0
+            assert np.abs(Z.T @ Z - np.eye(n)).max() <= 1e-15 * n
+            T = Z.T @ M @ Z
+            tol = 1e-12 * np.abs(M).max()
+            assert np.abs(T[:n_plus, :n_plus] - M11).max() <= tol
+            assert np.abs(T[n_plus:, n_plus:] - M22).max() <= tol
+            assert np.abs(T[n_plus:, :n_plus]).max() <= tol
+            assert np.abs(M @ Z[:, :n_plus] - Z[:, :n_plus] @ M11).max() <= tol
+
+    @pytest.mark.parametrize("seed", [14, 25, 30])
+    def test_schur_and_classification_disagree(self, seed):
+        # A decaying eigenvalue on the edge of the roundoff band beside a
+        # large coupling: the eigenvalues and the ordered Schur form put it
+        # on different sides.
+        rng = np.random.default_rng(seed)
+        Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        T = np.triu(50 * rng.standard_normal((3, 3)), 1) \
+            + np.diag([-512 * np.finfo(float).eps, -1.0, -0.5])
+        with pytest.raises(IllConditionedSplitError) as info:
+            spectral_split(Q @ T @ Q.T)
+        sizes = re.search(r"has size (\d+); .* counts (\d+) ", str(info.value))
+        assert sizes and sizes[1] != sizes[2]
 
     def test_all_stable_shortcut(self):
         M = np.diag([-1.0, -2.0])

@@ -14,8 +14,11 @@ from dsest import (
     is_partially_causal_detectable,
     simulate,
     synthesize_estimator,
+    wong_limits,
 )
-from conftest import random_system, stiff_system
+from dsest.analysis import _functional
+from dsest.linalg import DEFAULT_TOL
+from conftest import SPLIT_PLANTS, random_system, split_system, stiff_system
 
 
 def ramp():
@@ -183,6 +186,50 @@ class TestStiffSpectrum:
         with pytest.raises(SynthesisError,
                            match="no functional ODE estimator exists"):
             synthesize_estimator(stiff_system(0.0))
+
+
+class TestSplitConditioning:
+    """The estimator tracks the decaying coordinates of the finite block in
+    an orthogonal Schur basis, so its accuracy does not depend on how close
+    the decaying and non-decaying eigenvalues are."""
+
+    def test_close_eigenvalues_keep_the_estimate_exact(self):
+        # A0 = [[0, 1, 0], [0, -delta, 0], [0, 0, -1]] in rotated coordinates:
+        # the unmeasured modes 0 and -delta have nearly parallel eigenvectors,
+        # and z reads the decaying one.
+        delta = 1e-4
+        P = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+        A0 = np.array([[0.0, 1.0, 0.0], [0.0, -delta, 0.0], [0.0, 0.0, -1.0]])
+        sys = DescriptorSystem.from_matrices(
+            np.eye(3), P @ A0 @ P.T, P @ np.array([[0.0], [1.0], [1.0]]),
+            np.array([[0.0, 0.0, 1.0]]) @ P.T, np.array([[0.0, 1.0, 0.0]]) @ P.T)
+        est, trace = synthesize_estimator(sys)
+        x0 = np.array([1.0, 2.0, 3.0])
+        run = simulate(sys, est, x0, trace.tracked_state(x0),
+                       u=InputSignal.sinusoid([1.0], 1.0), T=10.0, dt=0.01)
+        assert np.abs(run.e).max() <= 1e-11 * max(1.0, np.abs(run.x).max())
+
+
+class TestTwoSidedSplit:
+    """Plants whose finite block has non-decaying and decaying modes: the
+    estimator is built from the decaying Schur coordinates alone and tracks
+    z exactly from the tracked initial state."""
+
+    @pytest.mark.parametrize("name", list(SPLIT_PLANTS))
+    def test_estimator_tracks_exactly(self, name):
+        sys = split_system(name)
+        structure = _functional(sys, DEFAULT_TOL).structure
+        assert structure.J_f1.shape[0] > 0 and structure.J_f2.shape[0] > 0
+        est, trace = synthesize_estimator(sys)
+        worst = np.linalg.eigvals(est.N).real.max()
+        assert worst < 0
+        # Relative to x, not by decay_metrics: the unobserved unstable modes
+        # of the rng7-224 plant reach 1e16.
+        V = wong_limits(sys.E, sys.A).V_star    # consistent states when u = 0
+        x0 = V.basis @ np.random.default_rng(0).standard_normal(V.dim)
+        T = min(40.0, 10.0 / -worst)
+        run = simulate(sys, est, x0, trace.tracked_state(x0), T=T, dt=T / 400)
+        assert np.abs(run.e).max() <= 1e-10 * max(1.0, np.abs(run.x).max())
 
 
 class TestDegenerateShapes:
