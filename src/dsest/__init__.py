@@ -12,7 +12,6 @@ from .exceptions import (
     DecompositionError,
     DimensionMismatchError,
     DsestError,
-    IllConditionedSplitError,
     SimulationError,
     SynthesisError,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "DsestError",
     "DEFAULT_TOL",
     "EstimatorRealization",
-    "IllConditionedSplitError",
     "InputSignal",
     "KalmanDecomposition",
     "PencilQKF",

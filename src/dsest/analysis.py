@@ -231,9 +231,10 @@ class _Structure:
     from the plant alone.
 
     Synthesis steps 1-3: the staircase of (E, A, B), the QKF of the stacked
-    pencil ([E_O; 0], [A_O; C_O]), and the orthogonal Schur basis U1 in
-    which J_f is block upper triangular: its non-decaying part J_f1, with
-    eigenvalues ``modes``, leads and its decaying part J_f2 trails.
+    pencil ([E_O; 0], [A_O; C_O]), and the orthogonal basis U1 of J_f's
+    ordered real Schur form, which alone decides the split: its non-decaying
+    part J_f1, with eigenvalues ``modes``, leads and its decaying part J_f2
+    trails.
     """
 
     staircase: StaircaseDecomposition

@@ -432,10 +432,11 @@ class StaircaseDecomposition:
 def observability_staircase(E, A, B, tol: Tolerance = DEFAULT_TOL) -> StaircaseDecomposition:
     """Staircase reduction isolating the algebraically-forced variables.
 
-    Repeatedly: a left orthogonal transform splits the rows of
-    [E_cur, B_cur] into a full-row-rank part and pure algebraic constraints
-    0 = A_i x; a right orthogonal transform compresses A_i to full column
-    rank, eliminating the constrained variables.  Terminates when
+    Repeatedly: the left null space of [E_cur, B_cur], of dimension d,
+    gives a left orthogonal transform that splits its rows into a
+    full-row-rank part and d pure algebraic constraints 0 = A_i x; a right
+    orthogonal transform compresses A_i to full column rank, eliminating the
+    constrained variables.  Terminates when d = 0, that is when
     [E_cur, B_cur] has full row rank.
     """
     E = as_matrix(E)
@@ -455,13 +456,11 @@ def observability_staircase(E, A, B, tol: Tolerance = DEFAULT_TOL) -> StaircaseD
     # Each stage removes at least one row, so m + 1 iterations always suffice.
     for _ in range(m + 1):
         EB = np.hstack([TE[:mr, :nc], TB[:mr, :]])
-        q = numeric_rank(EB, tol, scale=scale)
-        d = mr - q
+        left_null = kernel(EB.T, tol, scale=scale)   # left null space of [E, B]
+        d = left_null.dim
         if d == 0:
             break
-        left_null = kernel(EB.T, tol, scale=scale)   # left null space of [E, B]
-        if left_null.dim != d:
-            raise DecompositionError("staircase: inconsistent left null space")
+        q = mr - d
         Ui = np.vstack([left_null.complement().basis.T, left_null.basis.T])
         TE[:mr, :] = Ui @ TE[:mr, :]
         TA[:mr, :] = Ui @ TA[:mr, :]

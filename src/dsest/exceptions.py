@@ -13,11 +13,6 @@ class DecompositionError(DsestError):
     """A decomposition could not be certified against its invariants."""
 
 
-class IllConditionedSplitError(DecompositionError):
-    """The ordered Schur form's non-decaying block and the eigenvalue
-    classification differ in size."""
-
-
 class SynthesisError(DsestError):
     """Estimator synthesis refused or failed an internal consistency check."""
 

@@ -12,11 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    DimensionMismatchError,
-    IllConditionedSplitError,
-    SynthesisError,
-)
+from .exceptions import DimensionMismatchError, SynthesisError
 
 # Absolute residual threshold for subspace membership / containment checks.
 # Bases are orthonormal, so residuals are scale-free.
@@ -322,24 +318,15 @@ def pencil_finite_eigenvalues(E, A, tol: Tolerance = DEFAULT_TOL) -> list[comple
     return [complex(v) for v in np.linalg.eigvals(qkf(E, A, tol).J_f)]
 
 
-def _non_decaying(re, radius: float):
-    """Re lambda >= -512 eps max(1, radius): real parts ``re`` from a
-    spectrum of spectral radius ``radius`` that lie within roundoff of the
-    imaginary axis count as non-decaying (spectral_split's rule).
-    """
-    return re >= -512 * np.finfo(float).eps * max(1.0, radius)
-
-
 def spectral_split(M):
     """Ordered real Schur split Z^T M Z = [[M11, *], [0, M22]], Z orthogonal.
 
-    M11 collects the non-decaying eigenvalues (_non_decaying with the
-    spectral radius of M: Re >= 0, or within roundoff of it), M22 the
-    strictly decaying rest.  With k the order of M11, Z[:, :k] spans the
-    non-decaying invariant subspace of M, and the trailing coordinates
-    Z[:, k:]^T x of x' = M x evolve on their own under M22.  Returns
-    (Z, M11, M22).  Raises IllConditionedSplitError when the ordered Schur
-    form's leading block and that classification differ in size.
+    The real Schur form of M decides the split: M11 collects the diagonal
+    blocks with Re lambda >= -512 eps max(1, |M|_F) (non-decaying, or within
+    the Schur form's roundoff of the imaginary axis), M22 the strictly
+    decaying rest.  With k the order of M11, Z[:, :k] spans the non-decaying
+    invariant subspace of M, and the trailing coordinates Z[:, k:]^T x of
+    x' = M x evolve on their own under M22.  Returns (Z, M11, M22).
     """
     # Imported here, not at module load, where it is most of the time of
     # `import dsest`: every analysis splits a spectrum, simulation never does.
@@ -351,21 +338,16 @@ def spectral_split(M):
     if n == 0:
         return np.eye(0), np.zeros((0, 0)), np.zeros((0, 0))
 
-    eigs = np.linalg.eigvals(M)
-    radius = float(np.max(np.abs(eigs)))
-    n_plus = int(np.count_nonzero(_non_decaying(eigs.real, radius)))
-    if n_plus == 0:
+    # The band is a multiple of the ordered Schur form's backward error,
+    # which scales with |M| (Bai & Demmel, Linear Algebra Appl. 186, 1993).
+    band = -512 * np.finfo(float).eps * max(1.0, float(np.linalg.norm(M)))
+    T, Z, k = scipy.linalg.schur(M, output="real", check_finite=False,
+                                 sort=lambda x, y=None: np.real(x) >= band)
+    if k == 0:
         return np.eye(n), np.zeros((0, 0)), M.copy()
-    if n_plus == n:
+    if k == n:
         return np.eye(n), M.copy(), np.zeros((0, 0))
-
-    T, Z, sdim = scipy.linalg.schur(
-        M, output="real", sort=lambda x, y=None: _non_decaying(np.real(x), radius))
-    if sdim != n_plus:
-        raise IllConditionedSplitError(
-            f"ordered Schur form's non-decaying block has size {sdim}; the "
-            f"eigenvalue classification counts {n_plus} non-decaying eigenvalues")
-    return Z, T[:sdim, :sdim], T[sdim:, sdim:]
+    return Z, T[:k, :k], T[k:, k:]
 
 
 def place_poles(A1, A2, target_margin: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -37,13 +37,31 @@ is the SHA-256 of one invocation's exit code, output (stdout and stderr)
 and the bytes of every file it wrote, by relative path; the last line is
 one hash over all of them.
 
+With ``--pools`` it prints a census of the benchmark's two decide pools
+instead:
+
+    PYTHONPATH=src python tests/census.py --pools
+
+It loads ``perfbench/gen.py`` from its file, as
+``tests/test_benchmark_targets.py`` loads the tracer, and runs every op of
+the ``decide-lifted`` pool (every system of every n) and of the
+``decide-rescaled`` pool (every form of every draw, the three forms of one
+draw alive together) as the workload's op does: the analysis, then
+synthesis when the verdict is affirmative.  An op's letter
+is Y, N, or F when either step raises.  Per pool it prints the letter counts
+and one SHA-256 over each op's key, letter, block-check residuals and
+thresholds, and the estimator's (N, H, R, M) or the error's text.  The
+workload's untimed checks (Hurwitz N, a short simulation) are not run.
+
 This is a script, not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -320,11 +338,62 @@ def cli_census() -> None:
     print(f"{overall.hexdigest()}  all")
 
 
+GEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "perfbench", "gen.py")
+
+
+def load_gen():
+    spec = importlib.util.spec_from_file_location("_perfbench_gen", GEN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def pool_systems(gen):
+    """(pool name, [(key, matrices)]) of both decide pools, keyed as the
+    workloads key their ops."""
+    lifted = [((n, i, "drawn"), mats) for n in gen.LIFTED_POOL
+              for i, mats in enumerate(gen.lifted_pool(n))]
+    rescaled = [((0, i, form), mats) for i, drawn in enumerate(gen.rescaled_pool())
+                for form, mats in gen.rescaled_forms(drawn).items()]
+    return [("decide-lifted", lifted), ("decide-rescaled", rescaled)]
+
+
+def pool_census() -> None:
+    for pool, items in pool_systems(load_gen()):
+        digest, letters = hashlib.sha256(), collections.Counter()
+        systems = [(key, dsest.DescriptorSystem.from_matrices(**mats))
+                   for key, mats in items]
+        for key, sys in systems:
+            digest.update(repr(key).encode())
+            try:
+                report = dsest.is_partially_causal_detectable(sys)
+                digest.update(repr([(c, float(r), float(t))
+                                    for c, r, t in report.block_checks]).encode())
+                letter = "Y" if report.partially_causal_detectable else "N"
+                if letter == "Y":
+                    est, _ = dsest.synthesize_estimator(sys)
+                    _arrays(digest, est.N, est.H, est.R, est.M)
+            except Exception as exc:   # the workload counts any escape as F
+                letter = "F"
+                digest.update(_error(exc))
+            digest.update(letter.encode())
+            letters[letter] += 1
+        counts = ", ".join(f"{k} {letters[k]}" for k in "YNF")
+        print(f"{pool:<16} {digest.hexdigest()}  {counts}")
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--cli", action="store_true",
-                        help="census of the dsest command instead of the results")
-    if parser.parse_args().cli:
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--cli", action="store_true",
+                      help="census of the dsest command instead of the results")
+    mode.add_argument("--pools", action="store_true",
+                      help="census of the benchmark's decide pools instead")
+    args = parser.parse_args()
+    if args.cli:
         cli_census()
+    elif args.pools:
+        pool_census()
     else:
         results_census()

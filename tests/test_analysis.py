@@ -249,8 +249,8 @@ class TestNearAxisMode:
 
 
 class TestStiffSpectrum:
-    # The roundoff band scales with the spectral radius (1e6 here), but it
-    # stays far narrower than the slow mode.
+    # The roundoff band scales with the norm of J_f (about 1e6 here), but
+    # it stays far narrower than the slow mode.
     def test_slow_decaying_mode_is_detectable(self):
         report = is_partially_causal_detectable(stiff_system(-1e-4))
         assert report.partially_causal_detectable is True

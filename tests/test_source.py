@@ -68,6 +68,46 @@ def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
             if d.split(".", 1)[1] not in referenced]
 
 
+def raised_names(sources: dict[str, str]) -> set[str]:
+    """Names of what a ``raise`` statement constructs or re-raises:
+    ``raise X(...)``, ``raise module.X(...)`` and ``raise X`` give ``X``."""
+    names = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    names.add(exc.attr)
+    return names
+
+
+def unraised_exceptions(sources: dict[str, str], candidates: list[str]) -> list[str]:
+    """Candidate classes that no ``raise`` names, directly or through a
+    subclass (a base of a raised class is caught by its handlers, so it
+    stays); classes and bases are matched by name across modules."""
+    bases = {}
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {b.id if isinstance(b, ast.Name) else b.attr
+                                    for b in node.bases
+                                    if isinstance(b, (ast.Name, ast.Attribute))}
+    live, frontier = set(), raised_names(sources)
+    while frontier:
+        live |= frontier
+        frontier = set().union(*(bases.get(c, set()) for c in frontier)) - live
+    return sorted(c for c in candidates if c not in live)
+
+
+def exception_classes() -> list[str]:
+    """The classes of ``exceptions.py``, and ``io.InputFormatError``."""
+    tree = ast.parse((SRC / "exceptions.py").read_text())
+    return [node.name for node in tree.body if isinstance(node, ast.ClassDef)] \
+        + ["InputFormatError"]
+
+
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
                                         if p.name != "__init__.py"),
                          ids=lambda p: p.name)
@@ -101,3 +141,34 @@ def test_helper_guard_sees_dead_and_referenced_definitions():
     assert private_definitions(sources) == [
         "a._called", "a._dead", "a._Imported", "a._read_as_attribute"]
     assert unreferenced_helpers(sources) == ["a._dead"]
+
+
+def test_every_exception_is_raised():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert len(exception_classes()) > 1
+    assert unraised_exceptions(sources, exception_classes()) == []
+
+
+def test_exception_guard_sees_dead_and_raised_classes():
+    sources = {
+        "exceptions": ("class BaseError(Exception):\n    pass\n"
+                       "class UsedError(BaseError):\n    pass\n"
+                       "class ChildError(UsedError):\n    pass\n"
+                       "class ReRaisedError(BaseError):\n    pass\n"
+                       "class DeadError(BaseError):\n    pass\n"
+                       "class DeadBaseError(BaseError):\n    pass\n"
+                       "class DeadLeafError(DeadBaseError):\n    pass\n"),
+        "io": ("from . import exceptions\n"
+               "class FormatError(exceptions.BaseError):\n    pass\n"
+               "def f(x):\n"
+               "    if x:\n        raise exceptions.ChildError('x') from None\n"
+               "    try:\n        pass\n    except ReRaisedError:\n        raise\n"
+               "    raise ReRaisedError\n"
+               "def g():\n    return FormatError('built, never raised')\n"
+               "# raise DeadError('in a comment')\n"),
+    }
+    candidates = ["BaseError", "UsedError", "ChildError", "ReRaisedError",
+                  "DeadError", "DeadBaseError", "DeadLeafError", "FormatError"]
+    assert raised_names(sources) == {"ChildError", "ReRaisedError"}
+    assert unraised_exceptions(sources, candidates) == [
+        "DeadBaseError", "DeadError", "DeadLeafError", "FormatError"]
