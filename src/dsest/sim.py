@@ -38,7 +38,7 @@ from .analysis import DescriptorSystem, _plant
 from .decomp import _blkdiag, _split, qkf
 from .exceptions import SimulationError
 from .linalg import (CONSISTENCY_ATOL, DEFAULT_TOL, Tolerance, _snap_roundoff,
-                     kernel, pseudo_inverse)
+                     pseudo_inverse)
 from .signals import InputSignal
 from .synthesis import EstimatorRealization
 
@@ -120,6 +120,11 @@ class _PlantSolver:
     the original state coordinates (X' = F X + ...) so that structural
     zeros of the plant survive in F and fast modes cannot contaminate
     decoupled slow states through basis roundoff.
+
+    The certified QKF fixes the block sizes: the free block is normalized
+    at the rank m_eps that the certification checked, the overdetermined
+    block by ``eta_normalization``.  The x0 checks scale with E, A, x0 and
+    the input term of each constraint, so rescaling B does not move them.
     """
 
     def __init__(self, plant, tol: Tolerance = DEFAULT_TOL):
@@ -129,18 +134,18 @@ class _PlantSolver:
         self.dec = dec = qkf(plant.E, plant.A, tol)
         B_eps, B_f, B_sigma, B_eta = dec.split_left(plant.B)
         self.scale = max(1.0, max((np.abs(M).max() if M.size else 0.0)
-                                  for M in (plant.E, plant.A, plant.B)))
+                                  for M in (plant.E, plant.A)))
 
-        # Underdetermined block: column operation Z so that E_eps @ Z = [I 0];
-        # the trailing columns of Z span the free directions.
-        me, ne = dec.m_eps, dec.n_eps
-        Z = np.hstack([pseudo_inverse(dec.E_eps),
-                       kernel(dec.E_eps, tol, scale=self.scale).basis])
-        if Z.shape != (ne, ne):
-            raise SimulationError("underdetermined block normalization failed")
-        self.Zinv = np.linalg.inv(Z)
+        # Underdetermined block: column operation Z so that E_eps @ Z = [I 0],
+        # from one SVD U S V^T of E_eps at its certified rank m_eps:
+        # Z = [V1 S^-1 U^T, V2] and Z^-1 = [E_eps; V2^T].  The columns V2 span
+        # the free directions.
+        me = dec.m_eps
+        u, s, vt = np.linalg.svd(dec.E_eps)
+        Z = np.hstack([(vt[:me].T / s) @ u.T, vt[me:].T])
+        self.Zinv = np.vstack([dec.E_eps, vt[me:]])
         AZ = dec.A_eps @ Z
-        self.n_free = ne - me
+        self.n_free = dec.n_eps - me
 
         # Overdetermined block: row operation U so that U @ E_eta = [I; 0];
         # the trailing rows of U expose the algebraic consistency equations.
@@ -203,7 +208,10 @@ class _PlantSolver:
         xi0 = np.linalg.solve(self.dec.Q, x0)
         xi_eps, xi_f, xi_sig, xi_eta = _split(xi0, self.dec.col_sizes, 0)
 
-        atol = CONSISTENCY_ATOL * self.scale * max(1.0, np.abs(x0).max())
+        def atol(drive):    # B enters through the input term ``drive`` alone
+            return CONSISTENCY_ATOL * self.scale * max(
+                1.0, np.abs(x0).max(), np.abs(drive).max(initial=0.0))
+
         u0 = self.input_jet(u, 0.0)
         if xi_sig.size:
             expected = np.zeros(xi_sig.shape)   # the nilpotent-block state at t = 0
@@ -211,14 +219,15 @@ class _PlantSolver:
                 if coeff.size:
                     expected += coeff @ ui
             gap = np.abs(xi_sig - expected)
-            if gap.max() > atol:
+            if gap.max() > atol(expected):
                 raise SimulationError(
                     "inconsistent initial state: nilpotent algebraic "
                     f"constraint violated by {gap.max():.3e} "
                     f"(component {int(gap.argmax())} of the nilpotent block)")
         if self.A_eta_alg.shape[0]:     # also when the block has no columns
-            res = self.A_eta_alg @ xi_eta + self.B_eta_alg @ u0[0]
-            if np.abs(res).max() > atol:
+            drive = self.B_eta_alg @ u0[0]
+            res = self.A_eta_alg @ xi_eta + drive
+            if np.abs(res).max() > atol(drive):
                 row = int(np.abs(res).argmax())
                 raise SimulationError(
                     "inconsistent initial state: overdetermined-block "

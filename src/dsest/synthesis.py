@@ -114,7 +114,7 @@ def _build_plant_estimator(plant, tol: Tolerance) -> _PlantEstimator:
     structure = plant.built(_build_structure, tol)
     st, form = structure.staircase, structure.form
     J_f2 = structure.J_f2
-    n, p = plant.E.shape[1], plant.C.shape[0]
+    p = plant.C.shape[0]
     n_O = st.col_partition[0]
 
     B_bar = np.block([[st.B_O, np.zeros((st.E_O.shape[0], p))],
@@ -142,7 +142,7 @@ def _build_plant_estimator(plant, tol: Tolerance) -> _PlantEstimator:
         G_eta = -pseudo_inverse(A_eta2, tol) @ B_eta2
         N, H = J_f2, B_f2
     else:
-        L = place_poles(A_eta1, A_eta2, tol.synthesis_margin, tol)
+        L = place_poles(A_eta1, A_eta2, tol.synthesis_margin)
         G_eta = None
         N = np.block([
             [J_f2, np.zeros((J_f2.shape[0], n_eta))],
@@ -160,8 +160,6 @@ def _build_plant_estimator(plant, tol: Tolerance) -> _PlantEstimator:
         if worst >= 0:
             raise SynthesisError(
                 f"assembled estimator is not strictly stable (max Re = {worst:.3e})")
-    if N.shape[0] > n:
-        raise SynthesisError("estimator order exceeds the plant order")
 
     # Rows mapping a full plant state x to the tracked coordinates
     # (x_f2; x_eta): undo the staircase and the QKF column transform, then

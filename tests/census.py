@@ -42,16 +42,20 @@ instead:
 
     PYTHONPATH=src python tests/census.py --pools
 
-It loads ``perfbench/gen.py`` from its file, as
-``tests/test_benchmark_targets.py`` loads the tracer, and runs every op of
-the ``decide-lifted`` pool (every system of every n) and of the
+It loads ``perfbench/gen.py`` and ``perfbench/workloads.py`` from their
+files, as ``tests/test_benchmark_targets.py`` loads the tracer, and runs
+every op of the ``decide-lifted`` pool (every system of every n) and of the
 ``decide-rescaled`` pool (every form of every draw, the three forms of one
 draw alive together) as the workload's op does: the analysis, then
-synthesis when the verdict is affirmative.  An op's letter
-is Y, N, or F when either step raises.  Per pool it prints the letter counts
-and one SHA-256 over each op's key, letter, block-check residuals and
-thresholds, and the estimator's (N, H, R, M) or the error's text.  The
-workload's untimed checks (Hurwitz N, a short simulation) are not run.
+synthesis when the verdict is affirmative.  An op's letter is Y, N, or F
+when either step raises.  Then the workload's own untimed checks run
+(``DecideWorkload.check``: the letter agrees with the as-drawn form's, the
+estimator's N is Hurwitz, and a short simulation of the as-drawn form
+decays), and an op whose check fails gets its letter in lower case.  Per
+pool it prints one SHA-256 over each op's key, letter before the checks,
+block-check residuals and thresholds, and the estimator's (N, H, R, M) or
+the error's text; then the letter counts, the number of wrong ops and
+their keys.
 
 This is a script, not a test module: pytest does not collect it.
 """
@@ -65,6 +69,7 @@ import importlib.util
 import json
 import math
 import os
+import sys
 
 import numpy as np
 from click.testing import CliRunner
@@ -338,15 +343,24 @@ def cli_census() -> None:
     print(f"{overall.hexdigest()}  all")
 
 
-GEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "perfbench", "gen.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
-def load_gen():
-    spec = importlib.util.spec_from_file_location("_perfbench_gen", GEN)
-    module = importlib.util.module_from_spec(spec)
+def _load(name: str):
+    """``perfbench/<name>.py``, loaded from its file as module ``name``
+    (``workloads`` imports ``gen`` by that name)."""
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(PERFBENCH, f"{name}.py"))
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_workloads():
+    """``perfbench/workloads.py`` and the ``gen`` module it imports."""
+    _load("gen")
+    return _load("workloads")
 
 
 def pool_systems(gen):
@@ -360,27 +374,34 @@ def pool_systems(gen):
 
 
 def pool_census() -> None:
-    for pool, items in pool_systems(load_gen()):
-        digest, letters = hashlib.sha256(), collections.Counter()
+    workloads = load_workloads()
+    for pool, items in pool_systems(workloads.gen):
+        digest, ops = hashlib.sha256(), []
         systems = [(key, dsest.DescriptorSystem.from_matrices(**mats))
                    for key, mats in items]
         for key, sys in systems:
             digest.update(repr(key).encode())
+            op = workloads.Op(key)
             try:
                 report = dsest.is_partially_causal_detectable(sys)
                 digest.update(repr([(c, float(r), float(t))
                                     for c, r, t in report.block_checks]).encode())
-                letter = "Y" if report.partially_causal_detectable else "N"
-                if letter == "Y":
-                    est, _ = dsest.synthesize_estimator(sys)
+                op.code = "Y" if report.partially_causal_detectable else "N"
+                if op.code == "Y":
+                    est, trace = dsest.synthesize_estimator(sys)
                     _arrays(digest, est.N, est.H, est.R, est.M)
+                    op.result = (sys, est, trace)
             except Exception as exc:   # the workload counts any escape as F
-                letter = "F"
+                op.code = "F"
                 digest.update(_error(exc))
-            digest.update(letter.encode())
-            letters[letter] += 1
-        counts = ", ".join(f"{k} {letters[k]}" for k in "YNF")
-        print(f"{pool:<16} {digest.hexdigest()}  {counts}")
+            digest.update(op.code.encode())
+            ops.append(op)
+        workloads.DecideWorkload(pool, 1, 1).check(ops)   # a one-round workload's check
+        letters = collections.Counter(op.code for op in ops)
+        wrong = [op.key for op in ops if op.wrong]
+        counts = ", ".join(f"{k} {letters[k]}" for k in "YNFyn")
+        print(f"{pool:<16} {digest.hexdigest()}  {counts}; wrong {len(wrong)}"
+              + "".join(f" {key}" for key in wrong))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dsest import DimensionMismatchError, qkf
+from dsest import DimensionMismatchError, SynthesisError, qkf
 from dsest.linalg import (
     DEFAULT_TOL,
     Subspace,
@@ -333,3 +333,8 @@ class TestPlacePoles:
         A2 = np.array([[1.0, 0.0]])
         L = place_poles(A1, A2, target_margin=0.5)
         assert np.real(np.linalg.eigvals(A1 - L @ A2)).max() < -0.5 + 1e-9
+
+    def test_undetectable_mode_refused(self):
+        # The mode at 1 does not reach A2, so no gain moves it.
+        with pytest.raises(SynthesisError):
+            place_poles(np.diag([1.0, -3.0]), np.array([[0.0, 1.0]]), target_margin=0.5)

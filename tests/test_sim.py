@@ -15,11 +15,11 @@ from dsest import (
     simulate,
     solve_plant,
 )
-from dsest import wong_limits
+from dsest import qkf, wong_limits
 from dsest import sim
 from dsest.sim import SimulationTrace, _PlantSolver, _time_grid
 
-from conftest import lifted_system
+from conftest import lifted_system, random_system
 
 
 def ramp():
@@ -156,6 +156,56 @@ class TestAlgebraicBlocks:
     def test_x0_length_checked(self, ex_system):
         with pytest.raises(SimulationError, match="x0"):
             solve_plant(ex_system, [1.0, 2.0], T=1.0)
+
+
+def _with_B(sys: DescriptorSystem, factor: float) -> DescriptorSystem:
+    return DescriptorSystem.from_matrices(sys.E, sys.A, sys.B * factor, sys.C,
+                                          sys.K, D=sys.D)
+
+
+class TestInputScale:
+    """The free block is normalized at the QKF's certified rank, and each x0
+    check scales with the input term it compares, so B x 1e10 moves
+    neither."""
+
+    def test_free_block_trajectory_ignores_B(self):
+        # Draws 0-59 of random_system(default_rng(7)) with a free block and
+        # inputs.  Under u = 0, B only multiplies zeros, so x keeps its bits.
+        rng = np.random.default_rng(7)
+        draws = [random_system(rng) for _ in range(60)]
+        plants = [s for s in draws if s.l and qkf(s.E, s.A).n_eps]
+        assert len(plants) == 19
+        for i, sys in enumerate(plants):
+            V = wong_limits(sys.E, sys.A).V_star
+            x0 = V.basis @ np.random.default_rng(i).standard_normal(V.dim)
+            runs = [solve_plant(_with_B(sys, c), x0, T=1.0, dt=0.01)
+                    for c in (1.0, 1e10)]
+            assert np.array_equal(runs[0].x, runs[1].x)
+
+    @pytest.fixture
+    def sigma_plant(self) -> DescriptorSystem:
+        # x1' = -x1 + 1e10 u and 0 = x2 + 1e10 u.
+        return DescriptorSystem.from_matrices(
+            np.diag([1.0, 0.0]), np.diag([-1.0, 1.0]), np.array([[1e10], [1e10]]),
+            np.zeros((0, 2)), np.array([[1.0, 0.0]]))
+
+    def test_nilpotent_inconsistent_x0_refused(self, sigma_plant):
+        with pytest.raises(SimulationError, match="nilpotent"):
+            solve_plant(sigma_plant, [1.0, 5.0], T=1.0)
+
+    def test_nilpotent_consistent_x0_accepted(self, sigma_plant):
+        u = InputSignal.polynomial([[2.0, 0.3]])
+        tr = solve_plant(sigma_plant, [1.0, -2e10], u=u, T=1.0)
+        assert np.allclose(tr.x[1], -1e10 * (2.0 + 0.3 * tr.t), rtol=1e-12, atol=0)
+
+    def test_overdetermined_inconsistent_x0_refused(self):
+        # x' = -x in R^2 and the row 0 = x1 + x2 + 1e10 u.
+        sys = DescriptorSystem.from_matrices(
+            np.vstack([np.eye(2), np.zeros((1, 2))]),
+            np.vstack([-np.eye(2), np.ones((1, 2))]), np.array([[0.0], [0.0], [1e10]]),
+            np.zeros((0, 2)), np.array([[1.0, 0.0]]))
+        with pytest.raises(SimulationError, match="overdetermined-block"):
+            solve_plant(sys, [1.0, 5.0], T=1.0)
 
 
 class TestNonFiniteInitialState:

@@ -172,3 +172,42 @@ def test_exception_guard_sees_dead_and_raised_classes():
     assert raised_names(sources) == {"ChildError", "ReRaisedError"}
     assert unraised_exceptions(sources, candidates) == [
         "DeadBaseError", "DeadError", "DeadLeafError", "FormatError"]
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``function.parameter`` of every parameter that its function's body
+    never reads, nested functions included.  ``self``, ``cls``, names that
+    start with ``_``, ``*args``, ``**kwargs`` and lambdas are exempt."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                 if a.arg not in ("self", "cls") and not a.arg.startswith("_")]
+        read = set()
+        for stmt in node.body:
+            for sub in ast.walk(stmt):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    read.add(sub.id)
+                elif isinstance(sub, ast.AugAssign) and isinstance(sub.target, ast.Name):
+                    read.add(sub.target.id)     # x += 1 reads x
+        unread += [f"{node.name}.{name}" for name in names if name not in read]
+    return unread
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_parameter_guard_sees_unread_and_read_names():
+    source = ("class C:\n"
+              "    def m(self, used, unused, *args, _private=0, **kwargs):\n"
+              "        return used\n"
+              "    @classmethod\n    def c(cls, x, *, key):\n        x += 1\n"
+              "        return key\n"
+              "def f(a, b, tol=None):\n"
+              "    def g():\n        return a\n"
+              "    b = 2\n    sort = lambda x, y=None: x\n    return g, sort\n")
+    assert sorted(unread_parameters(source)) == ["f.b", "f.tol", "m.unused"]
