@@ -47,6 +47,7 @@ from .linalg import (
     SUBSPACE_ATOL,
     Subspace,
     Tolerance,
+    _float64,
     as_matrix,
     image,
     intersect,
@@ -60,7 +61,8 @@ from .wong import _W_star, wong_limits
 
 @dataclass(frozen=True, eq=False)
 class DescriptorSystem:
-    """System data E x' = A x + B u, y = C x + D u, z = K x: read-only C-order copies.
+    """System data E x' = A x + B u, y = C x + D u, z = K x: read-only
+    C-order float64 copies; a complex matrix is refused.
 
     Equality is identity.  Systems with equal plant data share one ``_Plant``
     memo while one of them lives.
@@ -87,7 +89,7 @@ class DescriptorSystem:
             raise DimensionMismatchError(
                 f"functional dimension r={K.shape[0]} exceeds state dimension n={n}")
         for name, value in zip("EABCDK", (E, A, B, C, D, K)):
-            value = np.array(value, order="C")
+            value = np.array(_float64(value, name), order="C")
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 

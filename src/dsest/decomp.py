@@ -6,9 +6,11 @@
 * the observability-type staircase reduction of a triple (E, A, B);
 * the Kalman controllability decomposition of (E, A, B, C).
 
-All three are certified against their structural invariants after
-construction; on failure the computation is retried once with a 10x relaxed
-rank tolerance before giving up.
+The quasi-Kronecker form and the Kalman decomposition are certified
+against their structural invariants after construction; on failure the
+computation is retried once with a 10x relaxed rank tolerance before giving
+up.  The staircase is neither: each stage is one pair of orthogonal
+transforms, read from the SVDs that decide its ranks.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    _svd_threshold,
     as_matrix,
     image,
     intersect,
-    kernel,
     numeric_rank,
     subspace_sum,
 )
@@ -84,7 +86,13 @@ def _pencil_image(E, A, cols: np.ndarray, tol: Tolerance, scale: float) -> Subsp
 
 @dataclass(frozen=True)
 class PencilQKF:
-    """Transformation pair and blocks of P (lambda E - A) Q = blkdiag(...)."""
+    """Transformation pair and blocks of P (lambda E - A) Q = blkdiag(...).
+
+    ``qkf`` builds it in one pass: bases adapted to the Wong limits bring the
+    pencil to block upper triangular form with the QKF's diagonal blocks,
+    block row and column operations remove the couplings above the diagonal,
+    and the f and sigma rows are scaled to E_f = I and A_sigma = I.
+    """
 
     P: np.ndarray
     Q: np.ndarray
@@ -184,44 +192,22 @@ def _solve_coupling(Eii, Aii, Ejj, Ajj, Eij, Aij):
     return X, Y, resid
 
 
-@dataclass
-class _TriangularForm:
-    """P (lambda E - A) Q = lambda TE - TA, block upper triangular.
+def _qkf_once(E: np.ndarray, A: np.ndarray, tol: Tolerance) -> PencilQKF:
+    """The QKF in one pass, certified.
 
-    Row and column blocks run (eps, f, sigma, eta).  The blocks below the
-    diagonal and the (f, sigma), (sigma, f) blocks are zero up to roundoff;
-    the couplings above the diagonal are what separates this pre-form from
-    the QKF.  The diagonal blocks, and so the finite spectrum, are already
-    those of the QKF.
+    Bases adapted to the Wong limits V* and W* and to their images give
+    P (lambda E - A) Q = lambda TE - TA block upper triangular, rows and
+    columns in (eps, f, sigma, eta) order: the pre-form, whose diagonal
+    blocks (and so the finite spectrum) are already those of the QKF.  Its
+    structural zeros are checked, the couplings above the diagonal removed
+    by block row and column operations, the f rows scaled to E_f = I and the
+    sigma rows to A_sigma = I; then the nilpotency index is read and the
+    form certified.
     """
-
-    P: np.ndarray
-    Q: np.ndarray
-    TE: np.ndarray
-    TA: np.ndarray
-    row_sizes: list[int]
-    col_sizes: list[int]
-    ro: list[int] = field(init=False, repr=False)   # block offsets
-    co: list[int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.ro, self.co = _offsets(self.row_sizes), _offsets(self.col_sizes)
-
-    def blk(self, M, i, j) -> np.ndarray:
-        return M[self.ro[i]:self.ro[i + 1], self.co[j]:self.co[j + 1]]
-
-
-def _structural_zero(i: int, j: int) -> bool:
-    return i > j or (i, j) in ((1, 2), (2, 1))
-
-
-def _triangular_form(E: np.ndarray, A: np.ndarray, tol: Tolerance) -> _TriangularForm:
-    """The QKF pre-form from the Wong limits, with its structural zeros checked."""
     m, n = E.shape
     lim = wong_limits(E, A, None, None, tol)
     V, W = lim.V_star, lim.W_star
     cols = _adapted_bases(intersect(V, W, tol), [V, W], tol)   # eps, f, sigma, eta
-    col_sizes = [c.shape[1] for c in cols]
     Q = np.hstack(cols)
     if Q.shape != (n, n) or numeric_rank(Q, tol) < n:
         raise DecompositionError("QKF: column splitting is not a basis of R^n")
@@ -230,74 +216,55 @@ def _triangular_form(E: np.ndarray, A: np.ndarray, tol: Tolerance) -> _Triangula
     M1 = _pencil_image(E, A, cols[0], tol, scale)
     rows = _adapted_bases(M1, [subspace_sum(M1, _pencil_image(E, A, C, tol, scale), tol)
                                for C in cols[1:3]], tol)
-    row_sizes = [r.shape[1] for r in rows]
     Pl = np.hstack(rows)
     if Pl.shape != (m, m) or numeric_rank(Pl, tol) < m:
         raise DecompositionError("QKF: row splitting is not a basis of R^m")
     P = np.linalg.inv(Pl)
 
+    row_sizes = [r.shape[1] for r in rows]
+    col_sizes = [c.shape[1] for c in cols]
     # Square regular blocks must come out square.
     if row_sizes[1] != col_sizes[1] or row_sizes[2] != col_sizes[2]:
         raise DecompositionError(
             f"QKF: non-square regular blocks (rows {row_sizes}, cols {col_sizes})")
+    ro, co = _offsets(row_sizes), _offsets(col_sizes)
+    R = [slice(ro[k], ro[k + 1]) for k in range(4)]
+    C = [slice(co[k], co[k + 1]) for k in range(4)]
 
-    tri = _TriangularForm(P=P, Q=Q, TE=P @ E @ Q, TA=P @ A @ Q,
-                          row_sizes=row_sizes, col_sizes=col_sizes)
+    TE, TA = P @ E @ Q, P @ A @ Q
     for i in range(4):
         for j in range(4):
-            if _structural_zero(i, j):
-                r = max(np.linalg.norm(tri.blk(tri.TE, i, j)),
-                        np.linalg.norm(tri.blk(tri.TA, i, j)))
+            if i > j or (i, j) in ((1, 2), (2, 1)):
+                r = max(np.linalg.norm(TE[R[i], C[j]]), np.linalg.norm(TA[R[i], C[j]]))
                 if r > 1e-7 * scale:
                     raise DecompositionError(
                         f"QKF: block ({i},{j}) not zero (residual {r:.2e})")
-    return tri
 
-
-def _remove_couplings(tri: _TriangularForm, scale: float) -> None:
-    """Zero the couplings above the diagonal of `tri` in place, bottom row
-    block first so that zeroed blocks are never touched again."""
-    m, n = tri.P.shape[0], tri.Q.shape[0]
-    ro, co = tri.ro, tri.co
+    # Bottom row block first, so that a zeroed coupling is never touched again.
     for (i, j) in ((2, 3), (1, 3), (0, 1), (0, 2), (0, 3)):
-        if tri.row_sizes[i] * tri.col_sizes[j] == 0:
+        if row_sizes[i] * col_sizes[j] == 0:
             continue
-        TE, TA = tri.TE, tri.TA
-        X, Y, resid = _solve_coupling(
-            tri.blk(TE, i, i), tri.blk(TA, i, i), tri.blk(TE, j, j),
-            tri.blk(TA, j, j), tri.blk(TE, i, j), tri.blk(TA, i, j))
+        X, Y, resid = _solve_coupling(TE[R[i], C[i]], TA[R[i], C[i]], TE[R[j], C[j]],
+                                      TA[R[j], C[j]], TE[R[i], C[j]], TA[R[i], C[j]])
         if resid > 1e-7 * scale:
             raise DecompositionError(
                 f"QKF: coupling ({i},{j}) not removable (residual {resid:.2e})")
-        Srow = np.eye(m)
-        Srow[ro[i]:ro[i + 1], ro[j]:ro[j + 1]] = X
-        Scol = np.eye(n)
-        Scol[co[i]:co[i + 1], co[j]:co[j + 1]] = Y
-        tri.P = Srow @ tri.P
-        tri.Q = tri.Q @ Scol
-        tri.TE = Srow @ TE @ Scol
-        tri.TA = Srow @ TA @ Scol
+        for M in (P, TE, TA):
+            M[R[i]] += X @ M[R[j]]
+        for M in (Q, TE, TA):
+            M[:, C[j]] += M[:, C[i]] @ Y
 
+    n_f, n_sig = row_sizes[1], row_sizes[2]
+    for b, D, what in ((1, TE[R[1], C[1]], "finite block has singular E part"),
+                       (2, TA[R[2], C[2]], "nilpotent block has singular A part")):
+        if row_sizes[b]:
+            if numeric_rank(D, tol) < row_sizes[b]:
+                raise DecompositionError(f"QKF: {what}")
+            D_inv = np.linalg.inv(D)
+            for M in (P, TA, TE):
+                M[R[b]] = D_inv @ M[R[b]]
 
-def _normalized(tri: _TriangularForm, tol: Tolerance) -> PencilQKF:
-    """Scale the f rows of `tri` to E_f = I and the sigma rows to A_sigma = I
-    (in place), and return its diagonal blocks as a PencilQKF with the
-    transformations of `tri`."""
-    ro = tri.ro
-    n_f, n_sig = tri.row_sizes[1], tri.row_sizes[2]
-    E_f = tri.blk(tri.TE, 1, 1)
-    if n_f and numeric_rank(E_f, tol) < n_f:
-        raise DecompositionError("QKF: finite block has singular E part")
-    A_sig = tri.blk(tri.TA, 2, 2)
-    if n_sig and numeric_rank(A_sig, tol) < n_sig:
-        raise DecompositionError("QKF: nilpotent block has singular A part")
-    for b, D in ((1, E_f), (2, A_sig)):
-        if tri.row_sizes[b]:
-            W = np.linalg.inv(D)
-            for M in (tri.P, tri.TA, tri.TE):
-                M[ro[b]:ro[b + 1], :] = W @ M[ro[b]:ro[b + 1], :]
-
-    J_sigma = tri.blk(tri.TE, 2, 2)
+    J_sigma = TE[R[2], C[2]]
     h = 0
     if n_sig:
         # Nilpotency shows as a drastic drop of ||J^k|| relative to the
@@ -313,30 +280,18 @@ def _normalized(tri: _TriangularForm, tol: Tolerance) -> PencilQKF:
         else:
             raise DecompositionError("QKF: sigma block is not nilpotent")
 
-    blk = tri.blk
-    return PencilQKF(
-        P=tri.P, Q=tri.Q,
-        m_eps=tri.row_sizes[0], n_eps=tri.col_sizes[0],
-        n_f=n_f, n_sigma=n_sig,
-        m_eta=tri.row_sizes[3], n_eta=tri.col_sizes[3],
-        E_eps=blk(tri.TE, 0, 0), A_eps=blk(tri.TA, 0, 0),
-        J_f=blk(tri.TA, 1, 1), J_sigma=J_sigma,
-        E_eta=blk(tri.TE, 3, 3), A_eta=blk(tri.TA, 3, 3),
-        h=h)
-
-
-def _qkf_once(E: np.ndarray, A: np.ndarray, tol: Tolerance) -> PencilQKF:
-    tri = _triangular_form(E, A, tol)
-    _remove_couplings(tri, _residual_scale(E, A))
-    form = _normalized(tri, tol)
+    form = PencilQKF(
+        P=P, Q=Q, m_eps=row_sizes[0], n_eps=col_sizes[0], n_f=n_f, n_sigma=n_sig,
+        m_eta=row_sizes[3], n_eta=col_sizes[3],
+        E_eps=TE[R[0], C[0]], A_eps=TA[R[0], C[0]], J_f=TA[R[1], C[1]],
+        J_sigma=J_sigma, E_eta=TE[R[3], C[3]], A_eta=TA[R[3], C[3]], h=h)
     certify_qkf(E, A, form, tol)
     return form
 
 
 def certify_qkf(E, A, form: PencilQKF, tol: Tolerance = DEFAULT_TOL) -> None:
-    """Check every PencilQKF invariant; raise DecompositionError otherwise."""
-    if (sum(form.row_sizes), sum(form.col_sizes)) != E.shape:
-        raise DecompositionError("QKF certification: block sizes do not sum up")
+    """Check the PencilQKF invariants that its construction does not fix;
+    raise DecompositionError otherwise."""
     scale = _residual_scale(E, A)
     TE, TA = form.blocks_E(), form.blocks_A()
     for lam in SAMPLE_LAMBDAS:
@@ -363,23 +318,14 @@ def certify_qkf(E, A, form: PencilQKF, tol: Tolerance = DEFAULT_TOL) -> None:
             if numeric_rank(lam * form.E_eta - form.A_eta, tol) < form.n_eta:
                 raise DecompositionError(
                     "QKF certification: eta pencil loses column rank")
-    if form.n_sigma:
-        prev = np.linalg.matrix_power(form.J_sigma, form.h - 1) \
-            if form.h > 1 else np.eye(form.n_sigma)
-        power = prev @ form.J_sigma
-        if np.linalg.norm(power) > 1e-6 * max(1.0, np.linalg.norm(prev)):
-            raise DecompositionError("QKF certification: J_sigma^h != 0")
-        if form.h > 1 and np.linalg.norm(prev) <= 1e-10:
-            raise DecompositionError("QKF certification: J_sigma^(h-1) == 0")
-    elif form.h != 0:
-        raise DecompositionError("QKF certification: h must be 0 when n_sigma = 0")
 
 
 def qkf(E, A, tol: Tolerance = DEFAULT_TOL) -> PencilQKF:
     """Quasi-Kronecker form of the pencil lambda*E - A.
 
-    Constructed from the Wong limits of the pencil; retried once with a
-    relaxed rank tolerance when certification fails at the requested one.
+    Constructed in one pass (see ``PencilQKF``) from bases adapted to the
+    Wong limits of the pencil; retried once with a relaxed rank tolerance
+    when construction or certification fails at the requested one.
     """
     E = as_matrix(E)
     A = as_matrix(A, rows=E.shape[0], cols=E.shape[1])
@@ -429,6 +375,13 @@ class StaircaseDecomposition:
                       self.col_partition, 1)
 
 
+def _rank_and_vh(M: np.ndarray, tol: Tolerance, scale: float) -> tuple[int, np.ndarray]:
+    """Rank of M at ``kernel``'s threshold and the Vh of M's full SVD, whose
+    leading rank rows span the row space of M and the rest its null space."""
+    _, s, vh = np.linalg.svd(M, full_matrices=True)
+    return int(np.count_nonzero(s > _svd_threshold(s, M.shape, tol, scale))), vh
+
+
 def observability_staircase(E, A, B, tol: Tolerance = DEFAULT_TOL) -> StaircaseDecomposition:
     """Staircase reduction isolating the algebraically-forced variables.
 
@@ -455,22 +408,19 @@ def observability_staircase(E, A, B, tol: Tolerance = DEFAULT_TOL) -> StaircaseD
 
     # Each stage removes at least one row, so m + 1 iterations always suffice.
     for _ in range(m + 1):
-        EB = np.hstack([TE[:mr, :nc], TB[:mr, :]])
-        left_null = kernel(EB.T, tol, scale=scale)   # left null space of [E, B]
-        d = left_null.dim
+        # Rows of Ui: the row space of [E, B], then its left null space.
+        q, Ui = _rank_and_vh(np.hstack([TE[:mr, :nc], TB[:mr, :]]).T, tol, scale)
+        d = mr - q
         if d == 0:
             break
-        q = mr - d
-        Ui = np.vstack([left_null.complement().basis.T, left_null.basis.T])
         TE[:mr, :] = Ui @ TE[:mr, :]
         TA[:mr, :] = Ui @ TA[:mr, :]
         TB[:mr, :] = Ui @ TB[:mr, :]
         U[:mr, :] = Ui @ U[:mr, :]
 
-        A_bot = TA[q:mr, :nc]
-        ker_bot = kernel(A_bot, tol, scale=scale)
-        c = nc - ker_bot.dim
-        Vi = np.hstack([ker_bot.basis, ker_bot.complement().basis])
+        # Columns of Vi: the null space of A_i, then its row space.
+        c, Vh = _rank_and_vh(TA[q:mr, :nc], tol, scale)
+        Vi = np.vstack([Vh[c:], Vh[:c]]).T
         TE[:, :nc] = TE[:, :nc] @ Vi
         TA[:, :nc] = TA[:, :nc] @ Vi
         V[:, :nc] = V[:, :nc] @ Vi

@@ -74,6 +74,14 @@ def as_matrix(a, rows: int | None = None, cols: int | None = None,
     return m
 
 
+def _float64(M: np.ndarray, name: str) -> np.ndarray:
+    """A validated real matrix as float64 (``M`` itself when it is float64);
+    a complex one is refused, naming it."""
+    if M.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got complex entries")
+    return M.astype(np.float64, copy=False)
+
+
 def _snap_roundoff(M) -> np.ndarray:
     """Zero out entries below 1e-12 times the largest entry: pure roundoff.
 

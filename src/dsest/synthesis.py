@@ -42,6 +42,7 @@ from .decomp import PencilQKF, StaircaseDecomposition, _split
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _float64,
     as_matrix,
     numeric_rank,
     place_poles,
@@ -52,7 +53,10 @@ from .linalg import (
 
 @dataclass(frozen=True, eq=False)
 class EstimatorRealization:
-    """w' = N w + H (u; y), zhat = R w + M (u; y); equality is identity."""
+    """w' = N w + H (u; y), zhat = R w + M (u; y); equality is identity.
+
+    The blocks are stored as float64 (a float64 block as given); a complex
+    block is refused."""
 
     N: np.ndarray
     H: np.ndarray
@@ -66,7 +70,7 @@ class EstimatorRealization:
         R = as_matrix(self.R, cols=s, name="estimator R")
         M = as_matrix(self.M, R.shape[0], H.shape[1], name="estimator M")
         for name, X in zip("NHRM", (N, H, R, M)):
-            object.__setattr__(self, name, X)
+            object.__setattr__(self, name, _float64(X, f"estimator {name}"))
 
     @property
     def s(self) -> int:

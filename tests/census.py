@@ -57,6 +57,21 @@ block-check residuals and thresholds, and the estimator's (N, H, R, M) or
 the error's text; then the letter counts, the number of wrong ops and
 their keys.
 
+With ``--dump FILE`` it prints the results census and also writes every
+result it covers to ``FILE`` (``.npz``): per system the letter (Y, N, or F
+when the analysis raised), the block-check residuals, the estimator's (N, H,
+R, M), ``state_map`` and L, and the trace's arrays, each result replaced by
+its error's text where one was raised; and the split plants' estimators.
+``--compare OLD NEW`` reads two such files, written by two trees:
+
+    PYTHONPATH=<parent>/src python tests/census.py --dump old.npz
+    PYTHONPATH=src python tests/census.py --dump new.npz
+    python tests/census.py --compare old.npz new.npz
+
+It prints the letters and refusal texts that changed, then per kind
+(reports, estimators, traces, split) how many results moved and the worst
+relative change among them.
+
 This is a script, not a test module: pytest does not collect it.
 """
 
@@ -114,7 +129,14 @@ def _error(exc: Exception) -> bytes:
     return f"{type(exc).__name__}: {exc}".encode()
 
 
-def _simulate(digest, key: str, sys, est, trace) -> None:
+def _keep(records: dict, kind: str, key: str, *values) -> None:
+    """Store one result of ``kind`` for system ``key``: its arrays, or an
+    error's text."""
+    for i, value in enumerate(values):
+        records[f"{kind}:{key}:{i}"] = np.asarray(value)
+
+
+def _simulate(digest, records: dict, key: str, sys, est, trace) -> None:
     """The workload's short convergence run: x0 in V*, w0 the tracked state
     plus noise, 10 time constants of the slowest pole in SIM_STEPS steps."""
     rng = np.random.default_rng(list(key.encode()))
@@ -128,15 +150,20 @@ def _simulate(digest, key: str, sys, est, trace) -> None:
                              T=T, dt=T / SIM_STEPS)
     except dsest.DsestError as exc:
         digest.update(_error(exc))
+        _keep(records, "traces", key, _error(exc).decode())
         return
-    _arrays(digest, run.t, run.x, run.y, run.z, run.w, run.zhat, run.e)
+    arrays = (run.t, run.x, run.y, run.z, run.w, run.zhat, run.e)
+    _arrays(digest, *arrays)
     digest.update(json.dumps(run.meta, sort_keys=True, default=str).encode())
+    _keep(records, "traces", key, *arrays)
 
 
-def results_census() -> None:
+def results_census() -> dict:
+    """Print the digests and return every result by name (see ``_keep``)."""
     digests = {name: hashlib.sha256()
                for name in ("reports", "refusals", "estimators", "traces")}
     counts = {"systems": 0, "built": 0, "refused": 0, "analysis raised": 0}
+    records = {}
     for name, drawn in systems():
         for form, sys in forms(drawn):
             key = f"{name}/{form}"
@@ -148,27 +175,96 @@ def results_census() -> None:
                 digests["reports"].update(json.dumps(
                     [report.partially_causal_detectable, report_to_dict(report)],
                     sort_keys=True).encode())
+                _keep(records, "letters", key, "Y" if report.partially_causal_detectable
+                      else "N")
+                _keep(records, "reports", key, [float(r) for _, r, _ in report.block_checks])
             except dsest.DsestError as exc:
                 counts["analysis raised"] += 1
                 digests["reports"].update(_error(exc))
+                _keep(records, "letters", key, "F")
+                _keep(records, "reports", key, _error(exc).decode())
             try:
                 est, trace = dsest.synthesize_estimator(sys)
             except dsest.DsestError as exc:
                 counts["refused"] += 1
                 digests["refusals"].update(_error(exc))
+                _keep(records, "estimators", key, _error(exc).decode())
                 continue
             counts["built"] += 1
             _arrays(digests["estimators"], est.N, est.H, est.R, est.M,
                     trace.state_map, trace.L)
-            _simulate(digests["traces"], key, sys, est, trace)
+            _keep(records, "estimators", key, est.N, est.H, est.R, est.M,
+                  trace.state_map, trace.L)
+            _simulate(digests["traces"], records, key, sys, est, trace)
     digests["split"] = hashlib.sha256()
     for name in SPLIT_PLANTS:
         est, trace = dsest.synthesize_estimator(split_system(name))
         digests["split"].update(name.encode())
         _arrays(digests["split"], est.N, est.H, est.R, est.M, trace.state_map)
+        _keep(records, "split", name, est.N, est.H, est.R, est.M, trace.state_map)
     print(", ".join(f"{k} {v}" for k, v in counts.items()))
     for name, digest in digests.items():
         print(f"{name:<10} {digest.hexdigest()}")
+    return records
+
+
+def _load_results(path: str) -> dict:
+    """{(kind, key): [array, ...]} of a ``--dump`` file."""
+    results = collections.defaultdict(list)
+    with np.load(path) as fh:
+        for name in sorted(fh.files, key=lambda name: int(name.rsplit(":", 1)[1])):
+            kind, key, _ = name.split(":")
+            results[kind, key].append(fh[name])
+    return results
+
+
+def _text(record: list) -> str | None:
+    """The error text (or letter) that ``record`` holds, None for arrays."""
+    return str(record[0]) if record and record[0].dtype.kind == "U" else None
+
+
+def _relative_change(old: list, new: list) -> float:
+    """Largest |new - old| / max(1, |old|, |new|) over the arrays of one
+    result, in the Frobenius norm (an array of roundoff, such as a zero
+    residual, changes by its absolute change): 0 for equal bits, inf for a
+    changed text or shape."""
+    if len(old) != len(new):
+        return math.inf
+    worst = 0.0
+    for a, b in zip(old, new):
+        if a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes():
+            continue
+        if a.shape != b.shape or "U" in (a.dtype.kind, b.dtype.kind):
+            return math.inf
+        worst = max(worst, float(np.linalg.norm(b - a)
+                                 / max(1.0, np.linalg.norm(a), np.linalg.norm(b))))
+    return worst
+
+
+def compare(old_path: str, new_path: str) -> None:
+    """Print what moved between two ``--dump`` files: the changed letters
+    and refusal texts, then per kind of result the number whose bits moved
+    and the worst relative change (``_relative_change``) among them."""
+    old, new = _load_results(old_path), _load_results(new_path)
+    idents = sorted(old.keys() | new.keys())
+    for kind, what in (("letters", "letters changed"),
+                       ("estimators", "refusal texts changed")):
+        changed = [(key, _text(old.get((k, key), [])), _text(new.get((k, key), [])))
+                   for k, key in idents if k == kind]
+        changed = [c for c in changed if c[1] != c[2]]
+        print(f"{what} {len(changed)}")
+        for key, a, b in changed:
+            print(f"  {key}: {a} -> {b}")
+    for kind in ("reports", "estimators", "traces", "split"):
+        keys = [key for k, key in idents if k == kind]
+        moved = {key: c for key in keys
+                 if (c := _relative_change(old.get((kind, key), []),
+                                           new.get((kind, key), [])))}
+        line = f"{kind:<10} moved {len(moved)} of {len(keys)}"
+        if moved:
+            worst = max(moved, key=moved.get)
+            line += f", worst relative change {moved[worst]:.2g} at {worst}"
+        print(line)
 
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -411,10 +507,18 @@ if __name__ == "__main__":
                       help="census of the dsest command instead of the results")
     mode.add_argument("--pools", action="store_true",
                       help="census of the benchmark's decide pools instead")
+    mode.add_argument("--dump", metavar="FILE",
+                      help="also write every result of the results census to FILE (.npz)")
+    mode.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                      help="print what moved between two --dump files")
     args = parser.parse_args()
     if args.cli:
         cli_census()
     elif args.pools:
         pool_census()
+    elif args.compare:
+        compare(*args.compare)
     else:
-        results_census()
+        records = results_census()
+        if args.dump:
+            np.savez(args.dump, **records)

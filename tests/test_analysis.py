@@ -59,6 +59,47 @@ class TestShapeContract:
             DescriptorSystem.from_matrices(**{**args, "C": np.ones((1, 2))})
 
 
+class TestFloat64Contract:
+    GOOD = TestShapeContract.GOOD
+
+    @pytest.mark.parametrize("name", "EABCDK")
+    def test_complex_matrix_is_refused_by_name(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be real"):
+            DescriptorSystem(**{**self.GOOD, name: self.GOOD[name] + 0j})
+
+    def test_float64_input_keeps_its_bits_and_float32_is_upcast(self):
+        rng = np.random.default_rng(0)
+        mats = {k: rng.standard_normal(v.shape) for k, v in self.GOOD.items()}
+        for dtype in (np.float64, np.float32):
+            sys = DescriptorSystem(**{k: v.astype(dtype) for k, v in mats.items()})
+            for name, value in mats.items():
+                got = getattr(sys, name)
+                assert got.dtype == np.float64
+                assert got.tobytes() == value.astype(dtype).astype(np.float64).tobytes()
+
+    @staticmethod
+    def outcome(mats: dict):
+        """The report and estimator of a system as bytes, or the error."""
+        sys = DescriptorSystem.from_matrices(**mats)
+        try:
+            report = is_partially_causal_detectable(sys)
+            est, trace = synthesize_estimator(sys)
+        except DsestError as exc:
+            return repr(exc)
+        return (json.dumps(report_to_dict(report), sort_keys=True),
+                [X.tobytes() for X in (est.N, est.H, est.R, est.M, trace.state_map)])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_float32_input_is_read_as_its_float64_values(self, ex_system, seed):
+        T = np.random.default_rng(seed).standard_normal((4, 4))
+        T_inv = np.linalg.inv(T)
+        single = {name: M.astype(np.float32) for name, M in dict(
+            E=T @ ex_system.E @ T_inv, A=T @ ex_system.A @ T_inv, B=T @ ex_system.B,
+            C=ex_system.C @ T_inv, K=ex_system.K @ T_inv, D=ex_system.D).items()}
+        double = {name: M.astype(np.float64) for name, M in single.items()}
+        assert self.outcome(single) == self.outcome(double)
+
+
 class TestBlockToeplitz:
     def test_build_F_depth_one(self):
         E = np.array([[1.0]])

@@ -1,8 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dsest import kalman_controllability, observability_staircase, qkf
+from dsest.decomp import (KalmanDecomposition, PencilQKF, _qkf_once, certify_kalman,
+                          certify_qkf)
 from dsest.exceptions import DecompositionError
+from dsest.linalg import DEFAULT_TOL
 
 from conftest import random_pencil, random_system
 
@@ -83,6 +89,130 @@ class TestQKFRandom:
                 assert np.linalg.matrix_rank(dec.E_eps) == dec.m_eps
             if dec.n_eta:
                 assert np.linalg.matrix_rank(dec.E_eta) == dec.n_eta
+
+
+def hand_form(E_eps=np.zeros((0, 0)), A_eps=np.zeros((0, 0)), J_f=np.zeros((0, 0)),
+              J_sigma=np.zeros((0, 0)), E_eta=np.zeros((0, 0)), A_eta=np.zeros((0, 0))):
+    """A PencilQKF with P = Q = I, so that the pencil is its blocks."""
+    blocks = dict(E_eps=E_eps, A_eps=A_eps, J_f=J_f, J_sigma=J_sigma, E_eta=E_eta,
+                  A_eta=A_eta)
+    m = E_eps.shape[0] + J_f.shape[0] + J_sigma.shape[0] + E_eta.shape[0]
+    n = E_eps.shape[1] + J_f.shape[0] + J_sigma.shape[0] + E_eta.shape[1]
+    return PencilQKF(P=np.eye(m), Q=np.eye(n), m_eps=E_eps.shape[0],
+                     n_eps=E_eps.shape[1], n_f=J_f.shape[0], n_sigma=J_sigma.shape[0],
+                     m_eta=E_eta.shape[0], n_eta=E_eta.shape[1],
+                     h=1 if J_sigma.size else 0, **blocks)
+
+
+class TestQKFCertification:
+    """Each check of ``certify_qkf`` on a hand-built form that breaks it
+    alone.  0.371 is the first sample lambda."""
+
+    GOOD = dict(E_eps=np.array([[1.0, 0.0]]), A_eps=np.array([[0.0, 1.0]]),
+                J_f=np.array([[-1.0]]), J_sigma=np.zeros((1, 1)),
+                E_eta=np.array([[1.0], [0.0]]), A_eta=np.array([[0.0], [1.0]]))
+
+    def test_well_formed_blocks_certify(self):
+        form = hand_form(**self.GOOD)
+        certify_qkf(form.blocks_E(), form.blocks_A(), form)
+
+    def test_identity(self):
+        form = hand_form(**self.GOOD)
+        bad = replace(form, P=form.P + 1e-3 * np.ones_like(form.P))
+        with pytest.raises(DecompositionError, match="identity fails at lambda=0.371"):
+            certify_qkf(form.blocks_E(), form.blocks_A(), bad)
+
+    @pytest.mark.parametrize("blocks, message", [
+        (dict(E_eps=np.array([[1.0], [0.0]]), A_eps=np.array([[0.0], [1.0]])),
+         "m_eps > n_eps"),
+        (dict(E_eta=np.array([[1.0, 0.0]]), A_eta=np.array([[0.0, 1.0]])),
+         "m_eta < n_eta"),
+        (dict(E_eps=np.array([[0.0, 0.0]]), A_eps=np.array([[1.0, 0.0]])),
+         "E_eps rank deficient"),
+        (dict(E_eps=np.array([[1.0, 0.0]]), A_eps=np.array([[0.371, 0.0]])),
+         "epsilon pencil loses row rank"),
+        (dict(E_eta=np.array([[0.0], [0.0]]), A_eta=np.array([[1.0], [0.0]])),
+         "E_eta rank deficient"),
+        (dict(E_eta=np.array([[1.0], [0.0]]), A_eta=np.array([[0.371], [0.0]])),
+         "eta pencil loses column rank"),
+    ], ids=["m_eps", "m_eta", "E_eps", "eps-pencil", "E_eta", "eta-pencil"])
+    def test_block_check(self, blocks, message):
+        form = hand_form(**{**self.GOOD, **blocks})
+        with pytest.raises(DecompositionError, match=f"QKF certification: {message}"):
+            certify_qkf(form.blocks_E(), form.blocks_A(), form)
+
+
+class TestKalmanCertification:
+    """Each check of ``certify_kalman`` on a hand-built decomposition with
+    S = T = I, so that the triple is its blocks."""
+
+    @staticmethod
+    def certify(sizes, E, A, B):
+        E, A, B = (np.array(M, dtype=float) for M in (E, A, B))
+        m, n = E.shape
+        dec = KalmanDecomposition(S=np.eye(m), T=np.eye(n), sizes=sizes, E_blocks=E,
+                                  A_blocks=A, B_blocks=B, C_blocks=np.zeros((0, n)))
+        certify_kalman(E, A, B, dec, DEFAULT_TOL)
+
+    def test_well_formed_blocks_certify(self):
+        # x1' = -x1 + u, x2' = -x2, 0 = x3 (impulsive, no finite mode).
+        self.certify(((1, 1), (1, 1), (1, 1)), np.diag([1, 1, 0]),
+                     np.diag([-1, -1, 1]), [[1], [0], [0]])
+
+    @pytest.mark.parametrize("sizes, E, A, B, message", [
+        (((1, 1), (1, 1), (0, 0)), [[1, 0], [1, 1]], [[0, 0], [0, -1]], [[1], [0]],
+         "lower block \\(1,0\\) nonzero"),
+        (((1, 1), (1, 1), (0, 0)), np.eye(2), [[0, 0], [0, -1]], [[1], [1]],
+         "S B not of the form"),
+        (((1, 1), (1, 2), (0, 0)), [[1, 0, 0], [0, 1, 0]], [[0, 0, 0], [0, 0, 1]],
+         [[1], [0]], "middle block not square"),
+        (((1, 1), (1, 1), (0, 0)), np.diag([1, 0]), np.diag([0, 1]), [[1], [0]],
+         "E22 not invertible"),
+        (((1, 1), (0, 0), (1, 1)), np.eye(2), np.diag([0, 0.371]), [[1], [0]],
+         "trailing pencil loses column rank"),
+        (((2, 2), (0, 0), (0, 0)), np.eye(2), np.diag([-1, -2]), [[1], [0]],
+         "\\(1,1\\) block is not completely controllable"),
+    ], ids=["lower-block", "B", "square", "E22", "trailing-pencil", "controllable"])
+    def test_block_check(self, sizes, E, A, B, message):
+        with pytest.raises(DecompositionError, match=f"Kalman certification: {message}"):
+            self.certify(sizes, E, A, B)
+
+
+def hidden_kronecker_pencil(k: int, seed: int):
+    """P blkdiag(L_k, I_k, L_k^T) Q and P blkdiag(L_k', J, L_k'^T) Q: an
+    epsilon block, a k x k finite block J and an eta block, each of size k,
+    hidden by Gaussian P and Q.  Returns (E, A, J)."""
+    rng = np.random.default_rng([k, seed])
+    L_E, L_A = np.eye(k, k + 1), np.eye(k, k + 1, 1)
+    J = rng.standard_normal((k, k))
+    P, Q = (rng.standard_normal((3 * k + 1, 3 * k + 1)) for _ in range(2))
+    E = P @ scipy.linalg.block_diag(L_E, np.eye(k), L_E.T) @ Q
+    A = P @ scipy.linalg.block_diag(L_A, J, L_A.T) @ Q
+    return E, A, J
+
+
+class TestRelaxedRetry:
+    def test_retry_recovers_the_form(self):
+        E, A, J = hidden_kronecker_pencil(5, 14)
+        with pytest.raises(DecompositionError, match=(
+                "non-square regular blocks \\(rows \\[5, 6, 0, 5\\], "
+                "cols \\[6, 5, 0, 5\\]\\)")):
+            _qkf_once(E, A, DEFAULT_TOL)
+        form = qkf(E, A)
+        assert form.col_sizes == (6, 5, 0, 5)
+        assert form.row_sizes == (5, 5, 0, 6)
+        got, want = (np.sort_complex(np.linalg.eigvals(M)) for M in (form.J_f, J))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_both_attempts_named_when_both_fail(self):
+        E, A, _ = hidden_kronecker_pencil(4, 5)
+        with pytest.raises(DecompositionError) as info:
+            qkf(E, A)
+        message = str(info.value)
+        assert message.startswith("QKF failed at rank_rtol=1e-10 (QKF: coupling (0,3) "
+                                  "not removable")
+        assert "and at relaxed rank_rtol=1e-09 (QKF: coupling (0,3) not removable" \
+            in message
 
 
 class TestStaircase:

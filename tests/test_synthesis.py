@@ -49,6 +49,14 @@ class TestEstimatorShapeContract:
         with pytest.raises(ValueError, match="finite"):
             EstimatorRealization(**{**self.GOOD, "R": np.array([[1.0, np.nan]])})
 
+    @pytest.mark.parametrize("name", "NHRM")
+    def test_float64_blocks_and_complex_refused(self, name):
+        single = EstimatorRealization(**{**self.GOOD, name: self.GOOD[name].astype(
+            np.float32)})
+        assert getattr(single, name).dtype == np.float64
+        with pytest.raises(ValueError, match=f"^estimator {name} must be real"):
+            EstimatorRealization(**{**self.GOOD, name: self.GOOD[name] + 0j})
+
     def test_equality_is_identity(self):
         # Array fields make field-wise == ambiguous; an estimator is itself.
         a, b = (EstimatorRealization(**{k: v.copy() for k, v in self.GOOD.items()})
