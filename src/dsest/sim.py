@@ -13,15 +13,16 @@ differently:
   trajectory must satisfy identically.
 
 Dynamic parts are integrated with fixed-step classical RK4; algebraic parts
-are evaluated exactly from analytic input derivatives.  The input and each
-derivative order the nilpotent block reads are sampled once, vectorised, on
-all RK4 stage times before stepping (``_rk4_inputs``).  ``solve_plant`` and
-``simulate`` share ``_run``: a plant RK4 pass, then an estimator pass.  Both
-passes and ``run_estimator`` step through one kernel, ``_rk4``, which
-allocates no array per step: slopes and stage arguments live in preallocated
-rows, with the bits of the textbook step.  A pass that overflows is refused
-at that step.  The plant's block machinery (``_PlantSolver``) is built once
-per plant and tolerance, in the memo that analysis and synthesis share.
+are evaluated exactly from analytic input derivatives.  ``solve_plant`` and
+``simulate`` share ``_run``: a plant RK4 pass, then an estimator pass.  The
+input jet, the free signal and the algebraic part of x are each evaluated
+once, into one table on the RK4 stage times (``_stage_times``) that the x0
+checks, both passes and the output grid read.  Both passes and
+``run_estimator`` step through one kernel, ``_rk4``, which allocates no
+array per step: slopes and stage arguments live in preallocated rows, with
+the bits of the textbook step.  A pass that overflows is refused at that
+step.  The plant's block machinery (``_PlantSolver``) is built once per
+plant and tolerance, in the memo that analysis and synthesis share.
 """
 
 from __future__ import annotations
@@ -180,30 +181,10 @@ class _PlantSolver:
         # Algebraic consistency rows of the eta-block, expressed on X.
         self.R_alg = _snap_roundoff(self.A_eta_alg @ Qv_pinv[me + dec.n_f:])
 
-    # -- algebraic evaluations ----------------------------------------------
-
-    def input_jet(self, u: InputSignal, t) -> list:
-        """Samples of u and of each derivative the nilpotent block reads."""
-        return [u.eval(t, order=i) for i in range(max(1, len(self.sigma_maps)))]
-
-    def algebraic_x(self, u_jet: list, free, t) -> np.ndarray:
-        """Algebraic + free contribution to x at time(s) t, from the input
-        samples ``u_jet`` of ``input_jet`` at the same time(s)."""
-        t_arr = np.asarray(t, dtype=float)
-        out = np.zeros((self.n,) + t_arr.shape)
-        for smap, ui in zip(self.sigma_maps, u_jet):
-            if smap.size:
-                out += smap @ ui
-        if self.n_free:
-            out += self.free_map @ np.asarray(free(t), dtype=float)
-        return out
-
-    # -- initial conditions --------------------------------------------------
-
-    def initial_dynamic_state(self, x0: np.ndarray, u: InputSignal,
-                              eps_signal):
+    def initial_dynamic_state(self, x0: np.ndarray, u0: list, eps_signal):
         """Split a full x(0) into dynamic state + free signal, checking the
-        algebraic constraints.  Returns (v0, free_signal_callable)."""
+        algebraic constraints against ``u0``, the input and each derivative
+        the nilpotent block reads at t = 0.  Returns (v0, free_signal_callable)."""
         x0 = _initial_state(x0, "x0", self.n, "plant state dimension")
         xi0 = np.linalg.solve(self.dec.Q, x0)
         xi_eps, xi_f, xi_sig, xi_eta = _split(xi0, self.dec.col_sizes, 0)
@@ -212,7 +193,6 @@ class _PlantSolver:
             return CONSISTENCY_ATOL * self.scale * max(
                 1.0, np.abs(x0).max(), np.abs(drive).max(initial=0.0))
 
-        u0 = self.input_jet(u, 0.0)
         if xi_sig.size:
             expected = np.zeros(xi_sig.shape)   # the nilpotent-block state at t = 0
             for coeff, ui in zip(self.sigma_coeffs, u0):
@@ -248,21 +228,16 @@ class _PlantSolver:
         return float(np.abs(res).max()) if res.size else 0.0
 
 
-def _rk4_inputs(solver: _PlantSolver, u: InputSignal, t: np.ndarray):
-    """The times at which ``_rk4`` samples the right-hand side on grid t,
-    and the input jets (``_PlantSolver.input_jet``) there, each order
-    evaluated once on all times.  Entry 2k of the times is t_k and entry 2k+1
-    the midpoint t_k + h/2 of step k, with the step's own arithmetic; the
-    last stage's time t_k + h is t_{k+1} exactly, as h = t_{k+1} - t_k is
-    exact when t_{k+1} <= 2 t_k (Sterbenz), as on every ``_time_grid``.
-    Returns the times, the jet as rows (``rows[i][j]`` is the order-i sample
-    at time j) and the jet on the grid t.
-    """
+def _stage_times(t: np.ndarray) -> np.ndarray:
+    """The times at which ``_rk4`` samples the right-hand side on grid t.
+    Entry 2k is t_k and entry 2k+1 the midpoint t_k + h/2 of step k, with the
+    step's own arithmetic; the last stage's time t_k + h is t_{k+1} exactly,
+    as h = t_{k+1} - t_k is exact when t_{k+1} <= 2 t_k (Sterbenz), as on
+    every ``_time_grid``."""
     times = np.empty(2 * len(t) - 1)
     times[0::2] = t
     times[1::2] = t[:-1] + (t[1:] - t[:-1]) / 2
-    jet = solver.input_jet(u, times)
-    return times, [ui.T for ui in jet], [ui[:, 0::2] for ui in jet]
+    return times
 
 
 def _stacked(M: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -278,7 +253,7 @@ def _rk4(M: np.ndarray, forcing: list, v0: np.ndarray, t: np.ndarray,
     """Classical fixed-step RK4 of v' = M v + sum_i g_i on a uniform grid;
     returns (dim, len(t)).  The rows of each forcing g_i are added to M v one
     at a time, in order.  Stages 1-4 of step k read rows 2k, 2k+1, 2k+1,
-    2k+2 (the times of ``_rk4_inputs``), or 4k to 4k+3 with ``per_stage``.
+    2k+2 (the times of ``_stage_times``), or 4k to 4k+3 with ``per_stage``.
     ``stages[k]``, when given, receives the arguments of stages 2-4 of step
     k; stage 1's is v at t_k.
 
@@ -341,26 +316,20 @@ def _rk4(M: np.ndarray, forcing: list, v0: np.ndarray, t: np.ndarray,
 
 
 def _stage_forcing(sys: DescriptorSystem, est: EstimatorRealization,
-                   solver: _PlantSolver, X: np.ndarray, stages: np.ndarray,
-                   rows: list, free_rows) -> np.ndarray:
+                   X: np.ndarray, stages: np.ndarray, alg: np.ndarray,
+                   u_rows: np.ndarray) -> np.ndarray:
     """H (u; y) at every stage of the plant pass, row 4k+s for stage s of
     step k.  x at a stage is its argument (X at t_k, then ``stages``) plus
-    the algebraic part, summed in ``algebraic_x``'s order; stages 2 and 3
-    share a time but not a state."""
+    the row of the algebraic part ``alg`` at the stage's time, and u is the
+    row of ``u_rows`` there; stages 2 and 3 share a time but not a state."""
     n_steps, args = len(stages), (X.T[:-1], *stages.transpose(1, 0, 2))
     g = np.empty((n_steps, 4, est.s))
     for s, r in enumerate((0, 1, 1, 2)):    # stage s of step k is at time 2k + r
         at = slice(r, r + 2 * n_steps, 2)
-        jet = [ui[at] for ui in rows]
-        alg = np.zeros((n_steps, sys.n))
-        for smap, ui in zip(solver.sigma_maps, jet):
-            if smap.size:
-                alg += _stacked(smap, ui)
-        if solver.n_free:
-            alg += _stacked(solver.free_map, free_rows[at])
-        alg += args[s]                      # x; the sum commutes exactly
-        y = _stacked(sys.C, alg) + _stacked(sys.D, jet[0])
-        g[:, s] = _stacked(est.H, np.hstack([jet[0], y]))
+        x = alg[at] + args[s]               # the sum commutes exactly
+        u = u_rows[at]
+        y = _stacked(sys.C, x) + _stacked(sys.D, u)
+        g[:, s] = _stacked(est.H, np.hstack([u, y]))
     return g.reshape(4 * n_steps, est.s)
 
 
@@ -372,25 +341,32 @@ def _run(sys: DescriptorSystem, x0, u: InputSignal, T: float, dt: float,
     repeat one RK4 run of the joint system operation for operation."""
     t = _time_grid(T, dt)
     solver = _plant(sys).built(_PlantSolver, tol)
-    X0, free = solver.initial_dynamic_state(x0, u, eps_signal)
-    times, rows, u_jet = _rk4_inputs(solver, u, t)
-    free_rows = np.asarray(free(times), dtype=float).T if solver.n_free else None
-    if solver.n_free and free_rows.shape != (len(times), solver.n_free):
-        raise SimulationError(f"free-part signal has shape {free_rows.T.shape} on "
-                              f"{len(times)} stage times, expected "
-                              f"({solver.n_free}, {len(times)})")
+    times = _stage_times(t)
+    jet = [u.eval(times, order=i) for i in range(max(1, len(solver.sigma_maps)))]
+    rows = [ui.T for ui in jet]             # rows[i][j]: order i at time j
+    X0, free = solver.initial_dynamic_state(x0, [r[0] for r in rows], eps_signal)
     forcing = [_stacked(solver.Gu, rows[0])]
+    terms = [(smap, r) for smap, r in zip(solver.sigma_maps, rows) if smap.size]
     if solver.n_free:
+        free_rows = np.asarray(free(times), dtype=float).T
+        if free_rows.shape != (len(times), solver.n_free):
+            raise SimulationError(f"free-part signal has shape {free_rows.T.shape} on "
+                                  f"{len(times)} stage times, expected "
+                                  f"({solver.n_free}, {len(times)})")
         forcing.append(_stacked(solver.Gfree, free_rows))
+        terms.append((solver.free_map, free_rows))
     stages = None if est is None else np.empty((len(t) - 1, 3, sys.n))
     X = _rk4(solver.F, forcing, X0, t, stages=stages, name="x")
-    del times, forcing                  # freed before the stage forcing is formed
+    del times, forcing                  # the algebraic part takes their memory
+    alg = np.zeros((len(rows[0]), sys.n))
+    for M, r in terms:                  # sigma terms, then the free term,
+        alg += _stacked(M, r)           # one product per time as a stage makes it
     if est is not None:
-        g = _stage_forcing(sys, est, solver, X, stages, rows, free_rows)
+        g = _stage_forcing(sys, est, X, stages, alg, rows[0])
         del stages
         w = _rk4(est.N, [g], w0, t, per_stage=True, name="w")
-    x = X + solver.algebraic_x(u_jet, free, t)
-    u_samples = u_jet[0]
+    x = X + alg[0::2].T
+    u_samples = jet[0][:, 0::2]
     y = sys.C @ x + sys.D @ u_samples
     est_fields = {} if est is None else dict(
         w=w, zhat=est.R @ w + est.M @ np.vstack([u_samples, y]),
@@ -410,7 +386,9 @@ def solve_plant(sys: DescriptorSystem, x0, u: Optional[InputSignal] = None,
 
     ``eps_signal`` chooses the free component of an underdetermined block;
     the default holds it constant at its initial value, which keeps x(0)
-    exactly as supplied.
+    exactly as supplied.  A callable ``eps_signal`` is called once, on the
+    array of RK4 stage times (t_k and the step midpoints), and must return
+    one row per free component.
     """
     return _run(sys, x0, _as_signal(u, sys.l), T, dt, tol, eps_signal)
 
@@ -440,7 +418,7 @@ def run_estimator(est: EstimatorRealization, t: np.ndarray,
     """Integrate w' = N w + H (u; y) on sampled inputs; returns (w, zhat).
 
     Midpoint input values are averaged from the neighbouring samples; the
-    stage inputs are laid out as the stage times of ``_rk4_inputs``.
+    stage inputs are laid out as the times of ``_stage_times``.
     """
     t = np.asarray(t, dtype=float)
     u_samples = np.atleast_2d(np.asarray(u_samples, dtype=float))
@@ -467,7 +445,8 @@ def simulate(sys: DescriptorSystem, est: EstimatorRealization, x0, w0,
     """Joint plant + estimator simulation: RK4 of the joint system.
 
     The estimator sees exact plant outputs at every RK4 stage, so the
-    combined scheme keeps full fourth-order accuracy.
+    combined scheme keeps full fourth-order accuracy.  ``eps_signal`` is as
+    in ``solve_plant``: called once, on the RK4 stage times.
     """
     u = _as_signal(u, sys.l)
     w0 = _initial_state(w0, "w0", est.s, "estimator order")

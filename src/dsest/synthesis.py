@@ -44,10 +44,9 @@ from .linalg import (
     Tolerance,
     _float64,
     as_matrix,
-    numeric_rank,
     place_poles,
-    pseudo_inverse,
     _snap_roundoff,
+    _svd_threshold,
 )
 
 
@@ -139,11 +138,15 @@ def _build_plant_estimator(plant, tol: Tolerance) -> _PlantEstimator:
     # Steps 5 and 6 with algebraic folding: when the constraint rows
     # determine x_eta uniquely from (u; y), resolve it into the feedthrough
     # instead of carrying a dynamic state; only a dynamic x_eta needs the
-    # stabilizing gain L.
-    fold = (n_eta > 0 and numeric_rank(A_eta2, tol) == n_eta)
+    # stabilizing gain L.  One thin SVD decides the fold and gives the
+    # pseudo-inverse of A_eta2, whose singular values then all count.
+    fold = False
+    if n_eta and A_eta2.shape[0]:
+        u, s, vh = np.linalg.svd(A_eta2, full_matrices=False)
+        fold = np.count_nonzero(s > _svd_threshold(s, A_eta2.shape, tol)) == n_eta
     if fold:
         L = np.zeros((n_eta, m_eta - n_eta))
-        G_eta = -pseudo_inverse(A_eta2, tol) @ B_eta2
+        G_eta = -((vh.T * (1.0 / s)) @ u.T) @ B_eta2
         N, H = J_f2, B_f2
     else:
         L = place_poles(A_eta1, A_eta2, tol.synthesis_margin)

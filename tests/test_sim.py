@@ -224,7 +224,7 @@ class TestNonFiniteInitialState:
         x0 = [1.0, value, 3.0, 0.0]
         match = f"x0 entries must be finite, entry 1 is {value}"
         with pytest.raises(SimulationError, match=match):
-            _PlantSolver(ex_system).initial_dynamic_state(x0, ramp(), None)
+            _PlantSolver(ex_system).initial_dynamic_state(x0, [ramp().eval(0.0)], None)
         with pytest.raises(SimulationError, match=match):
             solve_plant(ex_system, x0)
         with pytest.raises(SimulationError, match=match):
@@ -420,19 +420,31 @@ def _per_stage_run(sys, est, x0, w0, u, T, dt, eps_signal=None):
     """The joint RK4 run evaluating u, its derivatives and the free signal at
     each stage time as it comes; returns (x, w)."""
     solver = _PlantSolver(sys)
-    X0, free = solver.initial_dynamic_state(x0, u, eps_signal)
+    orders = range(max(1, len(solver.sigma_maps)))
+    X0, free = solver.initial_dynamic_state(
+        x0, [u.eval(0.0, order=i) for i in orders], eps_signal)
     t = _time_grid(T, dt)
     n = sys.n
 
+    def algebraic(tk):
+        """u at tk and the algebraic part of x there, one product per term."""
+        jet = [u.eval(tk, order=i) for i in orders]
+        out = np.zeros(n)
+        for smap, ui in zip(solver.sigma_maps, jet):
+            if smap.size:
+                out += smap @ ui
+        if solver.n_free:
+            out += solver.free_map @ np.asarray(free(tk), dtype=float)
+        return jet[0], out
+
     def rhs(tk, state):
-        jet = solver.input_jet(u, tk)
+        uk, alg = algebraic(tk)
         Xk, wk = state[:n], state[n:]
-        dX = solver.F @ Xk + solver.Gu @ jet[0]
+        dX = solver.F @ Xk + solver.Gu @ uk
         if solver.n_free:
             dX = dX + solver.Gfree @ np.asarray(free(tk), dtype=float)
-        xk = Xk + solver.algebraic_x(jet, free, tk)
-        yk = sys.C @ xk + sys.D @ jet[0]
-        return np.concatenate([dX, est.N @ wk + est.H @ np.concatenate([jet[0], yk])])
+        yk = sys.C @ (Xk + alg) + sys.D @ uk
+        return np.concatenate([dX, est.N @ wk + est.H @ np.concatenate([uk, yk])])
 
     v = np.concatenate([X0, np.asarray(w0, dtype=float)])
     traj = [v]
@@ -445,7 +457,7 @@ def _per_stage_run(sys, est, x0, w0, u, T, dt, eps_signal=None):
         v = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         traj.append(v)
     traj = np.array(traj).T
-    x = traj[:n] + solver.algebraic_x(solver.input_jet(u, t), free, t)
+    x = traj[:n] + np.array([algebraic(tk)[1] for tk in t]).T
     return x, traj[n:]
 
 
@@ -682,24 +694,46 @@ class TestInputSampling:
 
 
 class TestFormedOnce:
-    def test_algebraic_x_calls_do_not_grow_with_steps(
-            self, monkeypatch, ex_system, ex_reference_estimator):
+    def test_input_eval_calls_do_not_grow_with_steps(
+            self, monkeypatch, sigma_violating_system):
+        # x1 = -u' reads the input and its first derivative.
         calls = []
-        original = _PlantSolver.algebraic_x
+        original = InputSignal.eval
 
-        def counted(self, u_jet, free, t):
-            calls.append(np.shape(t))
-            return original(self, u_jet, free, t)
+        def counted(self, t, order=0):
+            calls.append((order, np.shape(t)))
+            return original(self, t, order)
 
-        monkeypatch.setattr(_PlantSolver, "algebraic_x", counted)
-        counts = []
-        for steps in (100, 400):
+        monkeypatch.setattr(InputSignal, "eval", counted)
+        est = EstimatorRealization(N=np.array([[-1.0]]), H=np.array([[1.0]]),
+                                   R=np.array([[1.0]]), M=np.array([[0.0]]))
+        u = InputSignal.polynomial([[0.5, -1.0, 0.75, 0.25]])
+        for steps in (10, 1000):
             calls.clear()
-            simulate(ex_system, ex_reference_estimator, [1.0, 2.0, 3.0, 0.0],
-                     [4.0, 5.0], u=ramp(), T=1.0, dt=1.0 / steps)
-            counts.append(len(calls))
-        # One call, on the output grid; never one per stage.
-        assert counts == [1, 1]
+            simulate(sigma_violating_system, est, [1.0, -0.5], [0.3], u=u,
+                     T=1.0, dt=1.0 / steps)
+            # One call per derivative order, on the 2 steps + 1 stage times.
+            assert calls == [(0, (2 * steps + 1,)), (1, (2 * steps + 1,))]
+
+    @pytest.mark.parametrize("joint", [False, True], ids=["solve_plant", "simulate"])
+    def test_free_signal_called_once_on_stage_times(self, eps_plant, joint):
+        calls = []
+        free = InputSignal.sinusoid([1.5], 2.0, 0.3)
+
+        def counted(t):
+            calls.append(np.shape(t))
+            return free(t)
+
+        steps = 40
+        if joint:
+            est = EstimatorRealization(N=-np.eye(1), H=np.zeros((1, 0)),
+                                       R=np.ones((1, 1)), M=np.zeros((1, 0)))
+            simulate(eps_plant, est, [1.0, 2.0], [0.5], T=4.0, dt=4.0 / steps,
+                     eps_signal=counted)
+        else:
+            solve_plant(eps_plant, [1.0, 2.0], T=4.0, dt=4.0 / steps,
+                        eps_signal=counted)
+        assert calls == [(2 * steps + 1,)]
 
 
 class TestDecayMetrics:

@@ -45,16 +45,27 @@ def identifiers(tree: ast.AST) -> set[str]:
 
 
 def private_definitions(sources: dict[str, str]) -> list[str]:
-    """``module.name`` of every module-level private function or class."""
-    return [f"{module}.{node.name}" for module, source in sorted(sources.items())
-            for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")]
+    """``module.name`` of every module-level private function or class, each
+    private class followed by ``module.Class.method`` for its methods (dunder
+    methods exempt: Python calls them by protocol)."""
+    found = []
+    for module, source in sorted(sources.items()):
+        for node in ast.parse(source).body:
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                continue
+            found.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                found += [f"{module}.{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and not item.name.startswith("__")]
+    return found
 
 
 def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
     """Private definitions whose name no module reads, imports or reads as
-    an attribute (``module._helper``); names are matched across modules."""
+    an attribute (``module._helper``, ``solver.method``); names are matched
+    across modules."""
     referenced = set()
     for source in sources.values():
         tree = ast.parse(source)
@@ -65,7 +76,7 @@ def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
     return [d for d in private_definitions(sources)
-            if d.split(".", 1)[1] not in referenced]
+            if d.rsplit(".", 1)[1] not in referenced]
 
 
 def raised_names(sources: dict[str, str]) -> set[str]:
@@ -141,6 +152,24 @@ def test_helper_guard_sees_dead_and_referenced_definitions():
     assert private_definitions(sources) == [
         "a._called", "a._dead", "a._Imported", "a._read_as_attribute"]
     assert unreferenced_helpers(sources) == ["a._dead"]
+
+
+def test_helper_guard_sees_dead_methods_of_private_classes():
+    sources = {
+        "a": ("class _Solver:\n"
+              "    def __init__(self):\n        self.n = self.used()\n"
+              "    def used(self):\n        return 1\n"
+              "    def dead(self):\n        return 2\n"
+              "    @property\n    def read(self):\n        return 3\n"
+              "    def _called_by_b(self):\n        return 4\n"
+              "class Public:\n    def unreferenced(self):\n        return 5\n"),
+        "b": ("from .a import _Solver\n"
+              "def f():\n    s = _Solver()\n    return s.read, s._called_by_b()\n"),
+    }
+    assert private_definitions(sources) == [
+        "a._Solver", "a._Solver.used", "a._Solver.dead", "a._Solver.read",
+        "a._Solver._called_by_b"]
+    assert unreferenced_helpers(sources) == ["a._Solver.dead"]
 
 
 def test_every_exception_is_raised():
