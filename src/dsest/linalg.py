@@ -119,17 +119,6 @@ def numeric_rank(M, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> int:
     return int(np.count_nonzero(s > _svd_threshold(s, M.shape, tol, scale)))
 
 
-def pseudo_inverse(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse via SVD with the shared rank tolerance."""
-    M = as_matrix(M)
-    if min(M.shape) == 0:
-        return np.zeros((M.shape[1], M.shape[0]))
-    u, s, vh = np.linalg.svd(M, full_matrices=False)
-    thr = _svd_threshold(s, M.shape, tol)
-    inv = np.where(s > thr, 1.0 / np.where(s > thr, s, 1.0), 0.0)
-    return (vh.conj().T * inv) @ u.conj().T
-
-
 # ---------------------------------------------------------------------------
 # Subspaces
 # ---------------------------------------------------------------------------
@@ -240,6 +229,8 @@ def image(M, tol: Tolerance = DEFAULT_TOL) -> Subspace:
 def subspace_sum(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatchError("subspace sum: ambient dimensions differ")
+    if s1.dim == 0 or s2.dim == 0:     # S + {0} = S, basis and all
+        return s2 if s1.dim == 0 else s1
     return Subspace.from_span(np.hstack([s1.basis, s2.basis]), s1.ambient_dim, tol)
 
 
@@ -249,6 +240,8 @@ def intersect(s1: Subspace, s2: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subsp
         raise DimensionMismatchError("intersect: ambient dimensions differ")
     if s1.dim == 0 or s2.dim == 0:
         return Subspace.zero(s1.ambient_dim)
+    if s1.dim == s1.ambient_dim or s2.dim == s2.ambient_dim:    # S ∩ R^n = S
+        return s2 if s1.dim == s1.ambient_dim else s1
     null = kernel(np.hstack([s1.basis, -s2.basis]), tol)
     if null.dim == 0:
         return Subspace.zero(s1.ambient_dim)
@@ -298,17 +291,9 @@ def contains(s_big: Subspace, s_small: Subspace) -> bool:
     return bool(np.linalg.norm(resid, axis=0).max() <= SUBSPACE_ATOL)
 
 
-def apply_map(M, s: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Image M(S) of a subspace under a linear map."""
-    M = as_matrix(M)
-    if M.shape[1] != s.ambient_dim:
-        raise DimensionMismatchError("apply_map: dimension mismatch")
-    return _apply_map(M, s, tol, _scale(M))
-
-
 def _apply_map(M: np.ndarray, s: Subspace, tol: Tolerance, scale: float) -> Subspace:
-    """``apply_map`` of a validated M whose columns match S, with scale
-    ``_scale(M)``."""
+    """Image M(S) of a subspace under a validated M whose columns match S,
+    with scale ``_scale(M)``."""
     # The basis is orthonormal, so columns of M @ basis smaller than roundoff
     # relative to |M| are images of (near-)kernel directions and must not
     # count as extra dimensions.

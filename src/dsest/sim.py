@@ -38,8 +38,7 @@ import numpy as np
 from .analysis import DescriptorSystem, _plant
 from .decomp import _blkdiag, _split, qkf
 from .exceptions import SimulationError
-from .linalg import (CONSISTENCY_ATOL, DEFAULT_TOL, Tolerance, _snap_roundoff,
-                     pseudo_inverse)
+from .linalg import CONSISTENCY_ATOL, DEFAULT_TOL, Tolerance, _snap_roundoff
 from .signals import InputSignal
 from .synthesis import EstimatorRealization
 
@@ -124,8 +123,9 @@ class _PlantSolver:
 
     The certified QKF fixes the block sizes: the free block is normalized
     at the rank m_eps that the certification checked, the overdetermined
-    block by ``eta_normalization``.  The x0 checks scale with E, A, x0 and
-    the input term of each constraint, so rescaling B does not move them.
+    block by ``eta_normalization``, and Q_v has full column rank.  The x0
+    checks scale with E, A, x0 and the input term of each constraint, so
+    rescaling B does not move them.
     """
 
     def __init__(self, plant, tol: Tolerance = DEFAULT_TOL):
@@ -172,7 +172,10 @@ class _PlantSolver:
         D_v = _blkdiag(AZ[:, :me], dec.J_f, A_eta_dyn)
         B_v = np.vstack([B_eps, B_f, B_eta_dyn])
         C_free = np.vstack([AZ[:, me:], np.zeros((dec.n_f + neta, self.n_free))])
-        Qv_pinv = pseudo_inverse(self.Q_v)
+        # Q_v is columns of the invertible Q [Z 0; 0 I], so its pseudo-inverse
+        # is R^-1 Q^T of one QR, with no rank to decide.
+        q, r = np.linalg.qr(self.Q_v)
+        Qv_pinv = np.linalg.solve(r, q.T)
         self.F = _snap_roundoff(self.Q_v @ D_v @ Qv_pinv)
         self.Gu = _snap_roundoff(self.Q_v @ B_v)
         self.Gfree = _snap_roundoff(self.Q_v @ C_free)

@@ -70,7 +70,23 @@ its error's text where one was raised; and the split plants' estimators.
 
 It prints the letters and refusal texts that changed, then per kind
 (reports, estimators, traces, split) how many results moved and the worst
-relative change among them.
+relative change among them.  A change of an estimator's state basis moves
+its arrays by a relative change up to 2, so for the moved estimators that
+both trees built, the split plants' too, it also prints per form how many
+changed their transfer function R (sI - N)^-1 H + M at s = 0.5, 2j and
+1 + 1j or the sorted eigenvalues of N beyond 1e-12, the worst change of
+each, and how many new N are not Hurwitz.
+
+With ``--invariance`` it prints, per transform of ``TRANSFORMS`` (orthogonal
+P and Q; all matrices x 1e3 and x 1e-3; E x 1e-3; C and D x 1e-6; K x 1e6;
+E x 1e3; K x 1e-9; row 0 of K x 1e-9), how many of the 600 random draws
+change their letter (Y, N, F when the analysis raises, y for a Y that
+synthesis refuses) and the kinds of change:
+
+    PYTHONPATH=src python tests/census.py --invariance
+
+``tests/test_analysis.py`` asserts that the first six change no letter on
+draws 0-59.
 
 This is a script, not a test module: pytest does not collect it.
 """
@@ -265,6 +281,43 @@ def compare(old_path: str, new_path: str) -> None:
             worst = max(moved, key=moved.get)
             line += f", worst relative change {moved[worst]:.2g} at {worst}"
         print(line)
+        if kind in ("estimators", "split"):
+            _compare_realizations({key: (old[kind, key], new[kind, key])
+                                   for key in moved
+                                   if None is _text(old[kind, key]) is _text(new[kind, key])})
+
+
+TRANSFER_POINTS = (0.5, 2j, 1 + 1j)
+
+
+def _transfer(N, H, R, M) -> np.ndarray:
+    """R (sI - N)^-1 H + M at each of TRANSFER_POINTS, stacked: the same
+    for every basis of the estimator state."""
+    return np.stack([R @ np.linalg.solve(s * np.eye(len(N)) - N, H) + M
+                     for s in TRANSFER_POINTS])
+
+
+def _compare_realizations(moved: dict) -> None:
+    """Per form (``split`` for the split plants), how many of the ``moved``
+    estimators, built by both trees, changed their transfer function or
+    their sorted spectrum beyond 1e-12 (relative, as ``_relative_change``),
+    the worst of each, and how many new N are not Hurwitz.  A change of the
+    state basis moves neither."""
+    by_form = collections.defaultdict(dict)
+    for key, (old, new) in moved.items():
+        spectra = [np.sort_complex(np.linalg.eigvals(N)) for N in (old[0], new[0])]
+        by_form[key.partition("/")[2] or "split"][key] = (
+            _relative_change([_transfer(*old[:4])], [_transfer(*new[:4])]),
+            _relative_change(spectra[:1], spectra[1:]),
+            bool((spectra[1].real >= 0).any()))
+    for form, changes in sorted(by_form.items()):
+        line = f"  {form:<7} moved {len(changes)}"
+        for i, what in enumerate(("transfer", "spectrum")):
+            worst = max(changes, key=lambda key: changes[key][i])
+            line += (f"; {what} beyond 1e-12 "
+                     f"{sum(c[i] > 1e-12 for c in changes.values())}, "
+                     f"worst {changes[worst][i]:.2g} at {worst}")
+        print(line + f"; not Hurwitz {sum(c[2] for c in changes.values())}")
 
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -500,6 +553,74 @@ def pool_census() -> None:
               + "".join(f" {key}" for key in wrong))
 
 
+def _orthogonal(rng: np.random.Generator, k: int) -> np.ndarray:
+    """A Haar-distributed k x k orthogonal matrix."""
+    q, r = np.linalg.qr(rng.standard_normal((k, k)))
+    return q * np.sign(np.diag(r))
+
+
+def _rotated(sys, rng):
+    P, Q = _orthogonal(rng, sys.E.shape[0]), _orthogonal(rng, sys.n)
+    return dict(E=P @ sys.E @ Q, A=P @ sys.A @ Q, B=P @ sys.B, C=sys.C @ Q,
+                K=sys.K @ Q)
+
+
+# Transforms that must not move a letter: name -> the changed matrices of a
+# system, under a seeded generator.  The first six hold today; E x 1e3
+# refuses some Y (ROADMAP item 6), and K or its row 0 x 1e-9 turns some N
+# into Y (item 10).
+TRANSFORMS = {
+    "orthogonal P, Q": _rotated,
+    "all x1e3": lambda sys, rng: {k: 1e3 * getattr(sys, k) for k in "EABCDK"},
+    "all x1e-3": lambda sys, rng: {k: 1e-3 * getattr(sys, k) for k in "EABCDK"},
+    "E x1e-3": lambda sys, rng: dict(E=1e-3 * sys.E),
+    "C, D x1e-6": lambda sys, rng: dict(C=1e-6 * sys.C, D=1e-6 * sys.D),
+    "K x1e6": lambda sys, rng: dict(K=1e6 * sys.K),
+    "E x1e3": lambda sys, rng: dict(E=1e3 * sys.E),
+    "K x1e-9": lambda sys, rng: dict(K=1e-9 * sys.K),
+    "K row 0 x1e-9": lambda sys, rng: dict(K=np.vstack([1e-9 * sys.K[:1], sys.K[1:]])),
+}
+HOLDING = list(TRANSFORMS)[:6]
+
+
+def letter(sys) -> str:
+    """Y, N, F when the analysis raises, y for a Y that synthesis refuses."""
+    try:
+        if not dsest.is_partially_causal_detectable(sys).partially_causal_detectable:
+            return "N"
+    except dsest.DsestError:
+        return "F"
+    try:
+        dsest.synthesize_estimator(sys)
+    except dsest.DsestError:
+        return "y"
+    return "Y"
+
+
+def invariance_changes(draws: int, names: list) -> dict:
+    """{transform name: Counter of "old->new" letter changes} over the
+    first ``draws`` census draws, for the transforms ``names``."""
+    changes = {name: collections.Counter() for name in names}
+    rng = np.random.default_rng(RANDOM_SEED)
+    for i in range(draws):
+        sys = random_system(rng)
+        base = letter(sys)
+        transform_rng = np.random.default_rng([RANDOM_SEED, i])
+        for name in names:
+            mats = {k: getattr(sys, k) for k in "EABCDK"}
+            mats.update(TRANSFORMS[name](sys, transform_rng))
+            new = letter(dsest.DescriptorSystem.from_matrices(**mats))
+            if new != base:
+                changes[name][f"{base}->{new}"] += 1
+    return changes
+
+
+def invariance_census() -> None:
+    for name, counts in invariance_changes(RANDOM_DRAWS, list(TRANSFORMS)).items():
+        print(f"{name:<15} changed {sum(counts.values())}"
+              + "".join(f", {kind} {n}" for kind, n in sorted(counts.items())))
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     mode = parser.add_mutually_exclusive_group()
@@ -507,6 +628,8 @@ if __name__ == "__main__":
                       help="census of the dsest command instead of the results")
     mode.add_argument("--pools", action="store_true",
                       help="census of the benchmark's decide pools instead")
+    mode.add_argument("--invariance", action="store_true",
+                      help="letter changes under each transform instead")
     mode.add_argument("--dump", metavar="FILE",
                       help="also write every result of the results census to FILE (.npz)")
     mode.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
@@ -516,6 +639,8 @@ if __name__ == "__main__":
         cli_census()
     elif args.pools:
         pool_census()
+    elif args.invariance:
+        invariance_census()
     elif args.compare:
         compare(*args.compare)
     else:

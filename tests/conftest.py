@@ -5,8 +5,19 @@ import gc
 import numpy as np
 import pytest
 
-from dsest import DescriptorSystem, EstimatorRealization, is_partially_causal_detectable
-from dsest.linalg import pencil_finite_eigenvalues
+from dsest import (DescriptorSystem, DimensionMismatchError, EstimatorRealization,
+                   is_partially_causal_detectable)
+from dsest.linalg import (DEFAULT_TOL, Subspace, Tolerance, _apply_map, _scale, as_matrix,
+                          pencil_finite_eigenvalues)
+
+
+def apply_map(M, s: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+    """Image M(S) of a subspace under a linear map, as the Wong chains
+    take it."""
+    M = as_matrix(M)
+    if M.shape[1] != s.ambient_dim:
+        raise DimensionMismatchError("apply_map: dimension mismatch")
+    return _apply_map(M, s, tol, _scale(M))
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 from dataclasses import replace
@@ -29,6 +30,7 @@ from dsest.analysis import _PLANTS, _plant
 from dsest.linalg import Subspace
 from dsest.exceptions import DsestError
 from dsest.io import report_to_dict
+import census
 from conftest import (detect_candidate_lambdas, detectability_matrices,
                       lifted_system, random_draw, random_pencil, random_system,
                       stiff_system)
@@ -274,6 +276,15 @@ class TestNoDecompositionCrash:
                 1e3 * sys.E, sys.A, sys.B, sys.C, sys.K, D=sys.D)
             assert is_partially_causal_detectable(slow).partially_causal_detectable \
                 == is_partially_causal_detectable(sys).partially_causal_detectable, index
+
+
+class TestInvariance:
+    def test_transforms_that_hold_change_no_letter(self):
+        # Draws 0-59 of the census; ``tests/census.py --invariance`` runs all
+        # 600 and also prints the E x 1e3 and K x 1e-9 rows, which change
+        # letters today.
+        changes = census.invariance_changes(60, census.HOLDING)
+        assert changes == {name: collections.Counter() for name in census.HOLDING}
 
 
 class TestNearAxisMode:

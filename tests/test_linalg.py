@@ -6,7 +6,6 @@ from dsest.linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
-    apply_map,
     as_matrix,
     contains,
     image,
@@ -16,12 +15,11 @@ from dsest.linalg import (
     pencil_finite_eigenvalues,
     place_poles,
     preimage,
-    pseudo_inverse,
     spectral_split,
     subspace_sum,
 )
 
-from conftest import detectability_pencils, lifted_system, random_pencil
+from conftest import apply_map, detectability_pencils, lifted_system, random_pencil
 
 RNG = np.random.default_rng(20260826)
 
@@ -65,10 +63,6 @@ class TestKernelImage:
         M = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
         assert image(M).dim == 1
 
-    def test_pseudo_inverse(self):
-        M = RNG.standard_normal((4, 2))
-        assert np.allclose(pseudo_inverse(M) @ M, np.eye(2), atol=1e-12)
-
 
 class TestSubspace:
     def test_from_span_orthonormal(self):
@@ -91,6 +85,15 @@ class TestSubspace:
         assert meet.dim == 1
         assert contains(meet, Subspace.from_span(np.eye(3)[:, 1:2]))
         assert subspaces_equal(meet, Subspace.from_span(np.eye(3)[:, 1:2]))
+
+    def test_zero_and_full_operands_return_the_other_subspace(self):
+        # S + {0} and S ∩ R^n are S itself, with no SVD rotating its basis.
+        s = Subspace.from_span(RNG.standard_normal((4, 2)))
+        zero, full = Subspace.zero(4), Subspace.full(4)
+        assert subspace_sum(s, zero) is s
+        assert subspace_sum(zero, s) is s
+        assert intersect(s, full) is s
+        assert intersect(full, s) is s
 
     def test_preimage(self):
         # M maps (x1,x2) -> (x1, 0); preimage of span(e2) is ker M = span(e2)

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -17,8 +18,12 @@ from dsest import (
     wong_limits,
 )
 from dsest.analysis import _functional
+from dsest.io import load_estimator, load_system
 from dsest.linalg import DEFAULT_TOL
 from conftest import SPLIT_PLANTS, random_system, split_system, stiff_system
+
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def ramp():
@@ -81,6 +86,14 @@ class TestWorkedExample:
         # trace and determinant are exact for the defective pair
         assert abs(np.trace(est.N) + 2.0) < 1e-9
         assert abs(np.linalg.det(est.N) - 1.0) < 1e-9
+
+    def test_builds_the_reference_estimator_bit_for_bit(self):
+        sys, _, _ = load_system(os.path.join(DATA, "example_system.json"))
+        ref, _ = load_estimator(os.path.join(DATA, "reference_estimator.json"))
+        est, _ = synthesize_estimator(sys)
+        for name in ("N", "H", "R", "M"):
+            assert getattr(est, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert np.linalg.eigvals(est.N).tolist() == [-1.0, -1.0]
 
     def test_matched_initialization_tracks_exactly(self, ex_system):
         est, trace = synthesize_estimator(ex_system)

@@ -4,11 +4,11 @@ import pytest
 from dsest import (DescriptorSystem, is_partially_causal_detectable,
                    is_partially_impulse_observable, wong_limits)
 from dsest import wong
-from dsest.linalg import (Subspace, apply_map, as_matrix, contains, image,
-                          intersect, kernel, preimage, subspace_sum)
+from dsest.linalg import (Subspace, as_matrix, contains, image, intersect, kernel,
+                          preimage, subspace_sum)
 from dsest.wong import _stabilized, wong_V_at
 
-from conftest import random_system
+from conftest import apply_map, random_system
 
 
 class TestCanonicalExample:
@@ -149,6 +149,28 @@ class TestSharedChainHelper:
         expected = answers()
         forbid_V_chain_with_C(monkeypatch)
         assert answers() == expected
+
+    def test_pencil_chains_rotate_no_basis(self, monkeypatch):
+        # Without B and C, im B = {0} and ker C = R^n: a chain step takes
+        # the image, the complement and the kernel, and no SVD re-spans a
+        # sum with {0} or a meet with R^n.
+        svd, calls = np.linalg.svd, [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            sys = random_system(rng)
+            stacked = (np.vstack([sys.E, np.zeros((sys.p, sys.n))]),
+                       np.vstack([sys.A, sys.C]))
+            for E, A in ((sys.E, sys.A), stacked):
+                calls[0] = 0
+                lim = wong_limits(E, A)
+                steps = len(lim.V_chain) + len(lim.W_chain) - 2
+                assert calls[0] <= 3 * steps
 
 
 def forbid_V_chain_with_C(monkeypatch):
