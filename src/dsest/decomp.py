@@ -333,17 +333,25 @@ def qkf(E, A, tol: Tolerance = DEFAULT_TOL) -> PencilQKF:
 
 
 def _with_relaxed_retry(what: str, once, *args, tol: Tolerance):
-    """once(*args, tol), retried once at tol.relaxed() on DecompositionError."""
+    """once(*args, tol), retried once at tol.relaxed() on DecompositionError
+    or on numpy's LinAlgError (an SVD that does not converge)."""
+    failed = (DecompositionError, np.linalg.LinAlgError)
+
+    def reason(exc):
+        return str(exc) if isinstance(exc, DecompositionError) \
+            else f"{type(exc).__name__}: {exc}"
+
     try:
         return once(*args, tol)
-    except DecompositionError as first:
+    except failed as first:
         relaxed = tol.relaxed()
         try:
             return once(*args, relaxed)
-        except DecompositionError as second:
+        except failed as second:
             raise DecompositionError(
-                f"{what} failed at rank_rtol={tol.rank_rtol:g} ({first}) and at "
-                f"relaxed rank_rtol={relaxed.rank_rtol:g} ({second})") from second
+                f"{what} failed at rank_rtol={tol.rank_rtol:g} ({reason(first)}) "
+                f"and at relaxed rank_rtol={relaxed.rank_rtol:g} "
+                f"({reason(second)})") from second
 
 
 # ---------------------------------------------------------------------------

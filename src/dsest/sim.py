@@ -14,15 +14,17 @@ differently:
 
 Dynamic parts are integrated with fixed-step classical RK4; algebraic parts
 are evaluated exactly from analytic input derivatives.  ``solve_plant`` and
-``simulate`` share ``_run``: a plant RK4 pass, then an estimator pass.  The
-input jet, the free signal and the algebraic part of x are each evaluated
-once, into one table on the RK4 stage times (``_stage_times``) that the x0
-checks, both passes and the output grid read.  Both passes and
-``run_estimator`` step through one kernel, ``_rk4``, which allocates no
-array per step: slopes and stage arguments live in preallocated rows, with
-the bits of the textbook step.  A pass that overflows is refused at that
-step.  The plant's block machinery (``_PlantSolver``) is built once per
-plant and tolerance, in the memo that analysis and synthesis share.
+``simulate`` share ``_run``, which makes one RK4 pass: of the plant's
+dynamic part, or of the joint plant-plus-estimator system, whose estimator
+rows read the plant state through H_y C.  The input jet, the free signal and
+the algebraic part of x are each evaluated once, into one table on the RK4
+stage times (``_stage_times``) that the x0 checks, the forcing table of the
+pass and the output grid read.  That pass and ``run_estimator`` step through
+one kernel, ``_rk4``, which allocates no array per step: slopes and stage
+arguments live in preallocated rows, with the bits of the textbook step.  A
+pass that overflows is refused at that step.  The plant's block machinery
+(``_PlantSolver``) is built once per plant and tolerance, in the memo that
+analysis and synthesis share.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -250,15 +251,11 @@ def _stacked(M: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (M @ np.ascontiguousarray(rows)[:, :, None])[:, :, 0]
 
 
-def _rk4(M: np.ndarray, forcing: list, v0: np.ndarray, t: np.ndarray,
-         per_stage: bool = False, stages: Optional[np.ndarray] = None,
-         name: str = "v") -> np.ndarray:
-    """Classical fixed-step RK4 of v' = M v + sum_i g_i on a uniform grid;
-    returns (dim, len(t)).  The rows of each forcing g_i are added to M v one
-    at a time, in order.  Stages 1-4 of step k read rows 2k, 2k+1, 2k+1,
-    2k+2 (the times of ``_stage_times``), or 4k to 4k+3 with ``per_stage``.
-    ``stages[k]``, when given, receives the arguments of stages 2-4 of step
-    k; stage 1's is v at t_k.
+def _rk4(M: np.ndarray, g: np.ndarray, v0: np.ndarray, t: np.ndarray,
+         names: tuple) -> np.ndarray:
+    """Classical fixed-step RK4 of v' = M v + g on a uniform grid; returns
+    (dim, len(t)).  Stages 1-4 of step k add rows 2k, 2k+1, 2k+1 and 2k+2 of
+    the table g (the times of ``_stage_times``) to M v.
 
     The loop allocates no array: the slopes, stage arguments and new states
     are written into preallocated rows, and every row is a view drawn lazily
@@ -266,89 +263,67 @@ def _rk4(M: np.ndarray, forcing: list, v0: np.ndarray, t: np.ndarray,
     bits are those of ``v + h/6 * (((k1 + 2 k2) + 2 k3) + k4)``.
 
     An overflow or invalid operation raises ``SimulationError`` at the step
-    where it happens, naming the state (``name``) and the step's time."""
-    offsets, stride = ((0, 1, 2, 3), 4) if per_stage else ((0, 1, 1, 2), 2)
+    where it happens, naming ``names[i]`` for the first coordinate i that the
+    step made non-finite, and the step's time."""
     steps = len(t) - 1
-    # zip stops at its shortest input, so a short one would end the run early.
-    if any(len(g) <= stride * (steps - 1) + offsets[-1] for g in forcing) \
-            or stages is not None and len(stages) < steps:
-        raise ValueError(f"forcing or stages too short for {steps} steps")
-    out = np.empty((len(t), v0.size))
+    # zip stops at its shortest input, so a short table would end the run early.
+    if len(g) < 2 * steps + 1:
+        raise ValueError(f"forcing too short for {steps} steps")
+    # Zeros, not garbage, where an overflowing step has not written yet.
+    out = np.zeros((len(t), v0.size))
     out[0] = v0
-    K = np.empty((4, v0.size))
+    K, args = np.zeros((4, v0.size)), np.zeros((3, v0.size))
     k1, k2, k3, k4 = K
+    a2, a3, a4 = args
     mid = K[1:3]
-    args = zip(*stages.transpose(1, 0, 2)) if stages is not None \
-        else repeat(tuple(np.empty((3, v0.size))))
-    rows = [zip(*(g[o::stride] for g in forcing)) if forcing else repeat(())
-            for o in offsets]
     h = t[1:] - t[:-1]
     dot, mul, add_rows = M.dot, np.multiply, np.add.reduce
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for v, v_next, (a2, a3, a4), g1, g2, g3, g4, tk, hk, h2, h6 in zip(
-                    out, out[1:], args, *rows, t, h, h / 2, h / 6):
+            for v, v_next, g1, g2, g4, tk, hk, h2, h6 in zip(
+                    out, out[1:], g[0::2], g[1::2], g[2::2], t, h, h / 2, h / 6):
                 dot(v, out=k1)
-                for g in g1:
-                    k1 += g
+                k1 += g1
                 mul(k1, h2, a2)
                 a2 += v
                 dot(a2, out=k2)
-                for g in g2:
-                    k2 += g
+                k2 += g2
                 mul(k2, h2, a3)
                 a3 += v
                 dot(a3, out=k3)
-                for g in g3:
-                    k3 += g
+                k3 += g2
                 mul(k3, hk, a4)
                 a4 += v
                 dot(a4, out=k4)
-                for g in g4:
-                    k4 += g
+                k4 += g4
                 mid *= 2
                 add_rows(K, axis=0, out=v_next)
                 v_next *= h6
                 v_next += v
     except FloatingPointError:
-        raise SimulationError(
-            f"{name} overflows in the RK4 step from t = {tk:.6g}") from None
+        bad = ~np.isfinite(np.vstack([K, args, v_next])).all(axis=0)
+        raise SimulationError(f"{names[bad.argmax()]} overflows in the RK4 "
+                              f"step from t = {tk:.6g}") from None
     # Callers read C-ordered (dim, len(t)) arrays; a matrix product's last
     # bits can follow the layout of its operand.
     return np.ascontiguousarray(out.T)
 
 
-def _stage_forcing(sys: DescriptorSystem, est: EstimatorRealization,
-                   X: np.ndarray, stages: np.ndarray, alg: np.ndarray,
-                   u_rows: np.ndarray) -> np.ndarray:
-    """H (u; y) at every stage of the plant pass, row 4k+s for stage s of
-    step k.  x at a stage is its argument (X at t_k, then ``stages``) plus
-    the row of the algebraic part ``alg`` at the stage's time, and u is the
-    row of ``u_rows`` there; stages 2 and 3 share a time but not a state."""
-    n_steps, args = len(stages), (X.T[:-1], *stages.transpose(1, 0, 2))
-    g = np.empty((n_steps, 4, est.s))
-    for s, r in enumerate((0, 1, 1, 2)):    # stage s of step k is at time 2k + r
-        at = slice(r, r + 2 * n_steps, 2)
-        x = alg[at] + args[s]               # the sum commutes exactly
-        u = u_rows[at]
-        y = _stacked(sys.C, x) + _stacked(sys.D, u)
-        g[:, s] = _stacked(est.H, np.hstack([u, y]))
-    return g.reshape(4 * n_steps, est.s)
-
-
 def _run(sys: DescriptorSystem, x0, u: InputSignal, T: float, dt: float,
          tol: Tolerance, eps_signal, est: Optional[EstimatorRealization] = None,
          w0: Optional[np.ndarray] = None) -> SimulationTrace:
-    """The plant's RK4 pass, then, when ``est`` is given, the estimator's.
-    The plant does not read w and RK4 acts elementwise, so the two passes
-    repeat one RK4 run of the joint system operation for operation."""
+    """One RK4 pass: of the dynamic part X of the plant, X' = F X + g, or,
+    when ``est`` is given, of the joint system
+    (X, w)' = [[F, 0], [H_y C, N]] (X, w) + g.  The estimator rows of g are
+    (H_u + H_y D) u + H_y C alg, so that with x = X + alg the estimator reads
+    H (u; C x + D u)."""
     t = _time_grid(T, dt)
     solver = _plant(sys).built(_PlantSolver, tol)
     times = _stage_times(t)
     jet = [u.eval(times, order=i) for i in range(max(1, len(solver.sigma_maps)))]
     rows = [ui.T for ui in jet]             # rows[i][j]: order i at time j
     X0, free = solver.initial_dynamic_state(x0, [r[0] for r in rows], eps_signal)
-    forcing = [_stacked(solver.Gu, rows[0])]
+    g = _stacked(solver.Gu, rows[0])
     terms = [(smap, r) for smap, r in zip(solver.sigma_maps, rows) if smap.size]
     if solver.n_free:
         free_rows = np.asarray(free(times), dtype=float).T
@@ -356,18 +331,19 @@ def _run(sys: DescriptorSystem, x0, u: InputSignal, T: float, dt: float,
             raise SimulationError(f"free-part signal has shape {free_rows.T.shape} on "
                                   f"{len(times)} stage times, expected "
                                   f"({solver.n_free}, {len(times)})")
-        forcing.append(_stacked(solver.Gfree, free_rows))
+        g += _stacked(solver.Gfree, free_rows)
         terms.append((solver.free_map, free_rows))
-    stages = None if est is None else np.empty((len(t) - 1, 3, sys.n))
-    X = _rk4(solver.F, forcing, X0, t, stages=stages, name="x")
-    del times, forcing                  # the algebraic part takes their memory
     alg = np.zeros((len(rows[0]), sys.n))
     for M, r in terms:                  # sigma terms, then the free term,
         alg += _stacked(M, r)           # one product per time as a stage makes it
+    M, v0, names = solver.F, X0, ("x",) * sys.n
     if est is not None:
-        g = _stage_forcing(sys, est, X, stages, alg, rows[0])
-        del stages
-        w = _rk4(est.N, [g], w0, t, per_stage=True, name="w")
+        Hu, Hy = est.H[:, :sys.l], est.H[:, sys.l:]
+        HyC = Hy @ sys.C
+        M = np.block([[M, np.zeros((sys.n, est.s))], [HyC, est.N]])
+        g = np.hstack([g, _stacked(Hu + Hy @ sys.D, rows[0]) + _stacked(HyC, alg)])
+        v0, names = np.concatenate([X0, w0]), names + ("w",) * est.s
+    X, w = np.split(_rk4(M, g, v0, t, names), [sys.n])
     x = X + alg[0::2].T
     u_samples = jet[0][:, 0::2]
     y = sys.C @ x + sys.D @ u_samples
@@ -437,7 +413,7 @@ def run_estimator(est: EstimatorRealization, t: np.ndarray,
     stages = np.empty((2 * len(t) - 1, v.shape[0]))
     stages[0::2] = v.T
     stages[1::2] = ((v[:, :-1] + v[:, 1:]) / 2).T
-    w = _rk4(est.N, [_stacked(est.H, stages)], w0, t, name="w")
+    w = _rk4(est.N, _stacked(est.H, stages), w0, t, ("w",) * est.s)
     return w, est.R @ w + est.M @ v
 
 

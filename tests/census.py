@@ -66,11 +66,14 @@ its error's text where one was raised; and the split plants' estimators.
 
     PYTHONPATH=<parent>/src python tests/census.py --dump old.npz
     PYTHONPATH=src python tests/census.py --dump new.npz
-    python tests/census.py --compare old.npz new.npz
+    PYTHONPATH=src python tests/census.py --compare old.npz new.npz
 
 It prints the letters and refusal texts that changed, then per kind
 (reports, estimators, traces, split) how many results moved and the worst
-relative change among them.  A change of an estimator's state basis moves
+relative change among them.  For the moved traces that both trees ran, it
+also prints per array (x, y, z, w, zhat, e) the worst max-abs change
+relative to the larger max |.|, and the traces whose decay verdict
+(``decay_metrics``) changed.  A change of an estimator's state basis moves
 its arrays by a relative change up to 2, so for the moved estimators that
 both trees built, the split plants' too, it also prints per form how many
 changed their transfer function R (sI - N)^-1 H + M at s = 0.5, 2j and
@@ -281,10 +284,38 @@ def compare(old_path: str, new_path: str) -> None:
             worst = max(moved, key=moved.get)
             line += f", worst relative change {moved[worst]:.2g} at {worst}"
         print(line)
+        both = {key: (old[kind, key], new[kind, key]) for key in moved
+                if None is _text(old[kind, key]) is _text(new[kind, key])}
         if kind in ("estimators", "split"):
-            _compare_realizations({key: (old[kind, key], new[kind, key])
-                                   for key in moved
-                                   if None is _text(old[kind, key]) is _text(new[kind, key])})
+            _compare_realizations(both)
+        elif kind == "traces":
+            _compare_traces(both)
+
+
+TRACE_ARRAYS = ("t", "x", "y", "z", "w", "zhat", "e")    # as ``_simulate`` keeps them
+
+
+def _compare_traces(moved: dict) -> None:
+    """For the ``moved`` traces that both trees ran: per array but t, the
+    worst max |new - old| / max(|old|, |new|) and where (inf for a changed
+    shape); then the traces whose decay verdict changed.  Over all arrays
+    at once, the worst is a run whose error cancels to roundoff."""
+    worst, verdicts = {}, []
+    for key, (old, new) in moved.items():
+        for name, a, b in zip(TRACE_ARRAYS[1:], old[1:], new[1:]):
+            scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+            change = (math.inf if a.shape != b.shape
+                      else float(np.abs(b - a).max() / scale) if scale else 0.0)
+            if change >= worst.get(name, (-1.0,))[0]:
+                worst[name] = change, key
+        before, after = (dsest.decay_metrics(dsest.SimulationTrace(*arrays)).verdict
+                         for arrays in (old, new))
+        if before != after:
+            verdicts.append(f"    {key}: {before} -> {after}")
+    if worst:
+        print("  " + "; ".join(f"{name} {change:.2g} at {key}"
+                               for name, (change, key) in worst.items()))
+    print(f"  decay verdicts changed {len(verdicts)}", *verdicts, sep="\n")
 
 
 TRANSFER_POINTS = (0.5, 2j, 1 + 1j)

@@ -14,6 +14,7 @@ from dsest import io as dsio
 from dsest.cli import main, parse_input_spec, _effective_tolerance
 
 from conftest import random_system
+from test_decomp import hidden_kronecker_pencil
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SYSTEM_JSON = os.path.join(DATA, "example_system.json")
@@ -781,6 +782,26 @@ class TestToolkitErrors:
         assert isinstance(res.exception, SystemExit)
         assert res.exit_code == 1
         assert "error: QKF failed" in res.output
+
+    def test_unconverged_svd_is_an_error_line(self, runner, tmp_path):
+        # No input, no output, z = x_1, and an order-0 estimator; the QKF's
+        # first attempt meets an SVD that does not converge.
+        E, A, _ = hidden_kronecker_pencil(10, 6)
+        n = E.shape[1]
+        (tmp_path / "sys.json").write_text(json.dumps(
+            {"E": E.tolist(), "A": A.tolist(), "B": [[]] * n, "C": [], "D": [],
+             "K": [[1.0] + [0.0] * (n - 1)]}))
+        (tmp_path / "est.json").write_text(json.dumps(
+            {"N": [], "H": [], "R": [[]], "M": [[]]}))
+        res = runner.invoke(main, [
+            "simulate", str(tmp_path / "sys.json"), str(tmp_path / "est.json"),
+            "--x0", ",".join(["0"] * n), "--w0", "", "--tf", "1", "--dt", "0.1",
+            "--out", str(tmp_path / "out.csv")])
+        assert isinstance(res.exception, SystemExit)
+        assert res.exit_code == 1
+        assert ("error: QKF failed at rank_rtol=1e-10 (LinAlgError: SVD did not "
+                "converge)") in res.output
+        assert "Traceback" not in res.output
 
     @pytest.mark.parametrize("command", ["analyze", "report"])
     def test_commands_run_no_lifted_code(self, runner, monkeypatch, command):

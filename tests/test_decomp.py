@@ -214,6 +214,19 @@ class TestRelaxedRetry:
         assert "and at relaxed rank_rtol=1e-09 (QKF: coupling (0,3) not removable" \
             in message
 
+    def test_svd_failure_in_first_attempt_is_retried(self, monkeypatch, ex_system):
+        want = qkf(ex_system.E, ex_system.A)
+        calls = []
+        def fail_once(*args, _svd=np.linalg.svd, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return _svd(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", fail_once)
+        form = qkf(ex_system.E, ex_system.A)
+        assert len(calls) > 1
+        assert (form.col_sizes, form.row_sizes) == (want.col_sizes, want.row_sizes)
+
 
 class TestStaircase:
     def test_canonical_identity(self, ex_system):

@@ -250,10 +250,7 @@ class TestNonFiniteInitialState:
 
 
     def test_finite_x0_that_overflows_never_starts_the_estimator(
-            self, monkeypatch, ex_system, ex_reference_estimator):
-        def refuse(*args, **kwargs):
-            raise AssertionError("started the estimator pass")
-        monkeypatch.setattr(sim, "_stage_forcing", refuse)
+            self, ex_system, ex_reference_estimator):
         with warnings.catch_warnings():
             warnings.simplefilter("error")      # no numpy warning on the way
             with pytest.raises(SimulationError,
@@ -389,7 +386,10 @@ class TestEstimatorRuns:
 
 
 class TestOnePass:
-    """The plant part of a joint run is the plant-only run, bit for bit."""
+    """A run is one RK4 pass.  The plant part of a joint run is the
+    plant-only run, bit for bit, on these plants.  The joint run's plant rows also sum the zeros of the
+    estimator columns, so on other plants a matrix-vector product of another
+    length may associate its sums differently in the last bits."""
 
     @staticmethod
     def assert_same_plant(sys, est, x0, u, **kwargs):
@@ -415,16 +415,38 @@ class TestOnePass:
         self.assert_same_plant(eps_plant, est, [1.0, 2.0], None,
                                eps_signal=InputSignal.sinusoid([1.0], 2.0))
 
+    @pytest.mark.parametrize("joint", [False, True], ids=["solve_plant", "simulate"])
+    def test_one_rk4_call_per_run(self, monkeypatch, ex_system,
+                                  ex_reference_estimator, joint):
+        calls = []
+        def counted(*args, _rk4=sim._rk4, **kwargs):
+            calls.append(args[2].size)          # the dimension of v0
+            return _rk4(*args, **kwargs)
+        monkeypatch.setattr(sim, "_rk4", counted)
+        x0 = [1.0, 2.0, 3.0, 0.0]
+        if joint:
+            simulate(ex_system, ex_reference_estimator, x0, [4.0, 5.0], u=ramp(),
+                     T=0.5)
+        else:
+            solve_plant(ex_system, x0, u=ramp(), T=0.5)
+        assert calls == [6 if joint else 4]
 
-def _per_stage_run(sys, est, x0, w0, u, T, dt, eps_signal=None):
+
+def _per_stage_run(sys, est, x0, w0, u, T, dt, eps_signal=None, joint=True):
     """The joint RK4 run evaluating u, its derivatives and the free signal at
-    each stage time as it comes; returns (x, w)."""
+    each stage time as it comes; returns (x, w).  Each stage forms the slope
+    as ``simulate`` does, from the joint matrix [[F, 0], [H_y C, N]] and the
+    forcing g = (Gu u + Gfree f, (H_u + H_y D) u + H_y C alg); with
+    ``joint=False`` it forms y = C x + D u and then H (u; y) instead."""
     solver = _PlantSolver(sys)
     orders = range(max(1, len(solver.sigma_maps)))
     X0, free = solver.initial_dynamic_state(
         x0, [u.eval(0.0, order=i) for i in orders], eps_signal)
     t = _time_grid(T, dt)
     n = sys.n
+    Hu, Hy = est.H[:, :sys.l], est.H[:, sys.l:]
+    HyC = Hy @ sys.C
+    J = np.block([[solver.F, np.zeros((n, est.s))], [HyC, est.N]])
 
     def algebraic(tk):
         """u at tk and the algebraic part of x there, one product per term."""
@@ -439,12 +461,14 @@ def _per_stage_run(sys, est, x0, w0, u, T, dt, eps_signal=None):
 
     def rhs(tk, state):
         uk, alg = algebraic(tk)
+        f = np.asarray(free(tk), dtype=float) if solver.n_free else np.zeros(0)
+        if joint:
+            g = solver.Gu @ uk + solver.Gfree @ f
+            return J @ state + np.concatenate([g, (Hu + Hy @ sys.D) @ uk + HyC @ alg])
         Xk, wk = state[:n], state[n:]
-        dX = solver.F @ Xk + solver.Gu @ uk
-        if solver.n_free:
-            dX = dX + solver.Gfree @ np.asarray(free(tk), dtype=float)
         yk = sys.C @ (Xk + alg) + sys.D @ uk
-        return np.concatenate([dX, est.N @ wk + est.H @ np.concatenate([uk, yk])])
+        return np.concatenate([solver.F @ Xk + solver.Gu @ uk + solver.Gfree @ f,
+                               est.N @ wk + est.H @ np.concatenate([uk, yk])])
 
     v = np.concatenate([X0, np.asarray(w0, dtype=float)])
     traj = [v]
@@ -459,6 +483,16 @@ def _per_stage_run(sys, est, x0, w0, u, T, dt, eps_signal=None):
     traj = np.array(traj).T
     x = traj[:n] + np.array([algebraic(tk)[1] for tk in t]).T
     return x, traj[n:]
+
+
+def _assert_per_stage_run(tr, *args, **kwargs):
+    """``tr``'s x and w are the joint-matrix per-stage run's bit for bit, and
+    within 1e-14 relative of the run that evaluates y and H (u; y)."""
+    x, w = _per_stage_run(*args, **kwargs)
+    assert np.array_equal(tr.x, x)
+    assert np.array_equal(tr.w, w)
+    for new, old in zip((x, w), _per_stage_run(*args, joint=False, **kwargs)):
+        assert np.abs(new - old).max() <= 1e-14 * np.abs(old).max()
 
 
 def _dense_case():
@@ -493,29 +527,17 @@ def _per_step_estimator_run(est, t, v, w0):
     return np.array(w).T
 
 
-def _reference_rk4(M, forcing, v0, t, per_stage=False, stages=None):
+def _reference_rk4(M, g, v0, t):
     """The textbook RK4 step of ``sim._rk4``, one slope at a time with a new
     array for every intermediate; returns (dim, len(t))."""
-    def slope(v, j):
-        d = M @ v
-        for g in forcing:
-            d += g[j]
-        return d
-
-    (o1, o2, o3, o4), stride = ((0, 1, 2, 3), 4) if per_stage else ((0, 1, 1, 2), 2)
     out = np.empty((v0.size, len(t)))
     out[:, 0] = v = v0.astype(float)
     for k in range(len(t) - 1):
-        h, j = t.item(k + 1) - t.item(k), stride * k
-        k1 = slope(v, j + o1)
-        v2 = v + h / 2 * k1
-        k2 = slope(v2, j + o2)
-        v3 = v + h / 2 * k2
-        k3 = slope(v3, j + o3)
-        v4 = v + h * k3
-        k4 = slope(v4, j + o4)
-        if stages is not None:
-            stages[k] = v2, v3, v4
+        h = t.item(k + 1) - t.item(k)
+        k1 = M @ v + g[2 * k]
+        k2 = M @ (v + h / 2 * k1) + g[2 * k + 1]
+        k3 = M @ (v + h / 2 * k2) + g[2 * k + 1]
+        k4 = M @ (v + h * k3) + g[2 * k + 2]
         v = v + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         out[:, k + 1] = v
     return out
@@ -546,42 +568,52 @@ class TestKernel:
     step's, and its memory is a few times its output."""
 
     @staticmethod
-    def case(dim, n_forcing, per_stage, t, seed=0):
+    def case(dim, n_terms, per_stage, t, seed=0):
+        """M, a forcing table g on the stage times of t summed from
+        ``n_terms`` terms in order, the same table with each row formed on
+        its own, and v0.  A term is a random table ("shared"), or G U, a
+        matrix times one row of inputs per stage time ("per-stage"), formed
+        by ``sim._stacked`` in g and by one matrix-vector product per row, as
+        a per-stage evaluation makes it, in the other."""
         # Entries over six decades, so that a change of association shows.
-        rng = np.random.default_rng([dim, n_forcing, per_stage, seed])
-        def scale(*shape):
-            return 10.0 ** rng.integers(-3, 4, shape)
+        rng = np.random.default_rng([dim, n_terms, per_stage, seed])
+        def draw(*shape):
+            return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
 
-        M = rng.standard_normal((dim, dim)) * scale(dim, dim) / 1e3 - np.eye(dim)
-        rows = (4 * (len(t) - 1)) if per_stage else (2 * len(t) - 1)
-        forcing = [rng.standard_normal((rows, dim)) * scale(rows, dim)
-                   for _ in range(n_forcing)]
-        return M, forcing, rng.standard_normal(dim) * scale(dim)
+        M = draw(dim, dim) / 1e3 - np.eye(dim)
+        rows = 2 * len(t) - 1
+        g, per_row = np.zeros((rows, dim)), np.zeros((rows, dim))
+        for _ in range(n_terms):
+            if per_stage:
+                G, U = draw(dim, 3), draw(rows, 3)
+                g += sim._stacked(G, U)
+                per_row += np.array([G @ r for r in U]).reshape(rows, dim)
+            else:
+                term = draw(rows, dim)
+                g += term
+                per_row += term
+        return M, g, per_row, draw(dim)
 
     @pytest.mark.parametrize("grid", [(0.3, 0.1), (2.0, 0.01)],
                              ids=["0.3-by-0.1", "2-by-0.01"])
     @pytest.mark.parametrize("per_stage", [False, True], ids=["shared", "per-stage"])
-    @pytest.mark.parametrize("n_forcing", [0, 1, 2])
+    @pytest.mark.parametrize("n_terms", [0, 1, 2])
     @pytest.mark.parametrize("dim", range(6))
-    def test_same_bits_as_textbook_step(self, dim, n_forcing, per_stage, grid):
+    def test_same_bits_as_textbook_step(self, dim, n_terms, per_stage, grid):
         t = _time_grid(*grid)
-        M, forcing, v0 = self.case(dim, n_forcing, per_stage, t)
-        stages, ref_stages = (np.full((len(t) - 1, 3, dim), np.nan) for _ in range(2))
-        out = sim._rk4(M, forcing, v0, t, per_stage, stages)
-        ref = _reference_rk4(M, forcing, v0, t, per_stage, ref_stages)
+        M, g, per_row, v0 = self.case(dim, n_terms, per_stage, t)
+        assert np.array_equal(g, per_row)
+        out = sim._rk4(M, g, v0, t, ("v",) * dim)
+        ref = _reference_rk4(M, per_row, v0, t)
         assert out.shape == ref.shape and out.flags.c_contiguous
         assert np.array_equal(out, ref)
-        assert np.array_equal(stages, ref_stages)
-        assert np.array_equal(sim._rk4(M, forcing, v0, t, per_stage), ref)
 
     @pytest.mark.parametrize("per_stage", [False, True], ids=["shared", "per-stage"])
     def test_short_forcing_or_stages_is_refused(self, per_stage):
         t = _time_grid(0.3, 0.1)
-        M, (g,), v0 = self.case(2, 1, per_stage, t)
+        M, g, _, v0 = self.case(2, 1, per_stage, t)
         with pytest.raises(ValueError, match="too short for 3 steps"):
-            sim._rk4(M, [g, g[:-1]], v0, t, per_stage)
-        with pytest.raises(ValueError, match="too short for 3 steps"):
-            sim._rk4(M, [g], v0, t, per_stage, np.empty((2, 3, 2)))
+            sim._rk4(M, g[:-1], v0, t, ("v",) * 2)
 
     def test_grid_steps_differ_in_last_bits(self):
         h = np.diff(_time_grid(0.3, 0.1))
@@ -592,11 +624,10 @@ class TestKernel:
         # for all steps at once would cost several times the output.
         steps, dim = 20_000, 4
         t = _time_grid(steps * 1e-3, 1e-3)
-        M, forcing, v0 = self.case(dim, 1, False, t)
-        stages = np.empty((steps, 3, dim))
+        M, g, _, v0 = self.case(dim, 1, False, t)
         tracemalloc.start()
         try:
-            out = sim._rk4(M, forcing, v0, t, stages=stages)
+            out = sim._rk4(M, g, v0, t, ("v",) * dim)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -624,9 +655,7 @@ class TestInputSampling:
                                    R=np.array([[1.0]]), M=np.array([[0.0]]))
         x0, w0 = [1.0, -0.5], [0.3]
         tr = simulate(sigma_violating_system, est, x0, w0, u=u, T=2.0, dt=0.01)
-        x, w = _per_stage_run(sigma_violating_system, est, x0, w0, u, 2.0, 0.01)
-        assert np.array_equal(tr.x, x)
-        assert np.array_equal(tr.w, w)
+        _assert_per_stage_run(tr, sigma_violating_system, est, x0, w0, u, 2.0, 0.01)
 
     # In the cases below the estimator reads y, so H (u; y) at every stage
     # enters the comparison.  Long steps keep a last-bit difference of a
@@ -640,10 +669,8 @@ class TestInputSampling:
         u, free = ramp(), InputSignal.sinusoid([1.5], 2.0, 0.3)
         tr = simulate(sys, est, [1.0, 2.0], [0.5], u=u, T=4.0, dt=0.1,
                       eps_signal=free)
-        x, w = _per_stage_run(sys, est, [1.0, 2.0], [0.5], u, 4.0, 0.1,
+        _assert_per_stage_run(tr, sys, est, [1.0, 2.0], [0.5], u, 4.0, 0.1,
                               eps_signal=free)
-        assert np.array_equal(tr.x, x)
-        assert np.array_equal(tr.w, w)
 
     def test_overdetermined_input_matches_per_stage_evaluation(self, eta_plant):
         # The ramp leaves the consistency row 0 = x - u after t = 0; the
@@ -654,18 +681,14 @@ class TestInputSampling:
                                    R=np.ones((1, 1)), M=np.zeros((1, 2)))
         u = InputSignal.polynomial([[1.0, 0.5, -0.25]])
         tr = simulate(sys, est, [1.0], [0.3], u=u, T=4.0, dt=0.1)
-        x, w = _per_stage_run(sys, est, [1.0], [0.3], u, 4.0, 0.1)
-        assert np.array_equal(tr.x, x)
-        assert np.array_equal(tr.w, w)
+        _assert_per_stage_run(tr, sys, est, [1.0], [0.3], u, 4.0, 0.1)
 
     def test_dense_system_matches_per_stage_evaluation(self):
         sys, est, x0, w0 = _dense_case()
         # Flat to third order at t = 0, so x0 in V* is consistent.
         u = InputSignal.polynomial([[0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, -1.0]])
         tr = simulate(sys, est, x0, w0, u=u, T=1.0, dt=0.01)
-        x, w = _per_stage_run(sys, est, x0, w0, u, 1.0, 0.01)
-        assert np.array_equal(tr.x, x)
-        assert np.array_equal(tr.w, w)
+        _assert_per_stage_run(tr, sys, est, x0, w0, u, 1.0, 0.01)
 
     def test_sinusoid_estimator_run_matches_per_step_loop(self):
         sys, est, x0, w0 = _dense_case()
