@@ -10,12 +10,14 @@ Decides, for a system E x' = A x + B u, y = C x + D u, z = K x:
   of its finite block J_f.  The criterion is K_eps = 0 (the functional
   reads no free-block variable), K_sigma J_sigma = 0 (no input derivative)
   and K_f1 = 0 (no non-decaying mode that the measurement misses);
-  detectability alone drops the middle condition.  None of these
-  decompositions reads K: they are built once per plant (E, A, B, C, D) and
-  tolerance, kept in a memo that every live system with equal plant data
-  shares (``_plant``), and each system adds only K's blocks and the three
-  residual rows.  Synthesis continues from the structure the verdict was
-  read from, so the two cannot disagree;
+  detectability alone drops the middle condition.  Each says that K vanishes
+  on a plant-only subspace, tested as everywhere here by ``_residual``, the
+  largest relative residual of a row of K, so no threshold reads K's scale.
+  These decompositions and subspaces do not read K: they are built once per
+  plant (E, A, B, C, D) and tolerance, kept in a memo that every live system
+  with equal plant data shares (``_plant``), and each system adds only K's
+  blocks and the three residual rows.  Synthesis continues from the
+  structure the verdict was read from, so the two cannot disagree;
 * partial causality (z expressible without input derivatives), the first
   two of those conditions, read from the same structure;
 * partial impulse observability of z with respect to the measurement,
@@ -39,10 +41,9 @@ from functools import cached_property, partial
 import numpy as np
 
 from .exceptions import DimensionMismatchError
-from .decomp import (PencilQKF, StaircaseDecomposition, kalman_controllability,
+from .decomp import (PencilQKF, StaircaseDecomposition, _split, kalman_controllability,
                      observability_staircase, qkf)
 from .linalg import (
-    CONSISTENCY_ATOL,
     DEFAULT_TOL,
     SUBSPACE_ATOL,
     Subspace,
@@ -236,7 +237,8 @@ class _Structure:
     pencil ([E_O; 0], [A_O; C_O]), and the orthogonal basis U1 of J_f's
     ordered real Schur form, which alone decides the split: its non-decaying
     part J_f1, with eigenvalues ``modes``, leads and its decaying part J_f2
-    trails.
+    trails.  ``obstructions`` are orthonormal bases, in x, of what K must
+    vanish on: the free block, im V_O1 Q_sigma J_sigma and the f1 modes.
     """
 
     staircase: StaircaseDecomposition
@@ -245,6 +247,7 @@ class _Structure:
     J_f1: np.ndarray
     J_f2: np.ndarray
     modes: np.ndarray
+    obstructions: tuple
 
 
 def _build_structure(plant: _Plant, tol: Tolerance) -> _Structure:
@@ -259,8 +262,16 @@ def _build_structure(plant: _Plant, tol: Tolerance) -> _Structure:
 
     # Step 3: split the finite block into non-decaying / decaying parts.
     U1, J_f1, J_f2 = spectral_split(form.J_f)
+
+    # Step 4: orthonormal bases of what K must vanish on; no coupling touches
+    # Q's eps columns, and J_sigma's rank is decided at V_O1 Q_sigma's scale.
+    W_eps, W_f, W_sigma, _ = _split(st.V_O[:, :n_O] @ form.Q, form.col_sizes, 1)
+    W_sigma = Subspace.from_span(W_sigma @ form.J_sigma, tol=tol,
+                                 scale=max(1.0, float(np.linalg.norm(W_sigma)))).basis
+    W_f1 = W_f @ U1[:, :J_f1.shape[0]]
+    W_f1 = np.linalg.qr(W_f1)[0] if W_f1.size else W_f1
     return _Structure(staircase=st, form=form, U1=U1, J_f1=J_f1, J_f2=J_f2,
-                      modes=np.linalg.eigvals(J_f1))
+                      modes=np.linalg.eigvals(J_f1), obstructions=(W_eps, W_sigma, W_f1))
 
 
 @dataclass(frozen=True)
@@ -280,21 +291,24 @@ class _Functional:
 def _functional(sys: DescriptorSystem, tol: Tolerance) -> _Functional:
     structure = _plant(sys).built(_build_structure, tol)
     K_O = structure.staircase.split_columns(sys.K)[0]
-    K_eps, K_f, K_sigma, K_eta = structure.form.split_right(K_O)
-    K_f_split = K_f @ structure.U1
-    n_f1 = structure.J_f1.shape[0]
-    K_f1, K_f2 = K_f_split[:, :n_f1], K_f_split[:, n_f1:]
-
-    threshold = CONSISTENCY_ATOL * max(1.0, float(np.linalg.norm(sys.K)))
+    _, K_f, K_sigma, K_eta = structure.form.split_right(K_O)
+    K_f2 = (K_f @ structure.U1)[:, structure.J_f1.shape[0]:]
     checks = tuple(
-        (condition, float(np.linalg.norm(block)), threshold)
-        for condition, block in (
-            ("the functional depends on the free block", K_eps),
-            ("the functional depends on input derivatives",
-             K_sigma @ structure.form.J_sigma),
-            ("the functional depends on a non-decaying undetected mode", K_f1)))
+        (f"the functional depends on {what}", _residual(sys.K, W), SUBSPACE_ATOL)
+        for what, W in zip(("the free block", "input derivatives",
+                            "a non-decaying undetected mode"), structure.obstructions))
     return _Functional(structure=structure, K_sigma=K_sigma, K_eta=K_eta,
                        K_f2=K_f2, checks=checks)
+
+
+def _residual(K: np.ndarray, W: np.ndarray) -> float:
+    """max ||K_i W|| / ||K_i|| over the nonzero rows K_i of K, W orthonormal:
+    a sine in [0, 1], which no scaling of a row of K changes."""
+    if not W.size:
+        return 0.0
+    norms = np.linalg.norm(K, axis=1)
+    ratios = np.linalg.norm(K @ W, axis=1) / np.where(norms > 0, norms, np.inf)
+    return min(1.0, float(ratios.max(initial=0.0)))     # 1 + eps is roundoff
 
 
 def _holds(row) -> bool:
@@ -307,11 +321,8 @@ def _holds(row) -> bool:
 # ---------------------------------------------------------------------------
 
 def _inclusion_in_kernel(space: Subspace, K: np.ndarray) -> bool:
-    """space subseteq ker K, evaluated on the orthonormal basis."""
-    if space.dim == 0 or K.shape[0] == 0:
-        return True
-    resid = np.linalg.norm(K @ space.basis, 2)
-    return bool(resid <= SUBSPACE_ATOL * max(1.0, np.linalg.norm(K, 2)))
+    """space subseteq ker K, by ``_residual`` on the orthonormal basis."""
+    return _residual(K, space.basis) <= SUBSPACE_ATOL
 
 
 def _impulse_space(E, A, C, tol: Tolerance) -> Subspace:

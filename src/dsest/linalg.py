@@ -14,12 +14,12 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError, SynthesisError
 
-# Absolute residual threshold for subspace membership / containment checks.
-# Bases are orthonormal, so residuals are scale-free.
+# Threshold for subspace containment and for K vanishing on a subspace (per
+# row, relative); bases are orthonormal, so residuals are scale-free.
 SUBSPACE_ATOL = 1e-8
 
-# Threshold (relative to the data scale) below which a consistency residual
-# (x0 constraints; the synthesis blocks K_eps, K_f1, K_sigma J_sigma) is zero.
+# Threshold (relative to the data scale) below which the residual of an x0
+# consistency constraint is zero.
 CONSISTENCY_ATOL = 1e-8
 
 

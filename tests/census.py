@@ -84,12 +84,13 @@ With ``--invariance`` it prints, per transform of ``TRANSFORMS`` (orthogonal
 P and Q; all matrices x 1e3 and x 1e-3; E x 1e-3; C and D x 1e-6; K x 1e6;
 E x 1e3; K x 1e-9; row 0 of K x 1e-9), how many of the 600 random draws
 change their letter (Y, N, F when the analysis raises, y for a Y that
-synthesis refuses) and the kinds of change:
+synthesis refuses) and the kinds of change, then how many change the
+report's partial impulse observability, which the letter does not read:
 
     PYTHONPATH=src python tests/census.py --invariance
 
-``tests/test_analysis.py`` asserts that the first six change no letter on
-draws 0-59.
+``tests/test_analysis.py`` asserts that every transform but E x 1e3 changes
+neither on draws 0-59.
 
 This is a script, not a test module: pytest does not collect it.
 """
@@ -597,9 +598,8 @@ def _rotated(sys, rng):
 
 
 # Transforms that must not move a letter: name -> the changed matrices of a
-# system, under a seeded generator.  The first six hold today; E x 1e3
-# refuses some Y (ROADMAP item 6), and K or its row 0 x 1e-9 turns some N
-# into Y (item 10).
+# system, under a seeded generator.  All but E x 1e3 hold today; E x 1e3
+# refuses some Y (ROADMAP item 6).
 TRANSFORMS = {
     "orthogonal P, Q": _rotated,
     "all x1e3": lambda sys, rng: {k: 1e3 * getattr(sys, k) for k in "EABCDK"},
@@ -611,45 +611,61 @@ TRANSFORMS = {
     "K x1e-9": lambda sys, rng: dict(K=1e-9 * sys.K),
     "K row 0 x1e-9": lambda sys, rng: dict(K=np.vstack([1e-9 * sys.K[:1], sys.K[1:]])),
 }
-HOLDING = list(TRANSFORMS)[:6]
+HOLDING = [name for name in TRANSFORMS if name != "E x1e3"]
 
 
-def letter(sys) -> str:
-    """Y, N, F when the analysis raises, y for a Y that synthesis refuses."""
+def outcome(sys) -> tuple[str, bool | None]:
+    """The letter (Y, N, F when the analysis raises, y for a Y that synthesis
+    refuses) and the report's ``partially_impulse_observable`` (None when
+    the analysis or that read raises), which the letter does not read."""
     try:
-        if not dsest.is_partially_causal_detectable(sys).partially_causal_detectable:
-            return "N"
+        report = dsest.is_partially_causal_detectable(sys)
     except dsest.DsestError:
-        return "F"
+        return "F", None
+    try:
+        impulse = report.partially_impulse_observable
+    except dsest.DsestError:
+        impulse = None
+    if not report.partially_causal_detectable:
+        return "N", impulse
     try:
         dsest.synthesize_estimator(sys)
     except dsest.DsestError:
-        return "y"
-    return "Y"
+        return "y", impulse
+    return "Y", impulse
 
 
 def invariance_changes(draws: int, names: list) -> dict:
-    """{transform name: Counter of "old->new" letter changes} over the
-    first ``draws`` census draws, for the transforms ``names``."""
+    """{transform name: Counter of "old->new" letter changes and "impulse
+    old->new" changes of partial impulse observability} over the first
+    ``draws`` census draws, for the transforms ``names``."""
     changes = {name: collections.Counter() for name in names}
     rng = np.random.default_rng(RANDOM_SEED)
     for i in range(draws):
         sys = random_system(rng)
-        base = letter(sys)
+        base, base_impulse = outcome(sys)
         transform_rng = np.random.default_rng([RANDOM_SEED, i])
         for name in names:
             mats = {k: getattr(sys, k) for k in "EABCDK"}
             mats.update(TRANSFORMS[name](sys, transform_rng))
-            new = letter(dsest.DescriptorSystem.from_matrices(**mats))
+            new, impulse = outcome(dsest.DescriptorSystem.from_matrices(**mats))
             if new != base:
                 changes[name][f"{base}->{new}"] += 1
+            if impulse != base_impulse:
+                changes[name][f"impulse {base_impulse}->{impulse}"] += 1
     return changes
 
 
 def invariance_census() -> None:
     for name, counts in invariance_changes(RANDOM_DRAWS, list(TRANSFORMS)).items():
-        print(f"{name:<15} changed {sum(counts.values())}"
-              + "".join(f", {kind} {n}" for kind, n in sorted(counts.items())))
+        kinds = sorted(counts.items())
+        letters = [(kind, n) for kind, n in kinds if not kind.startswith("impulse")]
+        impulse = [(kind[len("impulse "):], n) for kind, n in kinds
+                   if kind.startswith("impulse")]
+        print(f"{name:<15} changed {sum(n for _, n in letters)}"
+              + "".join(f", {kind} {n}" for kind, n in letters)
+              + f"; impulse observable changed {sum(n for _, n in impulse)}"
+              + "".join(f", {kind} {n}" for kind, n in impulse))
 
 
 if __name__ == "__main__":

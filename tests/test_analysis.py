@@ -176,6 +176,55 @@ class TestCanonicalVerdicts:
         assert report.partially_causal_detectable
 
 
+class TestRowRelativeRule:
+    # K vanishes on a plant-only subspace when every nonzero row does,
+    # relative to its own norm, so the units of z decide nothing.
+    K_CHANGES = {
+        "K x1e-12": lambda K: 1e-12 * K,
+        "K x1e-9": lambda K: 1e-9 * K,
+        "K x1e-4": lambda K: 1e-4 * K,
+        "K x1e3": lambda K: 1e3 * K,
+        "row 0 x1e-9": lambda K: np.vstack([1e-9 * K[:1], K[1:]]),
+    }
+
+    @staticmethod
+    def _read(sys, K):
+        report = is_partially_causal_detectable(
+            DescriptorSystem(E=sys.E, A=sys.A, B=sys.B, C=sys.C, D=sys.D, K=K))
+        residuals = np.array([residual for _, residual, _ in report.block_checks])
+        assert ((0.0 <= residuals) & (residuals <= 1.0)).all()
+        return (report.partially_causal_detectable, report.partially_causal,
+                report.partially_detectable,
+                report.partially_impulse_observable), residuals
+
+    @pytest.mark.parametrize("change", K_CHANGES)
+    @pytest.mark.parametrize("rows", ["K", "K and e_n"])
+    @pytest.mark.parametrize("fixture", ["ex_system", "sigma_violating_system"])
+    def test_verdict_and_residuals_keep(self, request, fixture, rows, change):
+        # e_n reads the algebraic state of either system, which is estimable.
+        sys = request.getfixturevalue(fixture)
+        K = sys.K if rows == "K" else np.vstack([sys.K, np.eye(sys.n)[-1:]])
+        verdicts, residuals = self._read(sys, K)
+        new_verdicts, new_residuals = self._read(sys, self.K_CHANGES[change](K))
+        assert new_verdicts == verdicts
+        assert np.abs(new_residuals - residuals).max() <= 1e-12
+
+    @pytest.mark.parametrize("fixture", ["ex_system", "sigma_violating_system"])
+    def test_zero_row_is_ignored(self, request, fixture):
+        sys = request.getfixturevalue(fixture)
+        verdicts, residuals = self._read(sys, sys.K)
+        new_verdicts, new_residuals = self._read(
+            sys, np.vstack([np.zeros((1, sys.n)), sys.K]))
+        assert new_verdicts == verdicts
+        assert np.array_equal(new_residuals, residuals)
+
+    def test_scaled_violating_row_is_still_refused(self, sigma_violating_system):
+        K = np.vstack([1e-9 * sigma_violating_system.K, [[0.0, 1.0]]])
+        verdicts, residuals = self._read(sigma_violating_system, K)
+        assert verdicts[:2] == (False, False)
+        assert residuals[1] == pytest.approx(1.0)
+
+
 class TestImpulseObservability:
     def test_canonical(self, ex_system):
         assert is_partially_impulse_observable(ex_system)
@@ -280,9 +329,9 @@ class TestNoDecompositionCrash:
 
 class TestInvariance:
     def test_transforms_that_hold_change_no_letter(self):
-        # Draws 0-59 of the census; ``tests/census.py --invariance`` runs all
-        # 600 and also prints the E x 1e3 and K x 1e-9 rows, which change
-        # letters today.
+        # Draws 0-59 of the census, letters and partial impulse
+        # observability; ``tests/census.py --invariance`` runs all 600 and
+        # also prints the E x 1e3 row, which changes letters today.
         changes = census.invariance_changes(60, census.HOLDING)
         assert changes == {name: collections.Counter() for name in census.HOLDING}
 

@@ -471,7 +471,7 @@ class TestAnalyzeCommand:
             "partially_impulse_observable": True, "partially_detectable": True,
             "block_checks": [
                 {"condition": f"the functional depends on {what}",
-                 "residual": 0.0, "threshold": 2e-08}
+                 "residual": 0.0, "threshold": 1e-08}
                 for what in ("the free block", "input derivatives",
                              "a non-decaying undetected mode")],
             "partially_causal": True, "partially_causal_detectable": True,
