@@ -10,7 +10,9 @@ The quasi-Kronecker form and the Kalman decomposition are certified
 against their structural invariants after construction; on failure the
 computation is retried once with a 10x relaxed rank tolerance before giving
 up.  The staircase is neither: each stage is one pair of orthogonal
-transforms, read from the SVDs that decide its ranks.
+transforms, read from the SVDs that decide its ranks.  It also certifies
+the structure: whether a pencil keeps full column rank at every complex
+lambda, and the nilpotency index h, as its stage count.
 """
 
 from __future__ import annotations
@@ -33,9 +35,6 @@ from .linalg import (
     subspace_sum,
 )
 from .wong import wong_limits
-
-# Fixed generic sample points for polynomial-identity and normal-rank checks.
-SAMPLE_LAMBDAS = (0.371, -1.298, 2.903, 0.447 + 0.911j)
 
 
 def _residual_scale(*mats) -> float:
@@ -201,8 +200,8 @@ def _qkf_once(E: np.ndarray, A: np.ndarray, tol: Tolerance) -> PencilQKF:
     blocks (and so the finite spectrum) are already those of the QKF.  Its
     structural zeros are checked, the couplings above the diagonal removed
     by block row and column operations, the f rows scaled to E_f = I and the
-    sigma rows to A_sigma = I; then the nilpotency index is read and the
-    form certified.
+    sigma rows to A_sigma = I; then the nilpotency index is read off the
+    staircase of J_sigma x' = x and the form certified.
     """
     m, n = E.shape
     lim = wong_limits(E, A, None, None, tol)
@@ -267,18 +266,12 @@ def _qkf_once(E: np.ndarray, A: np.ndarray, tol: Tolerance) -> PencilQKF:
     J_sigma = TE[R[2], C[2]]
     h = 0
     if n_sig:
-        # Nilpotency shows as a drastic drop of ||J^k|| relative to the
-        # previous power; an absolute bound in ||J||^k balloons for large
-        # blocks and misdetects the index.
-        power = np.eye(n_sig)
-        for k in range(1, n_sig + 1):
-            prev_norm = max(1.0, np.linalg.norm(power))
-            power = power @ J_sigma
-            if np.linalg.norm(power) <= 1e-8 * prev_norm:
-                h = k
-                break
-        else:
+        # J_sigma x' = x has only x = 0 exactly when J_sigma is nilpotent,
+        # and each stage of the staircase removes one power of J_sigma.
+        st = observability_staircase(J_sigma, np.eye(n_sig), np.zeros((n_sig, 0)), tol)
+        if st.E_O.shape[1]:
             raise DecompositionError("QKF: sigma block is not nilpotent")
+        h = st.k - 1
 
     form = PencilQKF(
         P=P, Q=Q, m_eps=row_sizes[0], n_eps=col_sizes[0], n_f=n_f, n_sigma=n_sig,
@@ -291,33 +284,26 @@ def _qkf_once(E: np.ndarray, A: np.ndarray, tol: Tolerance) -> PencilQKF:
 
 def certify_qkf(E, A, form: PencilQKF, tol: Tolerance = DEFAULT_TOL) -> None:
     """Check the PencilQKF invariants that its construction does not fix;
-    raise DecompositionError otherwise."""
+    raise DecompositionError otherwise.  P E Q and P A Q must equal the
+    blocks; E_eps (E_eta) must have full row (column) rank, which bounds the
+    block sizes, and the staircase must find that the epsilon (eta) pencil
+    keeps that rank at every complex lambda."""
     scale = _residual_scale(E, A)
-    TE, TA = form.blocks_E(), form.blocks_A()
-    for lam in SAMPLE_LAMBDAS:
-        r = np.linalg.norm(form.P @ (lam * E - A) @ form.Q - (lam * TE - TA))
-        if r > 1e-7 * scale * max(1.0, abs(lam)):
+    for name, M, T in (("E", E, form.blocks_E()), ("A", A, form.blocks_A())):
+        r = np.linalg.norm(form.P @ M @ form.Q - T)
+        if r > 1e-7 * scale:
             raise DecompositionError(
-                f"QKF certification: identity fails at lambda={lam} (residual {r:.2e})")
-    if form.m_eps > form.n_eps:
-        raise DecompositionError("QKF certification: m_eps > n_eps")
-    if form.m_eta < form.n_eta:
-        raise DecompositionError("QKF certification: m_eta < n_eta")
+                f"QKF certification: identity fails for {name} (residual {r:.2e})")
     if form.m_eps:
         if numeric_rank(form.E_eps, tol) < form.m_eps:
             raise DecompositionError("QKF certification: E_eps rank deficient")
-        for lam in SAMPLE_LAMBDAS:
-            if numeric_rank(lam * form.E_eps - form.A_eps, tol) < form.m_eps:
-                raise DecompositionError(
-                    "QKF certification: epsilon pencil loses row rank")
+        if not _full_column_rank_everywhere(form.E_eps.T, form.A_eps.T, tol):
+            raise DecompositionError("QKF certification: epsilon pencil loses row rank")
     if form.n_eta:
         if numeric_rank(form.E_eta, tol) < form.n_eta:
             raise DecompositionError("QKF certification: E_eta rank deficient")
-    if form.m_eta:
-        for lam in SAMPLE_LAMBDAS:
-            if numeric_rank(lam * form.E_eta - form.A_eta, tol) < form.n_eta:
-                raise DecompositionError(
-                    "QKF certification: eta pencil loses column rank")
+        if not _full_column_rank_everywhere(form.E_eta, form.A_eta, tol):
+            raise DecompositionError("QKF certification: eta pencil loses column rank")
 
 
 def qkf(E, A, tol: Tolerance = DEFAULT_TOL) -> PencilQKF:
@@ -385,7 +371,10 @@ class StaircaseDecomposition:
 
 def _rank_and_vh(M: np.ndarray, tol: Tolerance, scale: float) -> tuple[int, np.ndarray]:
     """Rank of M at ``kernel``'s threshold and the Vh of M's full SVD, whose
-    leading rank rows span the row space of M and the rest its null space."""
+    leading rank rows span the row space of M and the rest its null space;
+    (0, I) for an empty or zero M, as numpy gives, without calling LAPACK."""
+    if not M.any():
+        return 0, np.eye(M.shape[1])
     _, s, vh = np.linalg.svd(M, full_matrices=True)
     return int(np.count_nonzero(s > _svd_threshold(s, M.shape, tol, scale))), vh
 
@@ -407,7 +396,7 @@ def observability_staircase(E, A, B, tol: Tolerance = DEFAULT_TOL) -> StaircaseD
 
     U = np.eye(m)
     V = np.eye(n)
-    TE, TA, TB = E.astype(float).copy(), A.astype(float).copy(), B.astype(float).copy()
+    TE, TA, TB = E.astype(float), A.astype(float), B.astype(float)
     mr, nc = m, n
     stages: list[tuple[int, int]] = []
     # Sub-blocks of the transformed system may be pure roundoff; rank
@@ -443,6 +432,13 @@ def observability_staircase(E, A, B, tol: Tolerance = DEFAULT_TOL) -> StaircaseD
         U_O=U, V_O=V, k=len(stages) + 1,
         row_partition=row_partition, col_partition=col_partition,
         E_O=TE[:mr, :nc].copy(), A_O=TA[:mr, :nc].copy(), B_O=TB[:mr, :].copy())
+
+
+def _full_column_rank_everywhere(E, A, tol: Tolerance) -> bool:
+    """Whether lambda E - A has full column rank at every complex lambda,
+    that is whether E x' = A x has only the solution x = 0: the staircase
+    with no inputs then eliminates every column."""
+    return not observability_staircase(E, A, np.zeros((E.shape[0], 0)), tol).E_O.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +509,8 @@ def certify_kalman(E, A, B, dec: KalmanDecomposition, tol: Tolerance) -> None:
         raise DecompositionError("Kalman certification: E22 not invertible")
     E33 = dec.E_blocks[rows[2]:, cols[2]:]
     A33 = dec.A_blocks[rows[2]:, cols[2]:]
-    for lam in SAMPLE_LAMBDAS:
-        if n3 and numeric_rank(lam * E33 - A33, tol) < n3:
-            raise DecompositionError(
-                "Kalman certification: trailing pencil loses column rank")
+    if n3 and not _full_column_rank_everywhere(E33, A33, tol):
+        raise DecompositionError("Kalman certification: trailing pencil loses column rank")
     E11, A11, B1, _ = dec.controllable_part
     sub = wong_limits(E11, A11, B1, None, tol)
     ctrl = intersect(sub.V_star, sub.W_star, tol)

@@ -90,7 +90,21 @@ report's partial impulse observability, which the letter does not read:
     PYTHONPATH=src python tests/census.py --invariance
 
 ``tests/test_analysis.py`` asserts that every transform but E x 1e3 changes
-neither on draws 0-59.
+neither on draws 0-59.  Then it prints the same for ``UNIT_TRANSFORMS``,
+changes of units that no test asserts yet (ROADMAP item 15): ``diag(10^U)``,
+U uniform in [-s, s] and drawn per draw, on the state columns, the equation
+rows, the output rows, the input columns, and all four together, at s = 3
+and s = 5.
+
+With ``--kronecker`` it prints what ``qkf`` makes of pencils whose
+structure is known by construction, as counts of right forms, wrong forms
+(block sizes), wrong nilpotency index h and refusals:
+
+    PYTHONPATH=src python tests/census.py --kronecker
+
+one line per k = 2-12 for ``hidden_kronecker_pencil(k, seed)``, seeds 0-39,
+and one line per scale c = 1e-6, 1e-3, 1, 1e3 and 1e6 for
+``hidden_nilpotent_chain(k, c, seed)``, k = 1-7 and seeds 0-29.
 
 This is a script, not a test module: pytest does not collect it.
 """
@@ -99,6 +113,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import functools
 import hashlib
 import importlib.util
 import json
@@ -110,7 +125,8 @@ import numpy as np
 from click.testing import CliRunner
 
 import dsest
-from conftest import SPLIT_PLANTS, lifted_system, random_system, split_system
+from conftest import (SPLIT_PLANTS, hidden_kronecker_pencil, hidden_nilpotent_chain,
+                      lifted_system, random_system, split_system)
 from dsest.cli import main as dsest_main
 from dsest.io import report_to_dict
 
@@ -614,6 +630,28 @@ TRANSFORMS = {
 HOLDING = [name for name in TRANSFORMS if name != "E x1e3"]
 
 
+def _units(sys, rng, s: int, parts: str) -> dict:
+    """The system in other units: diag(10^U), U uniform in [-s, s], on the
+    state columns (x), the equation rows (e), the output rows (y) and the
+    input columns (u) named in ``parts``."""
+    factor = lambda k, on: 10.0 ** rng.uniform(-s, s, k) if on else np.ones(k)
+    T, S = factor(sys.n, "x" in parts), factor(sys.E.shape[0], "e" in parts)
+    Sy, Su = factor(sys.C.shape[0], "y" in parts), factor(sys.l, "u" in parts)
+    return dict(E=S[:, None] * sys.E * T, A=S[:, None] * sys.A * T,
+                B=S[:, None] * sys.B * Su, C=Sy[:, None] * sys.C * T,
+                D=Sy[:, None] * sys.D * Su, K=sys.K * T)
+
+
+# Changes of units (ROADMAP item 15), printed but not asserted.  Their factors
+# come, in this order, from the per-draw generator after those of TRANSFORMS.
+UNIT_TRANSFORMS = {
+    f"{what} 10^+-{s}": functools.partial(_units, s=s, parts=parts)
+    for s in (3, 5)
+    for what, parts in (("states", "x"), ("equations", "e"), ("outputs", "y"),
+                        ("inputs", "u"), ("all four", "xeyu"))
+}
+
+
 def outcome(sys) -> tuple[str, bool | None]:
     """The letter (Y, N, F when the analysis raises, y for a Y that synthesis
     refuses) and the report's ``partially_impulse_observable`` (None when
@@ -640,6 +678,7 @@ def invariance_changes(draws: int, names: list) -> dict:
     old->new" changes of partial impulse observability} over the first
     ``draws`` census draws, for the transforms ``names``."""
     changes = {name: collections.Counter() for name in names}
+    transforms = {**TRANSFORMS, **UNIT_TRANSFORMS}
     rng = np.random.default_rng(RANDOM_SEED)
     for i in range(draws):
         sys = random_system(rng)
@@ -647,7 +686,7 @@ def invariance_changes(draws: int, names: list) -> dict:
         transform_rng = np.random.default_rng([RANDOM_SEED, i])
         for name in names:
             mats = {k: getattr(sys, k) for k in "EABCDK"}
-            mats.update(TRANSFORMS[name](sys, transform_rng))
+            mats.update(transforms[name](sys, transform_rng))
             new, impulse = outcome(dsest.DescriptorSystem.from_matrices(**mats))
             if new != base:
                 changes[name][f"{base}->{new}"] += 1
@@ -657,15 +696,53 @@ def invariance_changes(draws: int, names: list) -> dict:
 
 
 def invariance_census() -> None:
-    for name, counts in invariance_changes(RANDOM_DRAWS, list(TRANSFORMS)).items():
+    names = [*TRANSFORMS, *UNIT_TRANSFORMS]
+    for name, counts in invariance_changes(RANDOM_DRAWS, names).items():
         kinds = sorted(counts.items())
         letters = [(kind, n) for kind, n in kinds if not kind.startswith("impulse")]
         impulse = [(kind[len("impulse "):], n) for kind, n in kinds
                    if kind.startswith("impulse")]
-        print(f"{name:<15} changed {sum(n for _, n in letters)}"
+        print(f"{name:<22} changed {sum(n for _, n in letters)}"
               + "".join(f", {kind} {n}" for kind, n in letters)
               + f"; impulse observable changed {sum(n for _, n in impulse)}"
               + "".join(f", {kind} {n}" for kind, n in impulse))
+
+
+KRONECKER_KS = range(2, 13)
+KRONECKER_SEEDS = 40
+CHAIN_SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
+CHAIN_KS = range(1, 8)
+CHAIN_SEEDS = 30
+
+
+def _qkf_outcome(E, A, rows: tuple, cols: tuple, h: int) -> str:
+    """What ``qkf(E, A)`` makes of a pencil of known block sizes and index h:
+    "right", "wrong form" (block sizes), "wrong h" or "refused"."""
+    try:
+        form = dsest.qkf(E, A)
+    except dsest.DsestError:
+        return "refused"
+    if (form.row_sizes, form.col_sizes) != (rows, cols):
+        return "wrong form"
+    return "right" if form.h == h else "wrong h"
+
+
+def kronecker_census() -> None:
+    for k in KRONECKER_KS:
+        counts = collections.Counter(
+            _qkf_outcome(*hidden_kronecker_pencil(k, seed)[:2], (k, k, 0, k + 1),
+                         (k + 1, k, 0, k), 0) for seed in range(KRONECKER_SEEDS))
+        print(f"hidden L+J+L^T k={k:<2}  " + ", ".join(
+            f"{kind} {counts[kind]}" for kind in ("right", "wrong form", "refused")))
+    for c in CHAIN_SCALES:
+        counts = collections.Counter()
+        for k in CHAIN_KS:
+            sizes = (0, 0, k + max(k - 2, 0), 0)
+            counts.update(_qkf_outcome(*hidden_nilpotent_chain(k, c, seed), sizes, sizes, k)
+                          for seed in range(CHAIN_SEEDS))
+        print(f"nilpotent chains c={c:<6g}  " + ", ".join(
+            f"{kind} {counts[kind]}" for kind in ("right", "wrong form", "wrong h",
+                                                  "refused")))
 
 
 if __name__ == "__main__":
@@ -677,6 +754,8 @@ if __name__ == "__main__":
                       help="census of the benchmark's decide pools instead")
     mode.add_argument("--invariance", action="store_true",
                       help="letter changes under each transform instead")
+    mode.add_argument("--kronecker", action="store_true",
+                      help="QKF outcomes on hidden Kronecker pencils instead")
     mode.add_argument("--dump", metavar="FILE",
                       help="also write every result of the results census to FILE (.npz)")
     mode.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
@@ -688,6 +767,8 @@ if __name__ == "__main__":
         pool_census()
     elif args.invariance:
         invariance_census()
+    elif args.kronecker:
+        kronecker_census()
     elif args.compare:
         compare(*args.compare)
     else:

@@ -4,6 +4,7 @@ import gc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dsest import (DescriptorSystem, DimensionMismatchError, EstimatorRealization,
                    is_partially_causal_detectable)
@@ -135,6 +136,30 @@ def random_pencil(rng: np.random.Generator, max_dim: int = 4,
     E = rng.integers(-entry_range, entry_range + 1, (m, n)).astype(float)
     A = rng.integers(-entry_range, entry_range + 1, (m, n)).astype(float)
     return E, A
+
+
+def hidden_kronecker_pencil(k: int, seed: int):
+    """P blkdiag(L_k, I_k, L_k^T) Q and P blkdiag(L_k', J, L_k'^T) Q: an
+    epsilon block, a k x k finite block J and an eta block, each of size k,
+    hidden by Gaussian P and Q.  Returns (E, A, J)."""
+    rng = np.random.default_rng([k, seed])
+    L_E, L_A = np.eye(k, k + 1), np.eye(k, k + 1, 1)
+    J = rng.standard_normal((k, k))
+    P, Q = (rng.standard_normal((3 * k + 1, 3 * k + 1)) for _ in range(2))
+    E = P @ scipy.linalg.block_diag(L_E, np.eye(k), L_E.T) @ Q
+    A = P @ scipy.linalg.block_diag(L_A, J, L_A.T) @ Q
+    return E, A, J
+
+
+def hidden_nilpotent_chain(k: int, c: float, seed: int):
+    """P blkdiag(c N_k, c N_{k-2}) Q and P Q, with N_j the j x j upper
+    shift: two nilpotent chains of lengths k and k - 2, so of index k,
+    hidden by Gaussian P and Q.  Returns (E, A)."""
+    rng = np.random.default_rng([k, seed])
+    j = max(k - 2, 0)
+    P, Q = (rng.standard_normal((k + j, k + j)) for _ in range(2))
+    E = P @ scipy.linalg.block_diag(c * np.eye(k, k=1), c * np.eye(j, k=1)) @ Q
+    return E, P @ Q
 
 
 def lifted_system(n: int, seed: int, unobserved: bool = False) -> DescriptorSystem:

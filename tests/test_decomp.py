@@ -2,7 +2,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from dsest import kalman_controllability, observability_staircase, qkf
 from dsest.decomp import (KalmanDecomposition, PencilQKF, _qkf_once, certify_kalman,
@@ -10,7 +9,8 @@ from dsest.decomp import (KalmanDecomposition, PencilQKF, _qkf_once, certify_kal
 from dsest.exceptions import DecompositionError
 from dsest.linalg import DEFAULT_TOL
 
-from conftest import random_pencil, random_system
+from conftest import (hidden_kronecker_pencil, hidden_nilpotent_chain, random_pencil,
+                      random_system)
 
 
 def blockdiag_pencil(dec, lam):
@@ -106,7 +106,7 @@ def hand_form(E_eps=np.zeros((0, 0)), A_eps=np.zeros((0, 0)), J_f=np.zeros((0, 0
 
 class TestQKFCertification:
     """Each check of ``certify_qkf`` on a hand-built form that breaks it
-    alone.  0.371 is the first sample lambda."""
+    alone."""
 
     GOOD = dict(E_eps=np.array([[1.0, 0.0]]), A_eps=np.array([[0.0, 1.0]]),
                 J_f=np.array([[-1.0]]), J_sigma=np.zeros((1, 1)),
@@ -119,14 +119,14 @@ class TestQKFCertification:
     def test_identity(self):
         form = hand_form(**self.GOOD)
         bad = replace(form, P=form.P + 1e-3 * np.ones_like(form.P))
-        with pytest.raises(DecompositionError, match="identity fails at lambda=0.371"):
+        with pytest.raises(DecompositionError, match="identity fails for E"):
             certify_qkf(form.blocks_E(), form.blocks_A(), bad)
 
     @pytest.mark.parametrize("blocks, message", [
         (dict(E_eps=np.array([[1.0], [0.0]]), A_eps=np.array([[0.0], [1.0]])),
-         "m_eps > n_eps"),
+         "E_eps rank deficient"),
         (dict(E_eta=np.array([[1.0, 0.0]]), A_eta=np.array([[0.0, 1.0]])),
-         "m_eta < n_eta"),
+         "E_eta rank deficient"),
         (dict(E_eps=np.array([[0.0, 0.0]]), A_eps=np.array([[1.0, 0.0]])),
          "E_eps rank deficient"),
         (dict(E_eps=np.array([[1.0, 0.0]]), A_eps=np.array([[0.371, 0.0]])),
@@ -135,7 +135,14 @@ class TestQKFCertification:
          "E_eta rank deficient"),
         (dict(E_eta=np.array([[1.0], [0.0]]), A_eta=np.array([[0.371], [0.0]])),
          "eta pencil loses column rank"),
-    ], ids=["m_eps", "m_eta", "E_eps", "eps-pencil", "E_eta", "eta-pencil"])
+        # lambda E - A = [[lambda, 0, -1], [0, lambda - 0.5, 0]].
+        (dict(E_eps=np.eye(2, 3), A_eps=np.array([[0.0, 0.0, 1.0], [0.0, 0.5, 0.0]])),
+         "epsilon pencil loses row rank"),
+        # lambda E - A = [[lambda, 0], [0, lambda - 0.5], [-1, 0]].
+        (dict(E_eta=np.eye(3, 2), A_eta=np.array([[0.0, 0.0], [0.0, 0.5], [1.0, 0.0]])),
+         "eta pencil loses column rank"),
+    ], ids=["m_eps", "m_eta", "E_eps", "eps-pencil", "E_eta", "eta-pencil", "eps-pencil-0.5",
+            "eta-pencil-0.5"])
     def test_block_check(self, blocks, message):
         form = hand_form(**{**self.GOOD, **blocks})
         with pytest.raises(DecompositionError, match=f"QKF certification: {message}"):
@@ -172,23 +179,28 @@ class TestKalmanCertification:
          "trailing pencil loses column rank"),
         (((2, 2), (0, 0), (0, 0)), np.eye(2), np.diag([-1, -2]), [[1], [0]],
          "\\(1,1\\) block is not completely controllable"),
-    ], ids=["lower-block", "B", "square", "E22", "trailing-pencil", "controllable"])
+        (((1, 1), (0, 0), (1, 1)), np.eye(2), np.diag([0, 0.5]), [[1], [0]],
+         "trailing pencil loses column rank"),
+    ], ids=["lower-block", "B", "square", "E22", "trailing-pencil", "controllable",
+            "trailing-pencil-0.5"])
     def test_block_check(self, sizes, E, A, B, message):
         with pytest.raises(DecompositionError, match=f"Kalman certification: {message}"):
             self.certify(sizes, E, A, B)
 
 
-def hidden_kronecker_pencil(k: int, seed: int):
-    """P blkdiag(L_k, I_k, L_k^T) Q and P blkdiag(L_k', J, L_k'^T) Q: an
-    epsilon block, a k x k finite block J and an eta block, each of size k,
-    hidden by Gaussian P and Q.  Returns (E, A, J)."""
-    rng = np.random.default_rng([k, seed])
-    L_E, L_A = np.eye(k, k + 1), np.eye(k, k + 1, 1)
-    J = rng.standard_normal((k, k))
-    P, Q = (rng.standard_normal((3 * k + 1, 3 * k + 1)) for _ in range(2))
-    E = P @ scipy.linalg.block_diag(L_E, np.eye(k), L_E.T) @ Q
-    A = P @ scipy.linalg.block_diag(L_A, J, L_A.T) @ Q
-    return E, A, J
+class TestNilpotencyIndex:
+    """h is the number of stages of the staircase of J_sigma x' = x."""
+
+    def test_scaled_shift(self):
+        for c in (1e-6, 1e-3, 1.0, 1e3):
+            for k in range(1, 8):
+                assert (c, k, qkf(c * np.eye(k, k=1), np.eye(k)).h) == (c, k, k)
+
+    @pytest.mark.parametrize("k, seed", [(2, 22), (3, 12), (4, 1), (5, 2), (6, 2), (7, 0)])
+    def test_hidden_chains_at_large_scale(self, k, seed):
+        form = qkf(*hidden_nilpotent_chain(k, 1e6, seed))
+        assert form.col_sizes == form.row_sizes == (0, 0, k + max(k - 2, 0), 0)
+        assert form.h == k
 
 
 class TestRelaxedRetry:

@@ -208,6 +208,30 @@ class TestInputScale:
             solve_plant(sys, [1.0, 5.0], T=1.0)
 
 
+class TestSmallNilpotentBlock:
+    """1e-3 N_5 x' = x + e_5 u with u = sin(1000 t): a chain of index 5 whose
+    E is small, so that x_1 = -1e-12 u^(4) is as large as u."""
+
+    @pytest.fixture
+    def chain_plant(self) -> DescriptorSystem:
+        return DescriptorSystem.from_matrices(
+            1e-3 * np.eye(5, k=1), np.eye(5), np.eye(5)[:, 4:], np.zeros((0, 5)),
+            np.eye(5)[:1])
+
+    def test_consistent_x0_accepted(self, chain_plant):
+        # x_k = -1e-3^(5-k) u^(5-k); at t = 0 only u' and u''' are nonzero.
+        tr = solve_plant(chain_plant, [0.0, 1.0, 0.0, -1.0, 0.0],
+                         u=InputSignal.sinusoid([1.0], 1000.0), T=0.01, dt=1e-4)
+        assert np.abs(tr.x[0] + np.sin(1000 * tr.t)).max() <= 1e-12
+        assert np.abs(tr.x[1] - np.cos(1000 * tr.t)).max() <= 1e-12
+
+    def test_x0_truncated_after_three_terms_refused(self, chain_plant):
+        with pytest.raises(SimulationError, match="nilpotent algebraic constraint "
+                                                  "violated by 1.000e\\+00"):
+            solve_plant(chain_plant, [0.0, 0.0, 0.0, -1.0, 0.0],
+                        u=InputSignal.sinusoid([1.0], 1000.0), T=0.01, dt=1e-4)
+
+
 class TestNonFiniteInitialState:
     """A NaN or infinite entry of x0 or w0 is refused before any step."""
 
