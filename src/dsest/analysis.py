@@ -267,7 +267,7 @@ def _build_structure(plant: _Plant, tol: Tolerance) -> _Structure:
     # Q's eps columns, and J_sigma's rank is decided at V_O1 Q_sigma's scale.
     W_eps, W_f, W_sigma, _ = _split(st.V_O[:, :n_O] @ form.Q, form.col_sizes, 1)
     W_sigma = Subspace.from_span(W_sigma @ form.J_sigma, tol=tol,
-                                 scale=max(1.0, float(np.linalg.norm(W_sigma)))).basis
+                                 scale=float(np.linalg.norm(W_sigma))).basis
     W_f1 = W_f @ U1[:, :J_f1.shape[0]]
     W_f1 = np.linalg.qr(W_f1)[0] if W_f1.size else W_f1
     return _Structure(staircase=st, form=form, U1=U1, J_f1=J_f1, J_f2=J_f2,

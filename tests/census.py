@@ -82,15 +82,16 @@ each, and how many new N are not Hurwitz.
 
 With ``--invariance`` it prints, per transform of ``TRANSFORMS`` (orthogonal
 P and Q; all matrices x 1e3 and x 1e-3; E x 1e-3; C and D x 1e-6; K x 1e6;
-E x 1e3; K x 1e-9; row 0 of K x 1e-9), how many of the 600 random draws
+E x 1e3; K x 1e-9; row 0 of K x 1e-9; all matrices x 1e-9 and x 1e-12), how
+many of the 600 random draws
 change their letter (Y, N, F when the analysis raises, y for a Y that
 synthesis refuses) and the kinds of change, then how many change the
 report's partial impulse observability, which the letter does not read:
 
     PYTHONPATH=src python tests/census.py --invariance
 
-``tests/test_analysis.py`` asserts that every transform but E x 1e3 changes
-neither on draws 0-59.  Then it prints the same for ``UNIT_TRANSFORMS``,
+``tests/test_analysis.py`` asserts that every transform in ``HOLDING``, all
+but E x 1e3, all x 1e-9 and all x 1e-12, changes neither on draws 0-59.  Then it prints the same for ``UNIT_TRANSFORMS``,
 changes of units that no test asserts yet (ROADMAP item 15): ``diag(10^U)``,
 U uniform in [-s, s] and drawn per draw, on the state columns, the equation
 rows, the output rows, the input columns, and all four together, at s = 3
@@ -103,8 +104,10 @@ structure is known by construction, as counts of right forms, wrong forms
     PYTHONPATH=src python tests/census.py --kronecker
 
 one line per k = 2-12 for ``hidden_kronecker_pencil(k, seed)``, seeds 0-39,
-and one line per scale c = 1e-6, 1e-3, 1, 1e3 and 1e6 for
-``hidden_nilpotent_chain(k, c, seed)``, k = 1-7 and seeds 0-29.
+hidden by Gaussian and then by orthogonal P and Q, and one line per scale
+c = 1e-6, 1e-3, 1, 1e3 and 1e6 for ``hidden_nilpotent_chain(k, c, seed)``
+and then for ``hidden_chain_beside_finite(k, c, seed)``, k = 1-7 and seeds
+0-29.
 
 This is a script, not a test module: pytest does not collect it.
 """
@@ -125,8 +128,8 @@ import numpy as np
 from click.testing import CliRunner
 
 import dsest
-from conftest import (SPLIT_PLANTS, hidden_kronecker_pencil, hidden_nilpotent_chain,
-                      lifted_system, random_system, split_system)
+from conftest import (SPLIT_PLANTS, hidden_chain_beside_finite, hidden_kronecker_pencil,
+                      hidden_nilpotent_chain, lifted_system, random_system, split_system)
 from dsest.cli import main as dsest_main
 from dsest.io import report_to_dict
 
@@ -613,9 +616,10 @@ def _rotated(sys, rng):
                 K=sys.K @ Q)
 
 
-# Transforms that must not move a letter: name -> the changed matrices of a
-# system, under a seeded generator.  All but E x 1e3 hold today; E x 1e3
-# refuses some Y (ROADMAP item 6).
+# Transforms that ought not to move a letter: name -> the changed matrices
+# of a system, under a seeded generator.  All but the last three hold today:
+# E x 1e3 refuses some Y (ROADMAP item 6), and so do all x 1e-9 and all
+# x 1e-12.
 TRANSFORMS = {
     "orthogonal P, Q": _rotated,
     "all x1e3": lambda sys, rng: {k: 1e3 * getattr(sys, k) for k in "EABCDK"},
@@ -626,8 +630,10 @@ TRANSFORMS = {
     "E x1e3": lambda sys, rng: dict(E=1e3 * sys.E),
     "K x1e-9": lambda sys, rng: dict(K=1e-9 * sys.K),
     "K row 0 x1e-9": lambda sys, rng: dict(K=np.vstack([1e-9 * sys.K[:1], sys.K[1:]])),
+    "all x1e-9": lambda sys, rng: {k: 1e-9 * getattr(sys, k) for k in "EABCDK"},
+    "all x1e-12": lambda sys, rng: {k: 1e-12 * getattr(sys, k) for k in "EABCDK"},
 }
-HOLDING = [name for name in TRANSFORMS if name != "E x1e3"]
+HOLDING = [name for name in TRANSFORMS if name not in ("E x1e3", "all x1e-9", "all x1e-12")]
 
 
 def _units(sys, rng, s: int, parts: str) -> dict:
@@ -728,21 +734,26 @@ def _qkf_outcome(E, A, rows: tuple, cols: tuple, h: int) -> str:
 
 
 def kronecker_census() -> None:
-    for k in KRONECKER_KS:
-        counts = collections.Counter(
-            _qkf_outcome(*hidden_kronecker_pencil(k, seed)[:2], (k, k, 0, k + 1),
-                         (k + 1, k, 0, k), 0) for seed in range(KRONECKER_SEEDS))
-        print(f"hidden L+J+L^T k={k:<2}  " + ", ".join(
-            f"{kind} {counts[kind]}" for kind in ("right", "wrong form", "refused")))
-    for c in CHAIN_SCALES:
-        counts = collections.Counter()
-        for k in CHAIN_KS:
-            sizes = (0, 0, k + max(k - 2, 0), 0)
-            counts.update(_qkf_outcome(*hidden_nilpotent_chain(k, c, seed), sizes, sizes, k)
-                          for seed in range(CHAIN_SEEDS))
-        print(f"nilpotent chains c={c:<6g}  " + ", ".join(
-            f"{kind} {counts[kind]}" for kind in ("right", "wrong form", "wrong h",
-                                                  "refused")))
+    for orthogonal, what in ((False, "hidden"), (True, "orthogonal")):
+        for k in KRONECKER_KS:
+            counts = collections.Counter(
+                _qkf_outcome(*hidden_kronecker_pencil(k, seed, orthogonal)[:2],
+                             (k, k, 0, k + 1), (k + 1, k, 0, k), 0)
+                for seed in range(KRONECKER_SEEDS))
+            print(f"{what} L+J+L^T k={k:<2}  " + ", ".join(
+                f"{kind} {counts[kind]}" for kind in ("right", "wrong form", "refused")))
+    for finite, what in ((0, "nilpotent chains"), (2, "chains + 2x2 J")):
+        for c in CHAIN_SCALES:
+            counts = collections.Counter()
+            for k in CHAIN_KS:
+                sizes = (0, finite, k + max(k - 2, 0), 0)
+                counts.update(
+                    _qkf_outcome(*(hidden_chain_beside_finite(k, c, seed)[:2] if finite
+                                   else hidden_nilpotent_chain(k, c, seed)), sizes, sizes, k)
+                    for seed in range(CHAIN_SEEDS))
+            print(f"{what} c={c:<6g}  " + ", ".join(
+                f"{kind} {counts[kind]}" for kind in ("right", "wrong form", "wrong h",
+                                                      "refused")))
 
 
 if __name__ == "__main__":

@@ -138,14 +138,17 @@ def random_pencil(rng: np.random.Generator, max_dim: int = 4,
     return E, A
 
 
-def hidden_kronecker_pencil(k: int, seed: int):
+def hidden_kronecker_pencil(k: int, seed: int, orthogonal: bool = False):
     """P blkdiag(L_k, I_k, L_k^T) Q and P blkdiag(L_k', J, L_k'^T) Q: an
     epsilon block, a k x k finite block J and an eta block, each of size k,
-    hidden by Gaussian P and Q.  Returns (E, A, J)."""
+    hidden by Gaussian P and Q, or with ``orthogonal`` by the Q factors of
+    the same Gaussian draws.  Returns (E, A, J)."""
     rng = np.random.default_rng([k, seed])
     L_E, L_A = np.eye(k, k + 1), np.eye(k, k + 1, 1)
     J = rng.standard_normal((k, k))
     P, Q = (rng.standard_normal((3 * k + 1, 3 * k + 1)) for _ in range(2))
+    if orthogonal:
+        P, Q = np.linalg.qr(P)[0], np.linalg.qr(Q)[0]
     E = P @ scipy.linalg.block_diag(L_E, np.eye(k), L_E.T) @ Q
     A = P @ scipy.linalg.block_diag(L_A, J, L_A.T) @ Q
     return E, A, J
@@ -160,6 +163,19 @@ def hidden_nilpotent_chain(k: int, c: float, seed: int):
     P, Q = (rng.standard_normal((k + j, k + j)) for _ in range(2))
     E = P @ scipy.linalg.block_diag(c * np.eye(k, k=1), c * np.eye(j, k=1)) @ Q
     return E, P @ Q
+
+
+def hidden_chain_beside_finite(k: int, c: float, seed: int):
+    """P blkdiag(c N_k, c N_{k-2}, I_2) Q and P blkdiag(I, I, J) Q: the two
+    nilpotent chains of ``hidden_nilpotent_chain`` beside a finite 2 x 2
+    block J, all hidden by Gaussian P and Q.  Returns (E, A, J)."""
+    rng = np.random.default_rng([k, seed, 2])
+    j = max(k - 2, 0)
+    J = rng.standard_normal((2, 2))
+    P, Q = (rng.standard_normal((k + j + 2, k + j + 2)) for _ in range(2))
+    E = P @ scipy.linalg.block_diag(c * np.eye(k, k=1), c * np.eye(j, k=1), np.eye(2)) @ Q
+    A = P @ scipy.linalg.block_diag(np.eye(k + j), J) @ Q
+    return E, A, J
 
 
 def lifted_system(n: int, seed: int, unobserved: bool = False) -> DescriptorSystem:

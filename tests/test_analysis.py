@@ -335,6 +335,16 @@ class TestInvariance:
         changes = census.invariance_changes(60, census.HOLDING)
         assert changes == {name: collections.Counter() for name in census.HOLDING}
 
+    @pytest.mark.parametrize("c", [1e-9, 1e-12])
+    def test_worked_example_at_small_scale(self, ex_system, c):
+        # Every rank decision is relative to the data, with no floor at 1,
+        # so the worked example decides and builds as at scale 1.
+        small = DescriptorSystem.from_matrices(
+            *(c * getattr(ex_system, k) for k in "EABCK"), D=c * ex_system.D)
+        assert is_partially_causal_detectable(small).partially_causal_detectable
+        est, _ = synthesize_estimator(small)
+        assert np.linalg.eigvals(est.N) == pytest.approx([-1.0, -1.0], abs=1e-8)
+
 
 class TestNearAxisMode:
     def test_integrator_read_by_K_is_not_detectable(self, near_axis_system):

@@ -783,9 +783,12 @@ class TestToolkitErrors:
         assert res.exit_code == 1
         assert "error: QKF failed" in res.output
 
-    def test_unconverged_svd_is_an_error_line(self, runner, tmp_path):
-        # No input, no output, z = x_1, and an order-0 estimator; the QKF's
-        # first attempt meets an SVD that does not converge.
+    def test_unconverged_svd_is_an_error_line(self, runner, tmp_path, monkeypatch):
+        # No input, no output, z = x_1, and an order-0 estimator; every SVD
+        # of the QKF fails to converge.
+        def unconverged(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(np.linalg, "svd", unconverged)
         E, A, _ = hidden_kronecker_pencil(10, 6)
         n = E.shape[1]
         (tmp_path / "sys.json").write_text(json.dumps(

@@ -3,14 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dsest import kalman_controllability, observability_staircase, qkf
+from dsest import (InputSignal, is_partially_causal_detectable, kalman_controllability,
+                   observability_staircase, qkf, simulate, synthesize_estimator)
 from dsest.decomp import (KalmanDecomposition, PencilQKF, _qkf_once, certify_kalman,
                           certify_qkf)
 from dsest.exceptions import DecompositionError
 from dsest.linalg import DEFAULT_TOL
 
-from conftest import (hidden_kronecker_pencil, hidden_nilpotent_chain, random_pencil,
-                      random_system)
+from conftest import (hidden_chain_beside_finite, hidden_kronecker_pencil,
+                      hidden_nilpotent_chain, random_pencil, random_system)
 
 
 def blockdiag_pencil(dec, lam):
@@ -203,28 +204,32 @@ class TestNilpotencyIndex:
         assert form.h == k
 
 
+def assert_spectrum(form, J, rtol):
+    """eig(J_f) equals eig(J) as a multiset, to rtol relative."""
+    got, want = (np.sort_complex(np.linalg.eigvals(M)) for M in (form.J_f, J))
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
 class TestRelaxedRetry:
     def test_retry_recovers_the_form(self):
-        E, A, J = hidden_kronecker_pencil(5, 14)
+        E, A, J = hidden_kronecker_pencil(6, 8)
         with pytest.raises(DecompositionError, match=(
-                "non-square regular blocks \\(rows \\[5, 6, 0, 5\\], "
-                "cols \\[6, 5, 0, 5\\]\\)")):
+                "QKF certification: epsilon pencil loses row rank")):
             _qkf_once(E, A, DEFAULT_TOL)
         form = qkf(E, A)
-        assert form.col_sizes == (6, 5, 0, 5)
-        assert form.row_sizes == (5, 5, 0, 6)
-        got, want = (np.sort_complex(np.linalg.eigvals(M)) for M in (form.J_f, J))
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert form.col_sizes == (7, 6, 0, 6)
+        assert form.row_sizes == (6, 6, 0, 7)
+        assert_spectrum(form, J, 1e-13)
 
     def test_both_attempts_named_when_both_fail(self):
-        E, A, _ = hidden_kronecker_pencil(4, 5)
+        E, A, _ = hidden_kronecker_pencil(6, 11)
         with pytest.raises(DecompositionError) as info:
             qkf(E, A)
         message = str(info.value)
-        assert message.startswith("QKF failed at rank_rtol=1e-10 (QKF: coupling (0,3) "
-                                  "not removable")
-        assert "and at relaxed rank_rtol=1e-09 (QKF: coupling (0,3) not removable" \
-            in message
+        assert message.startswith("QKF failed at rank_rtol=1e-10 (QKF certification: "
+                                  "epsilon pencil loses row rank")
+        assert ("and at relaxed rank_rtol=1e-09 (QKF certification: epsilon pencil "
+                "loses row rank") in message
 
     def test_svd_failure_in_first_attempt_is_retried(self, monkeypatch, ex_system):
         want = qkf(ex_system.E, ex_system.A)
@@ -238,6 +243,37 @@ class TestRelaxedRetry:
         form = qkf(ex_system.E, ex_system.A)
         assert len(calls) > 1
         assert (form.col_sizes, form.row_sizes) == (want.col_sizes, want.row_sizes)
+
+
+class TestStaircaseConstruction:
+    """The QKF of hidden structures, built with no Wong chain."""
+
+    @pytest.mark.parametrize("k, seed", [(4, 5), (10, 6)])
+    def test_hidden_kronecker_pencil(self, k, seed):
+        E, A, J = hidden_kronecker_pencil(k, seed)
+        form = qkf(E, A)
+        assert form.row_sizes == (k, k, 0, k + 1)
+        assert form.col_sizes == (k + 1, k, 0, k)
+        assert_spectrum(form, J, 1e-12)
+
+    def test_chain_beside_a_finite_block(self):
+        # Index-4 chains whose E part is 1e3 times the finite block's.
+        E, A, J = hidden_chain_beside_finite(4, 1e3, 0)
+        form = qkf(E, A)
+        assert form.row_sizes == form.col_sizes == (0, 2, 6, 0)
+        assert form.h == 4
+        assert_spectrum(form, J, 1e-12)
+
+    def test_worked_example_needs_no_wong_chain(self, monkeypatch, ex_system):
+        def fail(*args, **kwargs):
+            raise AssertionError("Wong chain computed")
+        monkeypatch.setattr("dsest.decomp.wong_limits", fail)
+        assert is_partially_causal_detectable(ex_system).partially_causal_detectable
+        est, trace = synthesize_estimator(ex_system)
+        x0 = np.array([1.0, 2.0, 3.0, 0.0])
+        run = simulate(ex_system, est, x0, trace.tracked_state(x0),
+                       u=InputSignal.zero(ex_system.l), T=1.0, dt=0.1)
+        assert np.abs(run.e).max() < 1e-9
 
 
 class TestStaircase:
