@@ -13,9 +13,9 @@ staircases with no inputs build the quasi-Kronecker form, as in GUPTRI
 structure: whether a pencil keeps full column rank at every complex lambda,
 and the nilpotency index h, as a stage count.  The Kalman decomposition is
 built from bases adapted to Wong limits.  Both decompositions are certified
-against their structural invariants after construction; on failure the
-computation is retried once with a 10x relaxed rank tolerance before giving
-up.
+against their structural invariants after construction, and each is one
+attempt at the requested rank tolerance: a failed construction or
+certification is a DecompositionError.
 """
 
 from __future__ import annotations
@@ -227,10 +227,14 @@ def _qkf_once(E: np.ndarray, A: np.ndarray, tol: Tolerance) -> PencilQKF:
     L1[m_eps:], R1[:, n_eps:] = L1[m_eps:][::-1], R1[:, n_eps:][:, ::-1]
     row_sizes = [m_eps, m1 - m_eps, m_sig, m - m1 - m_sig]
     col_sizes = [n_eps, n1 - n_eps, n_sig, n - n1 - n_sig]
-    # Square regular blocks must come out square.
+    # Square regular blocks must come out square, and a nonempty eta block, a
+    # sum of (k+1) x k blocks L_k^T, taller than wide.
     if row_sizes[1] != col_sizes[1] or row_sizes[2] != col_sizes[2]:
         raise DecompositionError(
             f"QKF: non-square regular blocks (rows {row_sizes}, cols {col_sizes})")
+    if col_sizes[3] and row_sizes[3] <= col_sizes[3]:
+        raise DecompositionError(
+            f"QKF: {row_sizes[3]} x {col_sizes[3]} eta block is not taller than wide")
     P = _blkdiag(L1, L2) @ st.U_O
     Q = st.V_O @ _blkdiag(R1, R2)
     ro, co = _offsets(row_sizes), _offsets(col_sizes)
@@ -284,8 +288,9 @@ def certify_qkf(E, A, form: PencilQKF, tol: Tolerance = DEFAULT_TOL) -> None:
     """Check the PencilQKF invariants that its construction does not fix;
     raise DecompositionError otherwise.  P E Q and P A Q must equal the
     blocks; E_eps (E_eta) must have full row (column) rank, which bounds the
-    block sizes, and the staircase must find that the epsilon (eta) pencil
-    keeps that rank at every complex lambda."""
+    block sizes, and the staircase must find that the epsilon pencil keeps
+    full row rank at every complex lambda.  The eta pencil's column rank is
+    not asked again: ``qkf``'s first staircase eliminated sigma and eta."""
     scale = _residual_scale(E, A)
     for name, M, T in (("E", E, form.blocks_E()), ("A", A, form.blocks_A())):
         r = np.linalg.norm(form.P @ M @ form.Q - T)
@@ -297,45 +302,30 @@ def certify_qkf(E, A, form: PencilQKF, tol: Tolerance = DEFAULT_TOL) -> None:
             raise DecompositionError("QKF certification: E_eps rank deficient")
         if not _full_column_rank_everywhere(form.E_eps.T, form.A_eps.T, tol):
             raise DecompositionError("QKF certification: epsilon pencil loses row rank")
-    if form.n_eta:
-        if numeric_rank(form.E_eta, tol) < form.n_eta:
-            raise DecompositionError("QKF certification: E_eta rank deficient")
-        if not _full_column_rank_everywhere(form.E_eta, form.A_eta, tol):
-            raise DecompositionError("QKF certification: eta pencil loses column rank")
+    if form.n_eta and numeric_rank(form.E_eta, tol) < form.n_eta:
+        raise DecompositionError("QKF certification: E_eta rank deficient")
 
 
 def qkf(E, A, tol: Tolerance = DEFAULT_TOL) -> PencilQKF:
     """Quasi-Kronecker form of the pencil lambda*E - A.
 
     Constructed in one pass (see ``PencilQKF``) from three staircases of the
-    pencil; retried once with a relaxed rank tolerance when construction or
-    certification fails at the requested one.
+    pencil and certified, in one attempt at ``tol``.
     """
     E = as_matrix(E)
     A = as_matrix(A, rows=E.shape[0], cols=E.shape[1])
-    return _with_relaxed_retry("QKF", _qkf_once, E, A, tol=tol)
+    return _one_attempt("QKF", _qkf_once, E, A, tol=tol)
 
 
-def _with_relaxed_retry(what: str, once, *args, tol: Tolerance):
-    """once(*args, tol), retried once at tol.relaxed() on DecompositionError
-    or on numpy's LinAlgError (an SVD that does not converge)."""
-    failed = (DecompositionError, np.linalg.LinAlgError)
-
-    def reason(exc):
-        return str(exc) if isinstance(exc, DecompositionError) \
-            else f"{type(exc).__name__}: {exc}"
-
+def _one_attempt(what: str, once, *args, tol: Tolerance):
+    """once(*args, tol); a DecompositionError or numpy's LinAlgError (an SVD
+    that does not converge) becomes one DecompositionError naming ``what``."""
     try:
         return once(*args, tol)
-    except failed as first:
-        relaxed = tol.relaxed()
-        try:
-            return once(*args, relaxed)
-        except failed as second:
-            raise DecompositionError(
-                f"{what} failed at rank_rtol={tol.rank_rtol:g} ({reason(first)}) "
-                f"and at relaxed rank_rtol={relaxed.rank_rtol:g} "
-                f"({reason(second)})") from second
+    except (DecompositionError, np.linalg.LinAlgError) as exc:
+        reason = exc if isinstance(exc, DecompositionError) else f"LinAlgError: {exc}"
+        raise DecompositionError(
+            f"{what} failed at rank_rtol={tol.rank_rtol:g} ({reason})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -523,4 +513,4 @@ def kalman_controllability(E, A, B, C, tol: Tolerance = DEFAULT_TOL) -> KalmanDe
     A = as_matrix(A, rows=E.shape[0], cols=E.shape[1])
     B = as_matrix(B, rows=E.shape[0])
     C = as_matrix(C, cols=E.shape[1])
-    return _with_relaxed_retry("Kalman decomposition", _kalman_once, E, A, B, C, tol=tol)
+    return _one_attempt("Kalman decomposition", _kalman_once, E, A, B, C, tol=tol)

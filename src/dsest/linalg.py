@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, SynthesisError
+from .exceptions import DecompositionError, DimensionMismatchError, SynthesisError
 
 # Threshold for subspace containment and for K vanishing on a subspace (per
 # row, relative); bases are orthonormal, so residuals are scale-free.
@@ -45,7 +45,9 @@ class Tolerance:
             raise ValueError("synthesis_margin must be positive")
 
     def relaxed(self) -> "Tolerance":
-        """rank_rtol 10x looser: the one retry after a failed certification."""
+        """rank_rtol 10x looser.  Nothing in ``dsest`` calls it; it stays
+        while the benchmark's tracer (``perfbench/tracer.py``) names it, and
+        leaves with that tracer change (ROADMAP item 2)."""
         return Tolerance(self.rank_rtol * 10.0, self.synthesis_margin)
 
 
@@ -320,7 +322,8 @@ def spectral_split(M):
     the Schur form's roundoff of the imaginary axis), M22 the strictly
     decaying rest.  With k the order of M11, Z[:, :k] spans the non-decaying
     invariant subspace of M, and the trailing coordinates Z[:, k:]^T x of
-    x' = M x evolve on their own under M22.  Returns (Z, M11, M22).
+    x' = M x evolve on their own under M22.  Returns (Z, M11, M22), or
+    raises DecompositionError when LAPACK's reordering fails.
     """
     # Imported here, not at module load, where it is most of the time of
     # `import dsest`: every analysis splits a spectrum, simulation never does.
@@ -335,8 +338,13 @@ def spectral_split(M):
     # The band is a multiple of the ordered Schur form's backward error,
     # which scales with |M| (Bai & Demmel, Linear Algebra Appl. 186, 1993).
     band = -512 * np.finfo(float).eps * max(1.0, float(np.linalg.norm(M)))
-    T, Z, k = scipy.linalg.schur(M, output="real", check_finite=False,
-                                 sort=lambda x, y=None: np.real(x) >= band)
+    try:
+        T, Z, k = scipy.linalg.schur(M, output="real", check_finite=False,
+                                     sort=lambda x, y=None: np.real(x) >= band)
+    except np.linalg.LinAlgError as exc:   # the reordering lost its sort to roundoff
+        raise DecompositionError(
+            f"spectral split of a {n} x {n} matrix with |M|_F = "
+            f"{np.linalg.norm(M):.3e} failed ({exc})") from exc
     if k == 0:
         return np.eye(n), np.zeros((0, 0)), M.copy()
     if k == n:

@@ -84,9 +84,11 @@ With ``--invariance`` it prints, per transform of ``TRANSFORMS`` (orthogonal
 P and Q; all matrices x 1e3 and x 1e-3; E x 1e-3; C and D x 1e-6; K x 1e6;
 E x 1e3; K x 1e-9; row 0 of K x 1e-9; all matrices x 1e-9 and x 1e-12), how
 many of the 600 random draws
-change their letter (Y, N, F when the analysis raises, y for a Y that
-synthesis refuses) and the kinds of change, then how many change the
-report's partial impulse observability, which the letter does not read:
+change their letter (Y, N, F when the analysis raises a ``DsestError``, X
+when it raises anything else, y for a Y that synthesis refuses) and the
+kinds of change, then how many change the report's partial impulse
+observability, which the letter does not read, and last the draw numbers of
+every change between an affirmative letter (Y, y) and N:
 
     PYTHONPATH=src python tests/census.py --invariance
 
@@ -129,7 +131,8 @@ from click.testing import CliRunner
 
 import dsest
 from conftest import (SPLIT_PLANTS, hidden_chain_beside_finite, hidden_kronecker_pencil,
-                      hidden_nilpotent_chain, lifted_system, random_system, split_system)
+                      hidden_nilpotent_chain, lifted_system, random_draw, random_system,
+                      split_system)
 from dsest.cli import main as dsest_main
 from dsest.io import report_to_dict
 
@@ -659,43 +662,71 @@ UNIT_TRANSFORMS = {
 
 
 def outcome(sys) -> tuple[str, bool | None]:
-    """The letter (Y, N, F when the analysis raises, y for a Y that synthesis
-    refuses) and the report's ``partially_impulse_observable`` (None when
-    the analysis or that read raises), which the letter does not read."""
+    """The letter (Y, N, F when the analysis raises a ``DsestError``, X when
+    a step raises anything else, y for a Y that synthesis refuses) and the
+    report's ``partially_impulse_observable`` (None when the analysis or
+    that read raises), which the letter does not read."""
     try:
-        report = dsest.is_partially_causal_detectable(sys)
-    except dsest.DsestError:
-        return "F", None
-    try:
-        impulse = report.partially_impulse_observable
-    except dsest.DsestError:
-        impulse = None
-    if not report.partially_causal_detectable:
-        return "N", impulse
-    try:
-        dsest.synthesize_estimator(sys)
-    except dsest.DsestError:
-        return "y", impulse
-    return "Y", impulse
+        try:
+            report = dsest.is_partially_causal_detectable(sys)
+        except dsest.DsestError:
+            return "F", None
+        try:
+            impulse = report.partially_impulse_observable
+        except dsest.DsestError:
+            impulse = None
+        if not report.partially_causal_detectable:
+            return "N", impulse
+        try:
+            dsest.synthesize_estimator(sys)
+        except dsest.DsestError:
+            return "y", impulse
+        return "Y", impulse
+    except Exception:
+        return "X", None
 
 
-def invariance_changes(draws: int, names: list) -> dict:
+def transformed(sys, i: int, names: list) -> dict:
+    """{name: draw ``i`` (``sys``) under that transform}.  The transforms of
+    one draw share its generator, so each one's factors depend on the
+    transforms that ``names`` puts before it."""
+    transforms = {**TRANSFORMS, **UNIT_TRANSFORMS}
+    rng = np.random.default_rng([RANDOM_SEED, i])
+    out = {}
+    for name in names:
+        mats = {k: getattr(sys, k) for k in "EABCDK"}
+        mats.update(transforms[name](sys, rng))
+        out[name] = dsest.DescriptorSystem.from_matrices(**mats)
+    return out
+
+
+def invariance_system(i: int, name: str):
+    """Draw ``i`` under the transform ``name``, as ``--invariance`` builds it."""
+    return transformed(random_draw(RANDOM_SEED, i), i, [*TRANSFORMS, *UNIT_TRANSFORMS])[name]
+
+
+def _swaps_verdict(old: str, new: str) -> bool:
+    """Whether a letter change turns an affirmative answer into N or back."""
+    return old in "YyN" and new in "YyN" and (old == "N") != (new == "N")
+
+
+def invariance_changes(draws: int, names: list, swaps: dict | None = None) -> dict:
     """{transform name: Counter of "old->new" letter changes and "impulse
     old->new" changes of partial impulse observability} over the first
-    ``draws`` census draws, for the transforms ``names``."""
+    ``draws`` census draws, for the transforms ``names``.  When given,
+    ``swaps`` collects {name: [(draw, "old->new")]} of the changes between
+    an affirmative letter and N."""
     changes = {name: collections.Counter() for name in names}
-    transforms = {**TRANSFORMS, **UNIT_TRANSFORMS}
     rng = np.random.default_rng(RANDOM_SEED)
     for i in range(draws):
         sys = random_system(rng)
         base, base_impulse = outcome(sys)
-        transform_rng = np.random.default_rng([RANDOM_SEED, i])
-        for name in names:
-            mats = {k: getattr(sys, k) for k in "EABCDK"}
-            mats.update(transforms[name](sys, transform_rng))
-            new, impulse = outcome(dsest.DescriptorSystem.from_matrices(**mats))
+        for name, other in transformed(sys, i, names).items():
+            new, impulse = outcome(other)
             if new != base:
                 changes[name][f"{base}->{new}"] += 1
+            if swaps is not None and _swaps_verdict(base, new):
+                swaps.setdefault(name, []).append((i, f"{base}->{new}"))
             if impulse != base_impulse:
                 changes[name][f"impulse {base_impulse}->{impulse}"] += 1
     return changes
@@ -703,7 +734,8 @@ def invariance_changes(draws: int, names: list) -> dict:
 
 def invariance_census() -> None:
     names = [*TRANSFORMS, *UNIT_TRANSFORMS]
-    for name, counts in invariance_changes(RANDOM_DRAWS, names).items():
+    swaps = {}
+    for name, counts in invariance_changes(RANDOM_DRAWS, names, swaps).items():
         kinds = sorted(counts.items())
         letters = [(kind, n) for kind, n in kinds if not kind.startswith("impulse")]
         impulse = [(kind[len("impulse "):], n) for kind, n in kinds
@@ -711,7 +743,9 @@ def invariance_census() -> None:
         print(f"{name:<22} changed {sum(n for _, n in letters)}"
               + "".join(f", {kind} {n}" for kind, n in letters)
               + f"; impulse observable changed {sum(n for _, n in impulse)}"
-              + "".join(f", {kind} {n}" for kind, n in impulse))
+              + "".join(f", {kind} {n}" for kind, n in impulse)
+              + "; swapped" + ("".join(f" #{i} {kind}" for i, kind in swaps[name])
+                               if name in swaps else " none"))
 
 
 KRONECKER_KS = range(2, 13)

@@ -129,6 +129,19 @@ def random_draw(seed: int, index: int) -> DescriptorSystem:
     return [random_system(rng) for _ in range(index + 1)][index]
 
 
+def badly_scaled_draw_161() -> DescriptorSystem:
+    """Draw 161 of random_system(default_rng(7)), 3 x 5, with its state
+    columns rescaled by factors from 1.2e-5 to 6.3e3.  Its stacked finite
+    block J_f has |J_f|_F = 1.6e8 and eigenvalues -1.50 and 0.106 +- 0.275i,
+    and LAPACK's reordering of J_f's real Schur form fails its sort to
+    roundoff."""
+    sys = random_draw(7, 161)
+    T = np.array([3.55307218e-03, 1.24284146e-05, 6.32682205e+03, 7.65929964e+01,
+                  1.96313194e-05])
+    return DescriptorSystem.from_matrices(sys.E * T, sys.A * T, sys.B, sys.C * T,
+                                          sys.K * T, D=sys.D)
+
+
 def random_pencil(rng: np.random.Generator, max_dim: int = 4,
                   entry_range: int = 3):
     m = int(rng.integers(1, max_dim + 1))

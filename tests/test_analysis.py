@@ -28,11 +28,11 @@ from dsest import (
 
 from dsest.analysis import _PLANTS, _plant
 from dsest.linalg import Subspace
-from dsest.exceptions import DsestError
+from dsest.exceptions import DecompositionError, DsestError
 from dsest.io import report_to_dict
 import census
-from conftest import (detect_candidate_lambdas, detectability_matrices,
-                      lifted_system, random_draw, random_pencil, random_system,
+from conftest import (badly_scaled_draw_161, detect_candidate_lambdas,
+                      detectability_matrices, lifted_system, random_draw, random_pencil, random_system,
                       stiff_system)
 
 
@@ -325,6 +325,14 @@ class TestNoDecompositionCrash:
                 1e3 * sys.E, sys.A, sys.B, sys.C, sys.K, D=sys.D)
             assert is_partially_causal_detectable(slow).partially_causal_detectable \
                 == is_partially_causal_detectable(sys).partially_causal_detectable, index
+
+    def test_unsortable_split_is_a_decomposition_error(self):
+        # LAPACK's Schur reordering fails on this J_f (|J_f|_F = 1.6e8); the
+        # analysis refuses and names the split instead of raising numpy's
+        # LinAlgError.
+        with pytest.raises(DecompositionError, match=(
+                "spectral split of a 3 x 3 matrix with \\|M\\|_F = 1.605e\\+08 failed")):
+            is_partially_causal_detectable(badly_scaled_draw_161())
 
 
 class TestInvariance:

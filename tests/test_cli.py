@@ -13,7 +13,7 @@ from dsest import DecompositionError, DescriptorSystem, Tolerance
 from dsest import io as dsio
 from dsest.cli import main, parse_input_spec, _effective_tolerance
 
-from conftest import random_system
+from conftest import badly_scaled_draw_161, random_system
 from test_decomp import hidden_kronecker_pencil
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -804,6 +804,16 @@ class TestToolkitErrors:
         assert res.exit_code == 1
         assert ("error: QKF failed at rank_rtol=1e-10 (LinAlgError: SVD did not "
                 "converge)") in res.output
+        assert "Traceback" not in res.output
+
+    def test_unsortable_split_is_an_error_line(self, runner, tmp_path):
+        path = tmp_path / "sys.json"
+        dsio.save_system(str(path), badly_scaled_draw_161())
+        res = runner.invoke(main, ["analyze", str(path)])
+        assert isinstance(res.exception, SystemExit)
+        assert res.exit_code == 1
+        errors = [line for line in res.output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "spectral split" in errors[0], res.output
         assert "Traceback" not in res.output
 
     @pytest.mark.parametrize("command", ["analyze", "report"])
