@@ -84,21 +84,6 @@ def _float64(M: np.ndarray, name: str) -> np.ndarray:
     return M.astype(np.float64, copy=False)
 
 
-def _snap_roundoff(M) -> np.ndarray:
-    """Zero out entries below 1e-12 times the largest entry: pure roundoff.
-
-    Products T (block form) T^+ of decomposition bases leave ~1e-16 entries
-    where the exact result is zero; a coupling that small from a fast mode
-    or a large output into a bounded state ruins long-horizon accuracy.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        return M
-    out = M.copy()
-    out[np.abs(out) < 1e-12 * np.abs(M).max()] = 0.0
-    return out
-
-
 def _svd_threshold(s: np.ndarray, shape: tuple[int, int], tol: Tolerance,
                    scale: float = 0.0) -> float:
     if s.size == 0:

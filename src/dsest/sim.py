@@ -39,7 +39,7 @@ import numpy as np
 from .analysis import DescriptorSystem, _plant
 from .decomp import _blkdiag, _split, qkf
 from .exceptions import SimulationError
-from .linalg import CONSISTENCY_ATOL, DEFAULT_TOL, Tolerance, _snap_roundoff
+from .linalg import CONSISTENCY_ATOL, DEFAULT_TOL, Tolerance
 from .signals import InputSignal
 from .synthesis import EstimatorRealization
 
@@ -117,10 +117,8 @@ class _PlantSolver:
     """Block-wise solution machinery for E x' = A x + B u.
 
     The pencil decomposition identifies which degrees of freedom are
-    dynamic, algebraic, and free, but the dynamic ODE is re-expressed in
-    the original state coordinates (X' = F X + ...) so that structural
-    zeros of the plant survive in F and fast modes cannot contaminate
-    decoupled slow states through basis roundoff.
+    dynamic, algebraic, and free; the dynamic ODE is re-expressed in the
+    original state coordinates (X' = F X + ...).
 
     The certified QKF fixes the block sizes: the free block is normalized
     at the rank m_eps that the certification checked, the overdetermined
@@ -167,7 +165,7 @@ class _PlantSolver:
         # eta-block) in decomposed coordinates; X = Q_v v is its image in
         # original coordinates.  All runtime matrices are formed as
         # basis-sandwiched products so that the decomposition's internal
-        # rotations cancel, then snapped to restore exact structural zeros.
+        # rotations cancel.
         Q_eps, Q_f, Q_sig, Q_eta = _split(dec.Q, dec.col_sizes, 1)
         self.Q_v = np.hstack([Q_eps @ Z[:, :me], Q_f, Q_eta])
         D_v = _blkdiag(AZ[:, :me], dec.J_f, A_eta_dyn)
@@ -177,13 +175,13 @@ class _PlantSolver:
         # is R^-1 Q^T of one QR, with no rank to decide.
         q, r = np.linalg.qr(self.Q_v)
         Qv_pinv = np.linalg.solve(r, q.T)
-        self.F = _snap_roundoff(self.Q_v @ D_v @ Qv_pinv)
-        self.Gu = _snap_roundoff(self.Q_v @ B_v)
-        self.Gfree = _snap_roundoff(self.Q_v @ C_free)
-        self.free_map = _snap_roundoff(Q_eps @ Z[:, me:])
-        self.sigma_maps = [_snap_roundoff(Q_sig @ c) for c in self.sigma_coeffs]
+        self.F = self.Q_v @ D_v @ Qv_pinv
+        self.Gu = self.Q_v @ B_v
+        self.Gfree = self.Q_v @ C_free
+        self.free_map = Q_eps @ Z[:, me:]
+        self.sigma_maps = [Q_sig @ c for c in self.sigma_coeffs]
         # Algebraic consistency rows of the eta-block, expressed on X.
-        self.R_alg = _snap_roundoff(self.A_eta_alg @ Qv_pinv[me + dec.n_f:])
+        self.R_alg = self.A_eta_alg @ Qv_pinv[me + dec.n_f:]
 
     def initial_dynamic_state(self, x0: np.ndarray, u0: list, eps_signal):
         """Split a full x(0) into dynamic state + free signal, checking the

@@ -69,8 +69,10 @@ its error's text where one was raised; and the split plants' estimators.
     PYTHONPATH=src python tests/census.py --compare old.npz new.npz
 
 It prints the letters and refusal texts that changed, then per kind
-(reports, estimators, traces, split) how many results moved and the worst
-relative change among them.  For the moved traces that both trees ran, it
+(reports, estimators, traces, split) how many of the results that both
+trees hold moved and the worst relative change among them, and the count
+and keys of the results that only one tree holds (a trace of an estimator
+that only one tree built).  For the moved traces that both trees ran, it
 also prints per array (x, y, z, w, zhat, e) the worst max-abs change
 relative to the larger max |.|, and the traces whose decay verdict
 (``decay_metrics``) changed.  A change of an estimator's state basis moves
@@ -299,14 +301,19 @@ def compare(old_path: str, new_path: str) -> None:
             print(f"  {key}: {a} -> {b}")
     for kind in ("reports", "estimators", "traces", "split"):
         keys = [key for k, key in idents if k == kind]
+        alone = {side: [key for key in keys if (kind, key) not in other]
+                 for side, other in (("old", new), ("new", old))}
+        keys = [key for key in keys if (kind, key) in old and (kind, key) in new]
         moved = {key: c for key in keys
-                 if (c := _relative_change(old.get((kind, key), []),
-                                           new.get((kind, key), [])))}
+                 if (c := _relative_change(old[kind, key], new[kind, key]))}
         line = f"{kind:<10} moved {len(moved)} of {len(keys)}"
         if moved:
             worst = max(moved, key=moved.get)
             line += f", worst relative change {moved[worst]:.2g} at {worst}"
         print(line)
+        for side, only in alone.items():
+            if only:
+                print(f"  only in {side} {len(only)}: {' '.join(only)}")
         both = {key: (old[kind, key], new[kind, key]) for key in moved
                 if None is _text(old[kind, key]) is _text(new[kind, key])}
         if kind in ("estimators", "split"):

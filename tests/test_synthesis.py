@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import census
+
 from dsest import (
     DescriptorSystem,
     DimensionMismatchError,
@@ -20,7 +22,7 @@ from dsest import (
 from dsest.analysis import _functional
 from dsest.io import load_estimator, load_system
 from dsest.linalg import DEFAULT_TOL
-from conftest import SPLIT_PLANTS, random_system, split_system, stiff_system
+from conftest import SPLIT_PLANTS, random_draw, random_system, split_system, stiff_system
 
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -310,3 +312,37 @@ class TestRandomProperties:
             if est.s:
                 assert np.linalg.eigvals(est.N).real.max() < 0
         assert synthesized >= 10
+
+
+class TestAsDesigned:
+    """The estimator is the one steps 4-6 design, with no entry re-decided
+    afterwards: N is blkdiag(J_f2, A_eta1 - L A_eta2) as computed, so its
+    spectrum is that of the blocks, whose stability the ordered Schur split
+    and ``place_poles`` each decided once."""
+
+    @staticmethod
+    def slowed(i: int) -> DescriptorSystem:
+        """Census draw ``i`` with E x 1e3."""
+        sys = random_draw(7, i)
+        return DescriptorSystem.from_matrices(sys.E * 1e3, sys.A, sys.B, sys.C, sys.K,
+                                              D=sys.D)
+
+    @pytest.mark.parametrize("i, worst", [(281, -0.6674), (520, -2.2857)])
+    def test_rescaled_states_build_a_stable_estimator(self, i, worst):
+        est, _ = synthesize_estimator(census.invariance_system(i, "states 10^+-3"))
+        assert np.linalg.eigvals(est.N).real.max() == pytest.approx(worst, abs=1e-4)
+
+    @pytest.mark.parametrize("i", [54, 55, 147, 265])
+    def test_slowed_draws_build(self, i):
+        est, trace = synthesize_estimator(self.slowed(i))
+        assert not trace.eta_folded
+        assert np.linalg.eigvals(est.N).real.max() < 0
+
+    def test_spectrum_is_that_of_the_blocks(self):
+        sys = self.slowed(10)
+        est, trace = synthesize_estimator(sys)
+        J_f2 = _functional(sys, DEFAULT_TOL).structure.J_f2
+        blocks = np.concatenate([np.linalg.eigvals(J_f2),
+                                 np.linalg.eigvals(trace.A_eta1 - trace.L @ trace.A_eta2)])
+        np.testing.assert_allclose(np.sort_complex(np.linalg.eigvals(est.N)),
+                                   np.sort_complex(blocks), rtol=1e-12, atol=0)
